@@ -23,7 +23,7 @@ from .quadrinomial import (
     trace_zero_power_set,
 )
 from .scattered import is_scattered_fiber
-from .mrdcodes import RankCode, right_idealizer, left_idealizer, stabilizer, stabilizer_naive
+from .mrdcodes import RankCode, right_idealizer, left_idealizer, stabilizer
 from .equivalence import pair_report
 from .projgeom import polynomial_vertex, intersection_number
 from .sweep import SCHEMA_VERSION, classify_sweep, conjecture_scan
@@ -150,7 +150,7 @@ def cmd_stabilizer(args) -> int:
     ctx = _ctx_from_args(args)
     params = QuadParams(ctx, args.s, args.m, args.h)
     f = build_quadrinomial(params)
-    st = stabilizer_naive(f) if args.naive else stabilizer(f)
+    st = stabilizer(f)
     rep = st.to_report()
     rep.update({"schema_version": SCHEMA_VERSION, "kind": "stabilizer",
                 "q": ctx.q, "t": ctx.t, "s": args.s, "m": args.m, "h": args.h})
@@ -165,7 +165,7 @@ def cmd_idealizer(args) -> int:
     rep = {"schema_version": SCHEMA_VERSION, "kind": "idealizer",
            "q": ctx.q, "t": ctx.t, "s": args.s, "m": args.m, "h": args.h}
     if args.side in ("right", "both"):
-        pairs = right_idealizer(code, method=args.method)
+        pairs = right_idealizer(code)
         rep["right_order"] = len(pairs)
         rep["right_sample"] = [list(p) for p in pairs[:8]]
     if args.side in ("left", "both"):
@@ -180,8 +180,7 @@ def cmd_equiv(args) -> int:
     ctx = _ctx_from_args(args)
     p1 = QuadParams(ctx, args.s, args.m, args.h)
     p2 = QuadParams(ctx, args.s2, args.m2, args.h2)
-    rep = pair_report(p1, p2, budget=args.budget,
-                      require_large_t=not args.allow_small_t)
+    rep = pair_report(p1, p2, require_large_t=not args.allow_small_t)
     rep.update({"schema_version": SCHEMA_VERSION, "kind": "equiv"})
     _emit(rep, args.out)
     return 0 if rep["agree"] else 1
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--naive", action="store_true", help="double-sweep reference")
     sp.set_defaults(func=cmd_stabilizer)
 
     sp = sub.add_parser("idealizer", help="left/right idealizers of the span code")
@@ -285,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--side", choices=["right", "left", "both"], default="both")
-    sp.add_argument("--method", choices=["residual", "grid"], default="residual")
     sp.set_defaults(func=cmd_idealizer)
 
     sp = sub.add_parser("equiv", help="pairwise equivalence test with conditions")
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp_obj.add_argument("--workers", type=int, default=None)
         sp_obj.add_argument("--deterministic", action="store_true", default=True)
         sp_obj.add_argument("--budget", type=int, default=None,
-                            help="largest admissible field size for sweeps")
+                            help="largest admissible field size for classify/conjecture")
     return ap
 
 

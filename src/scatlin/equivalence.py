@@ -2,13 +2,12 @@
 
 Two polynomials are GL-equivalent when an invertible 2x2 matrix over the top
 field carries one graph onto the other, i.e. g o (alpha*X + beta*f) equals
-gamma*X + delta*f as reduced polynomials.  The decision procedure sweeps
-beta: the coefficient slots outside supp(g), supp(f) and 0 constrain beta
-alone and prune the sweep to a handful of survivors, each leaving one
-F_q-linear system for (alpha, gamma, delta).  Cost O(q^n) sweep work plus a
-small solve per survivor, which keeps pairwise testing comfortable at
-n = 10.  Semilinear equivalence loops the p-power coefficient twists in
-front of the linear test.
+gamma*X + delta*f as reduced polynomials.  That equation is F_p-linear in
+(alpha, beta, gamma, delta) jointly, so the decision is one nullspace
+computation, the one the stabilizer and the right idealizer of `mrdcodes`
+use; the witness is the invertible solution smallest by (beta, alpha,
+gamma, delta).  Semilinear equivalence loops the p-power coefficient twists
+in front of the linear test.
 
 The module also evaluates the printed necessary conditions for two family
 members to be GL-equivalent, organised by the residue class of the second
@@ -21,17 +20,17 @@ from dataclasses import dataclass
 from math import gcd
 import numpy as np
 
-from . import gflinalg
 from .fieldcore import FieldCtx
 from .linpoly import LinPoly
+from .mrdcodes import _graph_maps, _invertible
 from .quadrinomial import QuadParams, build_quadrinomial
 
 
 @dataclass
 class GLSearchResult:
     witness: tuple | None  # (alpha, beta, gamma, delta) or None
-    beta_candidates: int
-    systems_solved: int
+    beta_candidates: int  # distinct beta in the solution space
+    systems_solved: int  # always 1: the whole search is one nullspace
 
 
 def _q1_view(f: LinPoly) -> LinPoly:
@@ -39,100 +38,27 @@ def _q1_view(f: LinPoly) -> LinPoly:
     return LinPoly.from_q_view(f.ctx, 1, f.q_view())
 
 
-def _span_slot_values(outer: LinPoly, inner: LinPoly, bs: np.ndarray):
-    """Slot values of outer o (b*inner) for every b in bs (step-1 polys)."""
-    ctx = outer.ctx
-    acc = {k: np.zeros((bs.size, ctx.deg), dtype=np.int64) for k in range(ctx.n)}
-    for i in outer.support():
-        fb = ctx.frob_vec(bs, i)
-        for j in inner.support():
-            k = (i + j) % ctx.n
-            cst = ctx.mul(int(outer.coeffs[i]), ctx.frob(int(inner.coeffs[j]), i))
-            acc[k] += ctx.DIGITS[ctx.scale_vec(cst, fb)]
-    return {k: (v % ctx.p) @ ctx.PP for k, v in acc.items()}
+def gl_search(f: LinPoly, g: LinPoly) -> GLSearchResult:
+    """Canonical witness for g o (alpha*X + beta*f) = gamma*X + delta*f.
 
-
-def gl_search(f: LinPoly, g: LinPoly, budget: int | None = None) -> GLSearchResult:
-    """Full beta sweep for g o (alpha*X + beta*f) = gamma*X + delta*f.
-
-    Returns the canonically smallest invertible witness (ordered by beta,
-    then by solution coordinates) or None, together with sweep statistics.
+    Returns the invertible solution smallest by (beta, alpha, gamma, delta),
+    or None, together with the number of distinct beta among all solutions.
     """
-    if f.ctx != g.ctx:
-        raise ValueError("mismatched field contexts")
-    ctx = f.ctx
-    fq, gq = _q1_view(f), _q1_view(g)
-    bs = ctx.elements()
-    slot_vals = _span_slot_values(gq, fq, bs)
-
-    interesting = set(gq.support()) | set(fq.support()) | {0}
-    ok = np.ones(ctx.size, dtype=bool)
-    for k in range(ctx.n):
-        if k not in interesting:
-            ok &= slot_vals[k] == 0
-    betas = np.nonzero(ok)[0]
-    if budget is not None and betas.size > budget:
-        betas = betas[:budget]
-    n_candidates = int(betas.size)
-
-    d = ctx.deg
-    eye = np.eye(d, dtype=np.int64)
-    zero = np.zeros((d, d), dtype=np.int64)
-    # per-slot alpha blocks are beta-independent
-    slot_order = sorted(interesting)
-    rows_alpha = {}
-    for k in slot_order:
-        gk = int(gq.coeffs[k])
-        m_alpha = (ctx.mult_matrix(gk) @ ctx.frob_matrix(k)) % ctx.p if gk else zero
-        m_gamma = -eye if k == 0 else zero
-        fk = int(fq.coeffs[k])
-        m_delta = -ctx.mult_matrix(fk) if fk else zero
-        rows_alpha[k] = np.hstack([m_alpha, m_gamma, m_delta]) % ctx.p
-    mat = np.vstack([rows_alpha[k] for k in slot_order])
-
-    # the system matrix is beta-independent, so consistency across the whole
-    # sweep is one left-kernel product instead of a solve per beta
-    left_null = gflinalg.nullspace(mat.T, ctx.p)
-    if left_null.shape[1] and betas.size:
-        rhs_all = np.empty((mat.shape[0], betas.size), dtype=np.int64)
-        for idx, k in enumerate(slot_order):
-            rhs_all[idx * d: (idx + 1) * d, :] = ctx.DIGITS[
-                ctx.NEG[slot_vals[k][betas]]
-            ].T
-        chk = (left_null.T @ rhs_all) % ctx.p
-        betas = betas[(chk == 0).all(axis=0)]
-
-    solved = 0
-    for beta in betas:
-        rhs = np.concatenate(
-            [ctx.DIGITS[ctx.NEG[slot_vals[k][beta]]] for k in slot_order]
-        )
-        sol = gflinalg.solve_affine(mat, rhs, ctx.p)
-        solved += 1
-        if sol is None:
-            continue
-        part, null = sol
-        combos = (gflinalg.span_vectors(null, ctx.p) + part) % ctx.p
-        alpha = ctx.from_digits_vec(combos[:, :d])
-        gamma = ctx.from_digits_vec(combos[:, d: 2 * d])
-        delta = ctx.from_digits_vec(combos[:, 2 * d:])
-        beta_arr = np.full(alpha.shape, int(beta), dtype=np.int64)
-        det = ctx.add_vec(ctx.mul_vec(alpha, delta), ctx.NEG[ctx.mul_vec(beta_arr, gamma)])
-        good = np.nonzero(det != 0)[0]
-        if good.size:
-            order = np.lexsort((delta[good], gamma[good], alpha[good]))
-            i = good[order[0]]
-            w = (int(alpha[i]), int(beta), int(gamma[i]), int(delta[i]))
-            if not verify_gl_witness(f, g, w):
-                raise AssertionError("witness failed exact recheck")
-            return GLSearchResult(w, n_candidates, solved)
-    return GLSearchResult(None, n_candidates, solved)
+    maps = _graph_maps(f, g)
+    n_beta = int(np.unique(maps[:, 1]).size)
+    inv = maps[_invertible(f.ctx, maps)]
+    if not inv.size:
+        return GLSearchResult(None, n_beta, 1)
+    w = tuple(int(v) for v in inv[np.lexsort(inv.T[[3, 2, 0, 1]])[0]])
+    if not verify_gl_witness(f, g, w):
+        raise RuntimeError("witness failed exact recheck")
+    return GLSearchResult(w, n_beta, 1)
 
 
-def gl_equivalent(f: LinPoly, g: LinPoly, budget: int | None = None):
+def gl_equivalent(f: LinPoly, g: LinPoly):
     """Witness matrix (alpha, beta, gamma, delta) carrying the graph of f onto
     the graph of g, or None when the graphs sit in different orbits."""
-    return gl_search(f, g, budget).witness
+    return gl_search(f, g).witness
 
 
 def verify_gl_witness(f: LinPoly, g: LinPoly, w) -> bool:
@@ -175,14 +101,14 @@ def multiply_witnesses(ctx: FieldCtx, w2, w1):
     )
 
 
-def gammal_equivalent(f: LinPoly, g: LinPoly, budget: int | None = None):
+def gammal_equivalent(f: LinPoly, g: LinPoly):
     """Semilinear-orbit test: some p-power twist of f is GL-equivalent to g.
 
     Returns (automorphism power j, witness matrix) or None.
     """
     ctx = f.ctx
     for j in range(ctx.e * ctx.n):
-        w = gl_equivalent(f.frobenius_twist(j), g, budget)
+        w = gl_equivalent(f.frobenius_twist(j), g)
         if w is not None:
             return j, w
     return None
@@ -210,7 +136,8 @@ def step_case(ctx: FieldCtx, s: int, ell: int) -> str:
         matches.append("e")
     if not matches:
         return "a"
-    assert len(matches) == 1, f"ambiguous step classification {matches}"
+    if len(matches) > 1:
+        raise RuntimeError(f"ambiguous step classification {matches}")
     return matches[0]
 
 
@@ -219,7 +146,7 @@ def necessary_conditions(p1: QuadParams, p2: QuadParams, require_large_t: bool =
 
     p1 carries (m, h, s), p2 carries (mu, k, ell).  Classifies ell against
     {-s, s, t-s, t+s} mod 2t; for classes b..e evaluates the subfield
-    membership of k*h, h/k or h*k (in both gcd spellings, asserted equal)
+    membership of k*h, h/k or h*k (in both gcd spellings, checked equal)
     and the two alternative product identities decided constructively
     through the semilinear solver plus a scan of the middle-field coset.
     """
@@ -251,7 +178,8 @@ def necessary_conditions(p1: QuadParams, p2: QuadParams, require_large_t: bool =
     }[case]
     g_plain = gcd(t - 2, n)
     g_scaled = gcd(s * (t - 2), n)
-    assert g_plain == g_scaled, "the two gcd spellings must agree for coprime s"
+    if g_plain != g_scaled:
+        raise RuntimeError("the two gcd spellings must agree for coprime s")
     member = ctx.in_subfield(combo, g_plain)
     report["subfield_membership"] = bool(member)
     report["subfield_degree"] = g_plain
@@ -293,16 +221,15 @@ def necessary_conditions(p1: QuadParams, p2: QuadParams, require_large_t: bool =
     return report
 
 
-def pair_report(p1: QuadParams, p2: QuadParams, budget: int | None = None,
-                require_large_t: bool = True) -> dict:
-    """Bundled pair test: beta-sweep witness plus the printed conditions.
+def pair_report(p1: QuadParams, p2: QuadParams, require_large_t: bool = True) -> dict:
+    """Bundled pair test: canonical GL witness plus the printed conditions.
 
     agree means: either no witness was found, or the witness lands in a
     class whose conditions hold.
     """
     f = build_quadrinomial(p1)
     g = build_quadrinomial(p2)
-    res = gl_search(f, g, budget)
+    res = gl_search(f, g)
     cond = necessary_conditions(p1, p2, require_large_t=require_large_t)
     if res.witness is None:
         agree = True
@@ -344,7 +271,8 @@ def find_new_example(ctx: FieldCtx, s: int) -> dict:
     mid_nz = mid[mid != 0]
     d_mask = ctx.LOG[mid_nz] % (q - 1) == 0
     d_set = set(mid_nz[d_mask].tolist())
-    assert len(d_set) == 2 * (qt - 1) // (q - 1), "power-class count mismatch"
+    if len(d_set) != 2 * (qt - 1) // (q - 1):
+        raise RuntimeError("power-class count mismatch")
 
     plus = set(trace_zero_power_set(ctx, s, +1).tolist())
     minus = set(trace_zero_power_set(ctx, s, -1).tolist())

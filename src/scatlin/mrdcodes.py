@@ -5,13 +5,12 @@ Minimum distance, the maximum-rank-distance test, the two idealizers, the
 stabilizer of the graph subspace {(x, f(x))} and the standard-form detector
 all live here.
 
-The stabilizer and idealizer computations never enumerate the full 2x2
-matrix group (size ~ q^(4n)).  The workhorse is residual matching: the
-equation f(alpha*X + beta*f) = gamma*X + delta*f is, for fixed beta, an
-F_q-linear constraint on (alpha, gamma, delta), and the coefficient slots
-outside supp(f) constrain beta alone, which prunes the beta sweep to a
-handful of survivors.  Total cost O(q^n * n^2); a naive double sweep over
-(alpha, beta) is kept for cross-validation at the smallest scale.
+The stabilizer, the right idealizer and the GL search in `equivalence` never
+enumerate the 2x2 matrix group (size ~ q^(4n)).  They share one linear
+solve: g o (alpha*X + beta*f) = gamma*X + delta*f is F_p-linear in
+(alpha, beta, gamma, delta) jointly, so all its solutions are the nullspace
+of a single (n*deg) x (4*deg) matrix over F_p (`_graph_maps`), and each
+computation filters or projects that solution space.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from . import gflinalg
 from .fieldcore import FieldCtx, BudgetExceededError
 from .linpoly import LinPoly
 
-IDEALIZER_GRID_BOUND_DEFAULT = 3 ** 12
+# largest solution space enumerated here (memory grows linearly with it)
+SOLUTION_SPACE_BOUND = 2 ** 20
 
 
 class RankCode:
@@ -45,17 +45,17 @@ class RankCode:
         field element never changes the rank.
         """
         ctx = self.ctx
-        F = self.f.matrix()
         bs = ctx.elements()
-        # multiplication-by-b matrices for every b, batched by basis column
-        M = np.empty((ctx.size, ctx.deg, ctx.deg), dtype=np.int64)
+        fx = self.f.eval_vec(ctx.PP)
+        # matrices of x -> x + b*f(x) for every b, one basis column at a time;
+        # digit entries keep the stack at one byte per entry
+        mats = np.empty((ctx.size, ctx.deg, ctx.deg), dtype=np.int8)
         for j in range(ctx.deg):
-            col = ctx.mul_vec(bs, np.full(ctx.size, int(ctx.PP[j]), dtype=np.int64))
-            M[:, :, j] = ctx.DIGITS[col]
-        mats = (np.einsum("bij,jk->bik", M, F) + np.eye(ctx.deg, dtype=np.int64)) % ctx.p
+            mats[:, :, j] = ctx.DIGITS[ctx.add_vec(ctx.scale_vec(int(fx[j]), bs), ctx.PP[j])]
         ranks = gflinalg.rank_batched(mats, ctx.p)
-        ranks = np.append(ranks, gflinalg.rank(F, ctx.p))
-        assert (ranks % ctx.e == 0).all()
+        ranks = np.append(ranks, gflinalg.rank(self.f.matrix(), ctx.p))
+        if (ranks % ctx.e).any():
+            raise RuntimeError("a codeword's F_p-rank is not a multiple of e")
         return ranks // ctx.e
 
     def min_distance(self) -> int:
@@ -73,39 +73,97 @@ class RankCode:
 
 
 # ---------------------------------------------------------------------------
+# the graph-map system g o (alpha*X + beta*f) = gamma*X + delta*f
+
+
+def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
+    """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
+
+    In the q-exponent view the X^(q^k) slot of the difference reads
+    g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i) - gamma [k = 0] - delta f_k,
+    which is F_p-linear in the four unknowns jointly, beta included.  The
+    solutions are the nullspace of one (n*deg) x (4*deg) matrix over F_p,
+    returned as an (N, 4) array of element indices in no particular order.
+    Every solution is rechecked by evaluating both sides on an F_p-basis of
+    the top field.
+    """
+    if f.ctx != g.ctx:
+        raise ValueError("mismatched field contexts")
+    ctx = f.ctx
+    n, d, p = ctx.n, ctx.deg, ctx.p
+    fq, gq = f.q_view(), g.q_view()
+
+    def mult(a):
+        return ctx.mult_matrix(int(a)).astype(np.int64)
+
+    frob = [ctx.frob_matrix(i).astype(np.int64) for i in range(n)]
+    # blocks[k, u]: slot k, unknown u in (alpha, beta, gamma, delta)
+    blocks = np.zeros((n, 4, d, d), dtype=np.int64)
+    for i in np.nonzero(gq)[0]:
+        blocks[i, 0] = mult(gq[i]) @ frob[i]
+        for j in np.nonzero(fq)[0]:
+            c = ctx.mul(int(gq[i]), ctx.frob(int(fq[j]), i))
+            blocks[(i + j) % n, 1] += mult(c) @ frob[i]
+    blocks[0, 2] = -np.eye(d, dtype=np.int64)
+    for j in np.nonzero(fq)[0]:
+        blocks[j, 3] = -mult(fq[j])
+    mat = blocks.transpose(0, 2, 1, 3).reshape(n * d, 4 * d) % p
+    maps = ctx.from_digits_vec(_solutions(mat, p).reshape(-1, 4, d))
+
+    # both sides are F_p-linear in x, so agreeing on a basis is exact
+    xs = ctx.PP
+    fx = f.eval_vec(xs)
+    alpha, beta, gamma, delta = (maps[:, u, None] for u in range(4))
+    inner = ctx.add_vec(ctx.mul_vec(alpha, xs), ctx.mul_vec(beta, fx))
+    lhs = g.eval_vec(inner.ravel()).reshape(inner.shape)
+    rhs = ctx.add_vec(ctx.mul_vec(gamma, xs), ctx.mul_vec(delta, fx))
+    if not np.array_equal(lhs, rhs):
+        raise RuntimeError("graph-map solution failed exact recheck")
+    return maps
+
+
+def _solutions(mat: np.ndarray, p: int) -> np.ndarray:
+    """Every vector of the nullspace of mat, one per row; refuses spaces
+    above SOLUTION_SPACE_BOUND vectors."""
+    basis = gflinalg.nullspace(mat, p)
+    if p ** basis.shape[1] > SOLUTION_SPACE_BOUND:
+        raise BudgetExceededError(
+            f"{p}^{basis.shape[1]} solutions, above the bound {SOLUTION_SPACE_BOUND}"
+        )
+    return gflinalg.span_vectors(basis, p)
+
+
+def _invertible(ctx: FieldCtx, maps: np.ndarray) -> np.ndarray:
+    """Row mask of the (alpha, beta, gamma, delta) rows with nonzero determinant."""
+    return ctx.mul_vec(maps[:, 0], maps[:, 3]) != ctx.mul_vec(maps[:, 1], maps[:, 2])
+
+
+# ---------------------------------------------------------------------------
 # idealizers
 
 
-def right_idealizer(code: RankCode, bound: int = IDEALIZER_GRID_BOUND_DEFAULT,
-                    method: str = "residual"):
-    """All h = a*X + b*f with f o h back in the span, as (a, b) pairs.
+def right_idealizer(code: RankCode):
+    """All h = a*X + b*f with f o h back in the span, as sorted (a, b) pairs.
 
     Since X is a codeword, any right-idealizer element h = X o h must itself
-    lie in the span, so the search space is exactly the q^(2n) pairs (a, b).
-    The residual method prunes b through the off-support slots and solves an
-    F_q-linear system per survivor; the grid method tests every pair and is
-    refused above `bound`.
+    lie in the span, so these are the (alpha, beta) projections of the
+    graph-map solutions of f onto itself, without the determinant filter.
     """
-    if method == "grid":
-        return _idealizer_grid(code, bound, side="right")
-    return _right_idealizer_residual(code)
+    maps = _graph_maps(code.f, code.f)
+    return sorted(set(zip(maps[:, 0].tolist(), maps[:, 1].tolist())))
 
 
-def left_idealizer(code: RankCode, bound: int = IDEALIZER_GRID_BOUND_DEFAULT,
-                   method: str = "linear"):
+def left_idealizer(code: RankCode):
     """All g = a*X + b*f with g o f back in the span, as (a, b) pairs.
 
     Left composition by a*X + b*f is plainly linear in (a, b), so one
-    F_q-linear solve settles it; the grid method remains for cross-checks.
+    F_q-linear solve settles it.
     """
-    if method == "grid":
-        return _idealizer_grid(code, bound, side="left")
     ctx = code.ctx
     f = code.f
     ff = f.compose(f)
     # slot equations: a*f_k + b*(f o f)_k = a'*[k=0] + b'*f_k
     rows = []
-    rhs_zero = []
     d = ctx.deg
     for k in range(ctx.n):
         blocks = [
@@ -115,128 +173,11 @@ def left_idealizer(code: RankCode, bound: int = IDEALIZER_GRID_BOUND_DEFAULT,
             -ctx.mult_matrix(int(f.coeffs[k])),
         ]
         rows.append(np.hstack(blocks))
-    mat = np.vstack(rows) % ctx.p
-    basis = gflinalg.nullspace(mat, ctx.p)
-    sols = gflinalg.span_vectors(basis, ctx.p)
+    sols = _solutions(np.vstack(rows) % ctx.p, ctx.p)
     a = ctx.from_digits_vec(sols[:, :d])
     b = ctx.from_digits_vec(sols[:, d: 2 * d])
     pairs = sorted(set(zip(a.tolist(), b.tolist())))
     return pairs
-
-
-def _right_idealizer_residual(code: RankCode):
-    ctx = code.ctx
-    f = code.f
-    s = f.s
-    supp = f.support()
-    bs = ctx.elements()
-    slot_vals = _compose_with_span_of_f(f, f, bs)  # slot -> f o (b*f) values per b
-
-    off = [k for k in range(ctx.n) if k not in supp and k != 0]
-    ok = np.ones(ctx.size, dtype=bool)
-    for k in off:
-        ok &= slot_vals[k] == 0
-    pairs = []
-    d = ctx.deg
-    for b in np.nonzero(ok)[0]:
-        # unknowns (a, b'): f_k * a^(q^(sk)) + B_k(b) = b'*f_k  on supp \ {0}
-        rows = []
-        rhs = []
-        for k in supp:
-            if k == 0:
-                continue
-            mk = (ctx.mult_matrix(int(f.coeffs[k])) @ ctx.frob_matrix((s * k) % ctx.n)) % ctx.p
-            rows.append(np.hstack([mk, -ctx.mult_matrix(int(f.coeffs[k]))]))
-            rhs.append(ctx.DIGITS[ctx.NEG[slot_vals[k][b]]])
-        if rows:
-            sol = gflinalg.solve_affine(np.vstack(rows) % ctx.p, np.concatenate(rhs), ctx.p)
-            if sol is None:
-                continue
-            part, null = sol
-            for v in gflinalg.span_vectors(null, ctx.p):
-                u = (part + v) % ctx.p
-                pairs.append((int(ctx.from_digits(u[:d])), int(b)))
-        else:  # f supported only at slot 0 cannot happen (rejected at init)
-            continue
-    return sorted(set(pairs))
-
-
-def _compose_with_span_of_f(outer: LinPoly, inner: LinPoly, bs: np.ndarray):
-    """Slot values of outer o (b*inner) for every b, as {slot: array}."""
-    ctx = outer.ctx
-    s = outer.s
-    acc = {k: np.zeros((bs.size, ctx.deg), dtype=np.int64) for k in range(ctx.n)}
-    for i in outer.support():
-        fb = ctx.frob_vec(bs, (s * i) % ctx.n)
-        for j in inner.support():
-            k = (i + j) % ctx.n
-            cst = ctx.mul(int(outer.coeffs[i]), ctx.frob(int(inner.coeffs[j]), (s * i) % ctx.n))
-            acc[k] += ctx.DIGITS[ctx.scale_vec(cst, fb)]
-    return {k: (v % ctx.p) @ ctx.PP for k, v in acc.items()}
-
-
-def _idealizer_grid(code: RankCode, bound: int, side: str):
-    """Literal sweep over all q^(2n) pairs (a, b); refused above `bound`."""
-    ctx = code.ctx
-    if ctx.size ** 2 > bound:
-        raise BudgetExceededError(
-            f"pair enumeration needs {ctx.size ** 2} tests, above bound {bound}; "
-            "use the residual/linear method instead"
-        )
-    f = code.f
-    s = f.s
-    supp = f.support()
-    els = ctx.elements()
-    if side == "right":
-        a_part = {k: ctx.scale_vec(int(f.coeffs[k]), ctx.frob_vec(els, (s * k) % ctx.n))
-                  for k in supp}
-        b_part = _compose_with_span_of_f(f, f, els)
-    else:
-        ff = f.compose(f)
-        a_part = {k: ctx.scale_vec(int(f.coeffs[k]), els) for k in supp}
-        b_part = {k: ctx.scale_vec(int(ff.coeffs[k]), els) for k in range(ctx.n)}
-
-    na = ctx.size
-    ok = np.ones((na, na), dtype=bool)
-    for k in range(ctx.n):
-        av = a_part.get(k)
-        bv = b_part.get(k)
-        if av is None and bv is None:
-            continue
-        if k == 0:
-            continue  # slot 0 is absorbed by a'
-        if k in supp:
-            continue  # handled by the ratio consistency below
-        grid = _add_outer(ctx, av, bv)
-        ok &= grid == 0
-    # consistency of b' across the support slots (skipping slot 0)
-    ratio = None
-    for k in supp:
-        if k == 0:
-            continue
-        grid = _add_outer(ctx, a_part.get(k), b_part.get(k))
-        rk = _div_by_const(ctx, grid, int(f.coeffs[k]))
-        if ratio is None:
-            ratio = rk
-        else:
-            ok &= ratio == rk
-    aa, bb = np.nonzero(ok)
-    return sorted(set(zip(aa.tolist(), bb.tolist())))
-
-
-def _add_outer(ctx: FieldCtx, av, bv):
-    """Outer sum grid of two index vectors (either may be None == zeros)."""
-    na = ctx.size
-    if av is None:
-        av = np.zeros(na, dtype=np.int64)
-    if bv is None:
-        bv = np.zeros(na, dtype=np.int64)
-    dig = ctx.DIGITS[av][:, None, :] + ctx.DIGITS[bv][None, :, :]
-    return (dig % ctx.p) @ ctx.PP
-
-
-def _div_by_const(ctx: FieldCtx, arr, c: int):
-    return ctx.scale_vec(ctx.inv(c), arr)
 
 
 # ---------------------------------------------------------------------------
@@ -308,136 +249,17 @@ def _matrix_keys(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
 
 
 def stabilizer(f: LinPoly) -> StabilizerSet:
-    """All invertible (a, b; c, d) with f o (a*X + b*f) = c*X + d*f.
+    """All invertible (a, b; c, d) with f o (a*X + b*f) = c*X + d*f, sorted.
 
-    Residual matching: slots outside supp(f) and 0 depend on beta alone and
-    prune the beta sweep; each survivor leaves an F_q-linear system for
-    (alpha, gamma, delta) whose solutions are enumerated and verified.
+    These are the graph-map solutions of f onto itself with nonzero
+    determinant.
     """
     if f.is_zero():
         raise ValueError("stabilizer of the zero polynomial is not defined")
-    ctx = f.ctx
-    s = f.s
-    supp = f.support()
-    bs = ctx.elements()
-    slot_vals = _compose_with_span_of_f(f, f, bs)
-
-    off = [k for k in range(ctx.n) if k not in supp and k != 0]
-    ok = np.ones(ctx.size, dtype=bool)
-    for k in off:
-        ok &= slot_vals[k] == 0
-
-    d = ctx.deg
-    elements = []
-    eye = np.eye(d, dtype=np.int64)
-    for beta in np.nonzero(ok)[0]:
-        rows, rhs = [], []
-        for k in set(supp) | {0}:
-            fk = int(f.coeffs[k])
-            m_alpha = (
-                (ctx.mult_matrix(fk) @ ctx.frob_matrix((s * k) % ctx.n)) % ctx.p
-                if fk
-                else np.zeros((d, d), dtype=np.int64)
-            )
-            m_gamma = -eye if k == 0 else np.zeros((d, d), dtype=np.int64)
-            m_delta = -ctx.mult_matrix(fk) if fk else np.zeros((d, d), dtype=np.int64)
-            rows.append(np.hstack([m_alpha, m_gamma, m_delta]))
-            rhs.append(ctx.DIGITS[ctx.NEG[slot_vals[k][beta]]])
-        sol = gflinalg.solve_affine(np.vstack(rows) % ctx.p, np.concatenate(rhs), ctx.p)
-        if sol is None:
-            continue
-        part, null = sol
-        combos = (gflinalg.span_vectors(null, ctx.p) + part) % ctx.p
-        alpha = ctx.from_digits_vec(combos[:, :d])
-        gamma = ctx.from_digits_vec(combos[:, d: 2 * d])
-        delta = ctx.from_digits_vec(combos[:, 2 * d:])
-        beta_arr = np.full(alpha.shape, int(beta), dtype=np.int64)
-        det = ctx.add_vec(ctx.mul_vec(alpha, delta), ctx.NEG[ctx.mul_vec(beta_arr, gamma)])
-        keep = det != 0
-        _verify_graph_identity(f, alpha[keep], beta_arr[keep], gamma[keep], delta[keep])
-        elements.extend(
-            zip(alpha[keep].tolist(), beta_arr[keep].tolist(),
-                gamma[keep].tolist(), delta[keep].tolist())
-        )
-    elements.sort()
-    st = StabilizerSet(f, elements)
-    assert (1, 0, 0, 1) in elements, "identity matrix missing from stabilizer"
-    return st
-
-
-def _verify_graph_identity(f: LinPoly, alpha, beta, gamma, delta):
-    """Exact recheck of f o (alpha*X + beta*f) = gamma*X + delta*f, vectorized."""
-    ctx = f.ctx
-    s = f.s
-    supp = f.support()
-    bvals = _compose_with_span_of_f(f, f, beta)
-    for k in range(ctx.n):
-        lhs = ctx.DIGITS[bvals[k]].copy()
-        if k in supp:
-            fk = int(f.coeffs[k])
-            lhs += ctx.DIGITS[ctx.scale_vec(fk, ctx.frob_vec(alpha, (s * k) % ctx.n))]
-            rhs = ctx.scale_vec(fk, delta)
-        else:
-            rhs = np.zeros(alpha.shape, dtype=np.int64)
-        if k == 0:
-            rhs = ctx.add_vec(rhs, gamma)
-        lhs_idx = (lhs % ctx.p) @ ctx.PP
-        if not np.array_equal(lhs_idx, rhs):
-            raise AssertionError("stabilizer solution failed exact verification")
-
-
-def stabilizer_naive(f: LinPoly, bound: int = 3 ** 12) -> StabilizerSet:
-    """Double sweep over (alpha, beta); cross-validation reference."""
-    ctx = f.ctx
-    if ctx.size ** 2 > bound:
-        raise BudgetExceededError("naive stabilizer sweep above bound")
-    s = f.s
-    supp = f.support()
-    els = ctx.elements()
-    b_part = _compose_with_span_of_f(f, f, els)
-    a_part = {
-        k: ctx.scale_vec(int(f.coeffs[k]), ctx.frob_vec(els, (s * k) % ctx.n)) for k in supp
-    }
-    na = ctx.size
-    ok = np.ones((na, na), dtype=bool)
-    slot_grid = {}
-    for k in range(ctx.n):
-        grid = _add_outer(ctx, a_part.get(k), b_part.get(k))
-        slot_grid[k] = grid
-        if k != 0 and k not in supp:
-            ok &= grid == 0
-    # read off gamma and delta, then check remaining support slots
-    ratio = None
-    for k in supp:
-        if k == 0:
-            continue
-        rk = _div_by_const(ctx, slot_grid[k], int(f.coeffs[k]))
-        if ratio is None:
-            ratio = rk
-        else:
-            ok &= ratio == rk
-    delta = ratio
-    gamma = slot_grid[0]
-    if 0 in supp:
-        gamma = ctx.add_vec(gamma, ctx.NEG[ctx.scale_vec(int(f.coeffs[0]), delta)])
-        # slot 0 carries f_0*delta when 0 is in the support
-    aa_all, bb_all = np.arange(na), np.arange(na)
-    A = np.broadcast_to(aa_all[:, None], (na, na))
-    B = np.broadcast_to(bb_all[None, :], (na, na))
-    det = ctx.add_vec(
-        ctx.mul_vec(A.ravel(), delta.ravel()),
-        ctx.NEG[ctx.mul_vec(B.ravel(), gamma.ravel())],
-    ).reshape(na, na)
-    ok &= det != 0
-    aa, bb = np.nonzero(ok)
-    elements = sorted(
-        zip(
-            aa.tolist(),
-            bb.tolist(),
-            gamma[aa, bb].tolist(),
-            delta[aa, bb].tolist(),
-        )
-    )
+    maps = _graph_maps(f, f)
+    elements = sorted(map(tuple, maps[_invertible(f.ctx, maps)].tolist()))
+    if (1, 0, 0, 1) not in elements:
+        raise RuntimeError("identity matrix missing from stabilizer")
     return StabilizerSet(f, elements)
 
 

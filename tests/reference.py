@@ -1,0 +1,115 @@
+"""Literal grid sweeps, kept as references for the linear solvers of scatlin.
+
+`graph_maps_grid` tests every (alpha, beta) pair of the top field against
+g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
+coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
+and `gl_search`.  `left_idealizer_grid` tests every pair for the left
+idealizer.  Both cost q^(2n) and are meant for the (3,3) tower.
+"""
+
+import numpy as np
+
+from scatlin.linpoly import LinPoly
+
+GRID_BOUND = 3 ** 12
+
+
+def _compose_with_span_of_f(outer, inner, bs):
+    """Slot values of outer o (b*inner) for every b, as {slot: array}."""
+    ctx = outer.ctx
+    s = outer.s
+    acc = {k: np.zeros((bs.size, ctx.deg), dtype=np.int64) for k in range(ctx.n)}
+    for i in outer.support():
+        fb = ctx.frob_vec(bs, (s * i) % ctx.n)
+        for j in inner.support():
+            k = (i + j) % ctx.n
+            cst = ctx.mul(int(outer.coeffs[i]), ctx.frob(int(inner.coeffs[j]), (s * i) % ctx.n))
+            acc[k] += ctx.DIGITS[ctx.scale_vec(cst, fb)]
+    return {k: (v % ctx.p) @ ctx.PP for k, v in acc.items()}
+
+
+def _add_outer(ctx, av, bv):
+    """Outer sum grid of two index vectors (either may be None == zeros)."""
+    na = ctx.size
+    if av is None:
+        av = np.zeros(na, dtype=np.int64)
+    if bv is None:
+        bv = np.zeros(na, dtype=np.int64)
+    dig = ctx.DIGITS[av][:, None, :] + ctx.DIGITS[bv][None, :, :]
+    return (dig % ctx.p) @ ctx.PP
+
+
+def _div_by_const(ctx, arr, c):
+    return ctx.scale_vec(ctx.inv(c), arr)
+
+
+def _check_size(ctx):
+    if ctx.size ** 2 > GRID_BOUND:
+        raise ValueError(f"grid of {ctx.size ** 2} pairs is above {GRID_BOUND}")
+
+
+def graph_maps_grid(f, g):
+    """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
+
+    Sorted tuples, invertible or not.  f must be independent of X, so that
+    delta is read off a slot other than 0.
+    """
+    ctx = f.ctx
+    _check_size(ctx)
+    fq = LinPoly.from_q_view(ctx, 1, f.q_view())
+    gq = LinPoly.from_q_view(ctx, 1, g.q_view())
+    fsupp = [k for k in fq.support() if k != 0]
+    if not fsupp:
+        raise ValueError("f must be independent of X")
+    els = ctx.elements()
+    b_part = _compose_with_span_of_f(gq, fq, els)
+    a_part = {k: ctx.scale_vec(int(gq.coeffs[k]), ctx.frob_vec(els, k)) for k in gq.support()}
+    slot = {k: _add_outer(ctx, a_part.get(k), b_part[k]) for k in range(ctx.n)}
+    # slot k reads delta*f_k for k != 0 and gamma + delta*f_0 for k = 0
+    delta = _div_by_const(ctx, slot[fsupp[0]], int(fq.coeffs[fsupp[0]]))
+    ok = np.ones((ctx.size, ctx.size), dtype=bool)
+    for k in range(1, ctx.n):
+        ok &= slot[k] == ctx.scale_vec(int(fq.coeffs[k]), delta)
+    gamma = ctx.add_vec(slot[0], ctx.NEG[ctx.scale_vec(int(fq.coeffs[0]), delta)])
+    aa, bb = np.nonzero(ok)
+    return sorted(
+        zip(aa.tolist(), bb.tolist(), gamma[aa, bb].tolist(), delta[aa, bb].tolist())
+    )
+
+
+def invertible(ctx, maps):
+    """The maps (alpha, beta, gamma, delta) with alpha*delta != beta*gamma."""
+    return [m for m in maps if ctx.mul(m[0], m[3]) != ctx.mul(m[1], m[2])]
+
+
+def canonical_witness(ctx, maps):
+    """The invertible map smallest by (beta, alpha, gamma, delta), or None."""
+    return min(invertible(ctx, maps), key=lambda m: (m[1], m[0], m[2], m[3]), default=None)
+
+
+def left_idealizer_grid(code):
+    """All (a, b) with (a*X + b*f) o f back in the span <X, f>, pair by pair."""
+    ctx = code.ctx
+    _check_size(ctx)
+    f = code.f
+    supp = f.support()
+    els = ctx.elements()
+    ff = f.compose(f)
+    a_part = {k: ctx.scale_vec(int(f.coeffs[k]), els) for k in supp}
+    b_part = {k: ctx.scale_vec(int(ff.coeffs[k]), els) for k in range(ctx.n)}
+
+    ok = np.ones((ctx.size, ctx.size), dtype=bool)
+    ratio = None
+    for k in range(1, ctx.n):  # slot 0 is absorbed by a'
+        grid = _add_outer(ctx, a_part.get(k), b_part[k])
+        if k not in supp:
+            ok &= grid == 0
+            continue
+        # b' = slot_k / f_k must agree across the support
+        rk = _div_by_const(ctx, grid, int(f.coeffs[k]))
+        if ratio is None:
+            ratio = rk
+        else:
+            ok &= ratio == rk
+    aa, bb = np.nonzero(ok)
+    return sorted(set(zip(aa.tolist(), bb.tolist())))

@@ -23,7 +23,7 @@ from scatlin.quadrinomial import (
     power_sets_step_independent,
     run_property_suite,
 )
-from scatlin.mrdcodes import RankCode, right_idealizer, stabilizer, stabilizer_naive
+from scatlin.mrdcodes import RankCode, right_idealizer, stabilizer
 from scatlin.equivalence import gl_search, necessary_conditions, step_case
 from scatlin.projgeom import polynomial_vertex, intersection_number, intersect_dim
 from scatlin.sweep import (
@@ -32,6 +32,8 @@ from scatlin.sweep import (
     bad_power_set_sweep,
     h_class_reps,
 )
+
+from reference import graph_maps_grid, invertible
 
 
 def report(num: int, ok: bool, detail: str):
@@ -205,8 +207,8 @@ def test_criterion_06_mrd_bridge(f33):
 
 
 def test_criterion_07_stabilizers_even_tower(f34, f33):
-    """Even tower: scalar Frobenius diagonal over F_{q^2} from the residual
-    solver; cross-validated at (3,3) against the naive sweep on non-family
+    """Even tower: scalar Frobenius diagonal over F_{q^2} from the linear
+    solver; cross-validated at (3,3) against the grid reference on non-family
     scattered members."""
     ok = True
     details = []
@@ -232,9 +234,9 @@ def test_criterion_07_stabilizers_even_tower(f34, f33):
         if f.q_view()[1:].any() and is_scattered_fiber(f):
             cross.append(f)
     for f in cross:
-        if stabilizer(f).elements != stabilizer_naive(f).elements:
+        if stabilizer(f).elements != invertible(f33, graph_maps_grid(f, f)):
             ok = False
-    details.append("residual = naive on 6 scattered non-family polynomials at (3,3)")
+    details.append("solver = grid reference on 6 scattered non-family polynomials at (3,3)")
     report(7, ok, "; ".join(details))
 
 
@@ -275,7 +277,7 @@ def test_criterion_07b_stabilizer_odd_tower_closed_form(f35):
 
 @pytest.mark.slow
 def test_criterion_07c_stabilizer_odd_tower_full_solver(f35):
-    """Odd tower, full residual solver sweep (slow flag per the criterion)."""
+    """Odd tower, full linear solver (slow flag per the criterion)."""
     m, h = condition_pairs(f35, 1)[0]
     st = stabilizer(build_quadrinomial(QuadParams(f35, 1, m, h)))
     ok = st.order_with_zero == 9 and all(a == d for a, _, _, d in st.elements)

@@ -67,12 +67,6 @@ def test_stabilizer_command(tmp_path):
     rep = read_json(out)
     assert rep["order"] == 9 and rep["is_field"]
     assert rep["schema_version"] == 1
-    # the naive reference gives the same order
-    rc = main(
-        ["stabilizer", "--q", "3", "--t", "3", "--s", "1", "--naive",
-         "--m", str(m), "--h", str(h), "--out", str(out)]
-    )
-    assert rc == 0 and read_json(out)["order"] == 9
 
 
 def test_idealizer_command(tmp_path):
@@ -100,6 +94,23 @@ def test_equiv_command(tmp_path):
     assert rc == 0
     rep = read_json(out)
     assert rep["agree"] and rep["case"] == "c"
+
+
+def test_equiv_report_does_not_depend_on_budget(tmp_path):
+    """--budget caps the field size of classify/conjecture only; it must not
+    cut the equivalence search short."""
+    ctx = make_field(3, 1, 3)
+    m, h = condition_pairs(ctx, 1)[0]
+    m2, h2 = condition_pairs(ctx, 5)[0]
+    for s2, mm, hh in ((1, m, h), (5, m2, h2)):
+        argv = ["equiv", "--q", "3", "--t", "3", "--s", "1", "--m", str(m), "--h", str(h),
+                "--s2", str(s2), "--m2", str(mm), "--h2", str(hh), "--allow-small-t"]
+        texts = []
+        for extra in ([], ["--budget", "10"]):
+            out = tmp_path / f"equiv{len(texts)}.json"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
 
 
 def test_intn_command_families(tmp_path):

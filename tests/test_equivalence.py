@@ -152,6 +152,19 @@ def test_beta_sweep_budget(f35):
     assert res.systems_solved <= 3 ** 10
 
 
+def test_gl_witnesses_pinned_at_35(f35):
+    """Canonical witnesses recorded from the earlier beta-sweep search."""
+    f = build_quadrinomial(condition_params(f35))
+    assert gl_search(f, f).witness == (1, 0, 0, 1)
+    assert gl_search(f, f.compose(LinPoly.from_terms(f35, 1, {0: 55}))).witness == (
+        20944, 0, 0, 2)
+    for k in (0, 1):
+        m, h = condition_pairs(f35, 1)[k]
+        f = build_quadrinomial(QuadParams(f35, 1, m, h))
+        g = build_quadrinomial(QuadParams(f35, 1, m, f35.neg(h)))
+        assert gl_search(f, g).witness == (1, 0, 0, 1)
+
+
 def test_new_example_search_refuses_small_q(f33, f53):
     with pytest.raises(ValueError, match="q >= 7"):
         find_new_example(f33, 1)

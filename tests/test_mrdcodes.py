@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scatlin.fieldcore import BudgetExceededError
+from scatlin.equivalence import gl_search
+from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import is_scattered_fiber
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
@@ -10,10 +12,11 @@ from scatlin.mrdcodes import (
     right_idealizer,
     left_idealizer,
     stabilizer,
-    stabilizer_naive,
     standard_form,
 )
 from scatlin.sweep import condition_pairs
+
+from reference import canonical_witness, graph_maps_grid, invertible, left_idealizer_grid
 
 
 def lp_binomial(ctx, s=1):
@@ -107,14 +110,12 @@ def test_left_idealizer_is_full_scalar_line(f33):
 def test_grid_enumeration_matches_residual(f33):
     for f in (LinPoly.monomial(f33, 1, 1), lp_binomial(f33), condition_member(f33)):
         code = RankCode(f)
-        assert right_idealizer(code, method="grid") == right_idealizer(code)
+        grid = sorted({m[:2] for m in graph_maps_grid(f, f)})
+        assert right_idealizer(code) == grid
 
 
 def test_grid_enumeration_refuses_above_bound(f34):
     code = RankCode(condition_member(f34))
-    with pytest.raises(BudgetExceededError, match="residual"):
-        right_idealizer(code, method="grid")
-    # the residual method handles the larger field fine
     assert len(right_idealizer(code)) == 9
 
 
@@ -138,7 +139,7 @@ def test_stabilizer_matches_naive_on_scattered_examples(f33):
     fs = [LinPoly.monomial(f33, 1, 1), lp_binomial(f33)]
     fs += random_scattered(f33, rng, 20)
     for f in fs:
-        assert stabilizer(f).elements == stabilizer_naive(f).elements
+        assert stabilizer(f).elements == invertible(f33, graph_maps_grid(f, f))
 
 
 def test_stabilizer_order_equals_right_idealizer_order(f33):
@@ -209,6 +210,66 @@ def test_odd_tower_stabilizer_full_solver(f35):
     assert all(a == d for a, _, _, d in st.elements)
 
 
+def test_stabilizers_pinned_at_larger_towers(f34, f35):
+    """Element lists recorded from the earlier beta-sweep solver."""
+    assert stabilizer(condition_member(f34)).elements == [
+        (1, 0, 0, 1), (2, 0, 0, 2), (3057, 0, 0, 6026), (3058, 0, 0, 6024),
+        (3059, 0, 0, 6025), (6024, 0, 0, 3058), (6025, 0, 0, 3059), (6026, 0, 0, 3057),
+    ]
+    assert stabilizer(condition_member(f35)).elements == [
+        (0, 4055, 3604, 0), (0, 5677, 6236, 0), (1, 0, 0, 1), (1, 4055, 3604, 1),
+        (1, 5677, 6236, 1), (2, 0, 0, 2), (2, 4055, 3604, 2), (2, 5677, 6236, 2),
+    ]
+
+
+def test_solution_space_above_bound_is_refused(f35):
+    # X^(q^t) o (alpha*X + beta*X^(q^t)) lies in <X, X^(q^t)> for every
+    # (alpha, beta), and so does (a*X + b*X^(q^t)) o X^(q^t): q^(2n) pairs
+    code = RankCode(LinPoly.monomial(f35, 1, f35.t))
+    for solve in (lambda: stabilizer(code.f), lambda: right_idealizer(code),
+                  lambda: left_idealizer(code)):
+        with pytest.raises(BudgetExceededError, match="solutions"):
+            solve()
+
+
+F33 = make_field(3, 1, 3)
+_terms = st.dictionaries(st.integers(0, F33.n - 1), st.integers(1, F33.size - 1),
+                         min_size=1, max_size=4)
+_polys = st.builds(lambda s, terms: LinPoly.from_terms(F33, s, terms),
+                   st.sampled_from([1, 5]), _terms).filter(lambda f: f.q_view()[1:].any())
+_members = st.sampled_from(condition_pairs(F33, 1)).map(
+    lambda mh: build_quadrinomial(QuadParams(F33, 1, *mh)))
+
+
+@st.composite
+def _graph_pairs(draw):
+    """(f, g): f random or a family member; g = f, random, or a GL image of f."""
+    f = draw(st.one_of(_polys, _members))
+    kind = draw(st.sampled_from(["self", "random", "image"]))
+    if kind == "self":
+        return f, f
+    if kind == "random":
+        return f, draw(_polys)
+    # g o (a*X) = c*X + d*f, i.e. g = (c*X + d*f) o (X / a)
+    a, d = (draw(st.integers(1, F33.size - 1)) for _ in range(2))
+    c = draw(st.integers(0, F33.size - 1))
+    g = LinPoly.from_terms(F33, f.s, {0: c}).add(f.scale(d))
+    return f, g.compose(LinPoly.from_terms(F33, f.s, {0: F33.inv(a)}))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_graph_pairs())
+def test_graph_maps_match_grid_reference(pair):
+    f, g = pair
+    own = graph_maps_grid(f, f)
+    assert stabilizer(f).elements == invertible(F33, own)
+    assert right_idealizer(RankCode(f)) == sorted({m[:2] for m in own})
+    maps = graph_maps_grid(f, g)
+    res = gl_search(f, g)
+    assert res.witness == canonical_witness(F33, maps)
+    assert res.beta_candidates == len({m[1] for m in maps})
+
+
 # -- standard form ------------------------------------------------------------------
 
 
@@ -259,4 +320,4 @@ def test_standard_form_triangle(f33, f34):
 def test_left_idealizer_grid_matches_linear(f33):
     for f in (LinPoly.monomial(f33, 1, 1), condition_member(f33)):
         code = RankCode(f)
-        assert left_idealizer(code, method="grid") == left_idealizer(code)
+        assert left_idealizer_grid(code) == left_idealizer(code)
