@@ -84,16 +84,15 @@ def cmd_classify(args) -> int:
             ctx, s, h_dedup=args.h_dedup, with_witness=not args.no_witness,
             workers=args.workers,
         )
-        if args.deterministic:
-            # wall-clock noise would break byte-identical reports
-            print(f"s={s}: {summary.pop('elapsed_s')}s", file=sys.stderr)
+        # wall-clock noise would break byte-identical reports
+        print(f"s={s}: {summary.pop('elapsed_s')}s", file=sys.stderr)
         header = {
             "schema_version": SCHEMA_VERSION,
             "kind": "classify",
             "q": ctx.q,
             "t": ctx.t,
             "s": s,
-            "deterministic": args.deterministic,
+            "deterministic": True,
         }
         out = args.out
         if out and len(svals) > 1:
@@ -120,6 +119,7 @@ def cmd_conjecture(args) -> int:
         print(f"refused: field size {ctx.size} above budget {args.budget}", file=sys.stderr)
         return 2
     rep = conjecture_scan(ctx, args.s, h_dedup=not args.no_h_dedup)
+    print(f"s={args.s}: {rep.pop('elapsed_s')}s", file=sys.stderr)
     rep["kind"] = "conjecture"
     _emit(rep, args.out)
     return 0  # mismatches are data, not assertion failures
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scattered linearized polynomial verification suites",
     )
     ap.add_argument("--config", type=str, default=None,
-                    help="JSON file with preset budget/workers/deterministic")
+                    help="JSON file with preset budget/workers")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="full (m, h) sweep with oracle verdicts")
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sp_name, sp_obj in sub.choices.items():
         sp_obj.add_argument("--out", type=str, default=None)
         sp_obj.add_argument("--workers", type=int, default=None)
-        sp_obj.add_argument("--deterministic", action="store_true", default=True)
         sp_obj.add_argument("--budget", type=int, default=None,
                             help="largest admissible field size for classify/conjecture")
     return ap

@@ -425,8 +425,7 @@ class FieldCtx:
         """Some z != 0 with z**(q^k) = c*z, or None when no solution exists.
 
         Solvability is a norm condition: c must lie in the subgroup of
-        (q^k - 1)-th powers.  The witness comes from the discrete-log table
-        when available, otherwise from a linear scan of the cyclic group.
+        (q^k - 1)-th powers.  The witness comes from the discrete-log table.
         """
         if c == 0:
             raise ValueError("c must be nonzero")
@@ -434,18 +433,13 @@ class FieldCtx:
         if step == 0:
             return 1 if c == 1 else None
         g0 = gcd(step, self.order)
-        if self.LOG is not None:
-            lc = int(self.LOG[c])
-            if lc % g0:
-                return None
-            # solve step * j = lc (mod order)
-            m = self.order // g0
-            j = (lc // g0 * pow(step // g0, -1, m)) % m
-            return int(self.EXP[j])
-        for j in range(self.order):  # pragma: no cover - scan fallback
-            if (step * j) % self.order == self.LOG[c]:
-                return int(self.EXP[j])
-        return None
+        lc = int(self.LOG[c])
+        if lc % g0:
+            return None
+        # solve step * j = lc (mod order)
+        m = self.order // g0
+        j = (lc // g0 * pow(step // g0, -1, m)) % m
+        return int(self.EXP[j])
 
     # -- matrices over F_p ----------------------------------------------------
 

@@ -168,7 +168,8 @@ class LinPoly:
     def rank(self) -> int:
         """Rank as an F_q-linear map (F_p-rank divided by e)."""
         r = gflinalg.rank(self.matrix(), self.ctx.p)
-        assert r % self.ctx.e == 0
+        if r % self.ctx.e:
+            raise RuntimeError(f"F_p-rank {r} of an F_q-linear map is not a multiple of e")
         return r // self.ctx.e
 
     def kernel_basis(self):

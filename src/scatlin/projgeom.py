@@ -137,12 +137,8 @@ def meets_subgeometry(space: ProjSubspace) -> bool:
     xs = ctx.nonzero_elements()
     ok = np.ones(xs.size, dtype=bool)
     for e in space.equations:
-        acc = np.zeros((xs.size, ctx.deg), dtype=np.int64)
-        for i in range(ctx.n):
-            ci = int(e[i])
-            if ci:
-                acc += ctx.DIGITS[ctx.scale_vec(ci, ctx.frob_vec(xs, s * i))]
-        ok &= ((acc % ctx.p) @ ctx.PP) == 0
+        # equation sum_i e_i X_i at the point (x^(q^(s*i)))_i is a q^s-polynomial in x
+        ok &= LinPoly(ctx, s, e).eval_vec(xs) == 0
     return bool(ok.any())
 
 

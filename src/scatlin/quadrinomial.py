@@ -37,18 +37,12 @@ class QuadParams:
             raise ValueError(f"s={self.s} must be coprime to 2t={ctx.n}")
         if not (0 <= self.m < ctx.size) or not ctx.in_subfield(self.m, ctx.t):
             raise ValueError("m must lie in the middle field F_{q^t}")
-        if self.h == 0:
-            raise ValueError("h must be nonzero")
+        if not 0 < self.h < ctx.size:
+            raise ValueError(f"h must be a nonzero element index below {ctx.size}")
 
     @property
     def norm_h(self) -> int:
         return self.ctx.norm_rel(self.h, self.ctx.t)
-
-
-def quad_slots(ctx: FieldCtx):
-    """The four coefficient slots: 1, t-1, t+1, 2t-1."""
-    t = ctx.t
-    return (1, t - 1, t + 1, 2 * t - 1)
 
 
 def quad_coeffs(params: QuadParams):
@@ -101,7 +95,7 @@ _POWER_SET_CACHE: dict = {}
 def trace_zero_power_set(ctx: FieldCtx, s: int, sign: int) -> np.ndarray:
     """The set {w^(q^s + sign) : w in ker Tr} as a sorted index array.
 
-    sign is +1 or -1.  Both sets land inside the middle field (asserted) and
+    sign is +1 or -1.  Both sets land inside the middle field (checked) and
     both contain 0 (the image of w = 0).  Cached per (tower, step, sign):
     condition sweeps query these sets q^t * q^(2t) times.
     """
@@ -116,7 +110,8 @@ def trace_zero_power_set(ctx: FieldCtx, s: int, sign: int) -> np.ndarray:
     ker = ctx.ker_trace()
     powers = np.unique(ctx.pow_vec(ker, ctx.q ** (s % ctx.n) + sign))
     mid = ctx.frob_vec(powers, ctx.t)
-    assert np.array_equal(mid, powers), "power set escaped the middle field"
+    if not np.array_equal(mid, powers):
+        raise RuntimeError("power set escaped the middle field")
     powers.setflags(write=False)
     _POWER_SET_CACHE[key] = powers
     return powers
@@ -310,7 +305,8 @@ def decompose(params: QuadParams, x: int):
     d1 = k1.shape[1]
     x1 = ctx.from_digits(k1 @ coords[:d1])
     x2 = ctx.from_digits(k2 @ coords[d1:])
-    assert ctx.add(x1, x2) == x
+    if ctx.add(x1, x2) != x:
+        raise RuntimeError("kernel components do not add up to x")
     return x1, x2
 
 
@@ -342,14 +338,16 @@ def basis_components(params: QuadParams, gamma: int, rho: int):
         den = ctx.sub(base2, ctx.frob(base2, st))
         mm = ctx.div(num, den)
         ll = ctx.sub(gamma, ctx.mul(mm, base2))
-        assert ctx.in_subfield(mm, t) and ctx.in_subfield(ll, t)
+        if not (ctx.in_subfield(mm, t) and ctx.in_subfield(ll, t)):
+            raise RuntimeError("basis components escaped the middle field")
         return ll, mm
 
     l1, m1 = components(rho)
     l2_direct, m2_direct = components(tau)
     shift = ctx.mul(m1, ctx.mul(rho, ctx.sub(1, twist)))
     l2 = ctx.add(l1, shift)
-    assert (l2, m1) == (l2_direct, m2_direct), "component transfer disagrees"
+    if (l2, m1) != (l2_direct, m2_direct):
+        raise RuntimeError("component transfer disagrees")
     return (l1, m1), (l2, m1)
 
 

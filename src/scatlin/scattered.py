@@ -1,9 +1,10 @@
 """Scatteredness oracles and linear-set statistics on the projective line.
 
-The primary oracle buckets x -> f(x)/x over the punctured field and demands
-that every bucket be a single F_q-line; the cross-check oracle counts roots
-of f + m*X for every shift m, naively, and is kept deliberately independent
-of the fiber pass.
+The primary oracle is `fiber_profile`: one count of the values of f(x)/x
+over the punctured field gives both the size of the linear set and the
+scatteredness verdict (no value taken on more than one F_q-line).  The
+cross-check oracle counts roots of f + m*X for every shift m, naively, and
+is kept deliberately independent of the fiber count.
 """
 
 from __future__ import annotations
@@ -16,32 +17,29 @@ from .linpoly import LinPoly
 ROOTS_ORACLE_BOUND_DEFAULT = 3 ** 10
 
 
-def _fiber_keys(f: LinPoly):
-    """Per nonzero x: (bucket key of f(x)/x, F_q-line class of x)."""
+def fiber_profile(f: LinPoly) -> tuple:
+    """(linear set size, scattered) from one count of the values of f(x)/x.
+
+    Each value c is one point of the linear set; kernel elements get the
+    value ctx.order.  The fiber of c, with 0 added, is the kernel of f - c*X
+    (of f for ctx.order), an F_q-subspace, so every count is q^k - 1; f is
+    scattered iff the largest is q - 1, i.e. every fiber is one F_q-line.
+    """
     ctx = f.ctx
     vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
-    xs = np.arange(1, ctx.size, dtype=np.int64)
-    logs_x = ctx.LOG[xs]
-    # ratio f(x)/x in log form; kernel elements get the sentinel ctx.order
-    ratio = np.where(
-        vals == 0, ctx.order, (ctx.LOG[vals] - logs_x) % ctx.order
-    )
-    line_mod = ctx.order // (ctx.q - 1)
-    line_class = logs_x % line_mod
-    return ratio, line_class, line_mod
+    ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - ctx.LOG[1:]) % ctx.order)
+    counts = np.bincount(ratio, minlength=ctx.order + 1)
+    return int(np.count_nonzero(counts)), bool(counts.max() == ctx.q - 1)
 
 
 def linear_set_size(f: LinPoly) -> int:
     """Number of distinct projective points <(x, f(x))>, x != 0."""
-    ratio, _, _ = _fiber_keys(f)
-    return int(np.unique(ratio).size)
+    return fiber_profile(f)[0]
 
 
 def is_scattered_fiber(f: LinPoly) -> bool:
     """True iff every fiber of x -> f(x)/x lies on a single F_q-line."""
-    ratio, line_class, line_mod = _fiber_keys(f)
-    keys = ratio * (line_mod + 1) + line_class
-    return np.unique(keys).size == np.unique(ratio).size
+    return fiber_profile(f)[1]
 
 
 def is_scattered_roots(

@@ -5,7 +5,8 @@ sufficient-condition verdict, the prior-class tag and the fiber-oracle
 verdict per pair, and surfaces every disagreement between "conditions
 apply" and "scattered" as a datum (a scattered pair outside the conditions
 would refute the only-if direction of the expected characterization, so it
-is reported, never assumed away).
+is reported, never assumed away).  Every verdict comes from
+`scattered.fiber_profile`, the kernel one-shot decisions use too.
 
 Polynomials only depend on h through two power ratios, so h and lambda*h
 give the same member for every base-field scalar lambda; the sweeps can
@@ -28,56 +29,17 @@ from .quadrinomial import (
     prior_family_tag,
     nonscattered_witness,
 )
-from .scattered import is_scattered_fiber, is_scattered_roots
+from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots
 
 SCHEMA_VERSION = 1
 
+# Always empty; perfbench clears it in every workload set-up.
 _FIBER_CACHE: dict = {}
 
 
-def _fiber_env(ctx: FieldCtx, s: int):
-    """Per-(tower, step) reusable arrays for the four-slot fiber kernel."""
-    key = (ctx, s % ctx.n)
-    env = _FIBER_CACHE.get(key)
-    if env is None:
-        xs = np.arange(1, ctx.size, dtype=np.int64)
-        slots = (1, ctx.t - 1, ctx.t + 1, 2 * ctx.t - 1)
-        frobbed = [ctx.frob_vec(xs, s * i) for i in slots]
-        env = {
-            "slots": slots,
-            "frobbed": frobbed,
-            "log_x": ctx.LOG[xs],
-            "line_mod": ctx.order // (ctx.q - 1),
-        }
-        _FIBER_CACHE[key] = env
-    return env
-
-
 def quad_fiber_profile(params: QuadParams):
-    """(linear set size, scattered) for one family member, via cached slot
-    arrays; equivalent to the generic fiber oracle, several times faster in
-    grid sweeps."""
-    ctx, s = params.ctx, params.s
-    env = _fiber_env(ctx, s)
-    coeffs = _quad_coeff_list(params)
-    acc = ctx.DIGITS[ctx.scale_vec(coeffs[0], env["frobbed"][0])].astype(np.int16)
-    for c, fx in zip(coeffs[1:], env["frobbed"][1:]):
-        acc += ctx.DIGITS[ctx.scale_vec(c, fx)]
-    vals = (acc % ctx.p).astype(np.int64) @ ctx.PP
-    ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - env["log_x"]) % ctx.order)
-    line_mod = env["line_mod"]
-    keys = ratio * (line_mod + 1) + env["log_x"] % line_mod
-    n_points = int(np.unique(ratio).size)
-    scattered = int(np.unique(keys).size) == n_points
-    return n_points, scattered
-
-
-def _quad_coeff_list(params: QuadParams):
-    from .quadrinomial import quad_coeffs
-
-    cmap = quad_coeffs(params)
-    t = params.ctx.t
-    return [cmap[1], cmap[t - 1], cmap[t + 1], cmap[2 * t - 1]]
+    """(linear set size, scattered) for one family member."""
+    return fiber_profile(build_quadrinomial(params))
 
 
 def h_class_reps(ctx: FieldCtx) -> np.ndarray:
@@ -224,7 +186,8 @@ def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 
     for m, h in pairs:
         params = QuadParams(ctx, s, m, h)
         verdict = scattered_conditions(params)
-        assert verdict.applies, "condition pair construction disagrees with the predicate"
+        if not verdict.applies:
+            raise RuntimeError("condition pair construction disagrees with the predicate")
         case_counts[verdict.case_tag] = case_counts.get(verdict.case_tag, 0) + 1
         if not quad_fiber_profile(params)[1]:
             violations.append((m, h, verdict.case_tag))

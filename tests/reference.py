@@ -1,4 +1,8 @@
-"""Literal grid sweeps, kept as references for the linear solvers of scatlin.
+"""Literal sweeps, kept as references for the fast paths of scatlin.
+
+`fiber_profile_sorted` keys every f(x)/x with the F_q-line of x and compares
+distinct keys with distinct values by sorting; it is the reference for
+`scattered.fiber_profile`, which counts the values instead.
 
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
 g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
@@ -12,6 +16,20 @@ import numpy as np
 from scatlin.linpoly import LinPoly
 
 GRID_BOUND = 3 ** 12
+
+
+def fiber_profile_sorted(f):
+    """(linear set size, scattered): every value of f(x)/x on one F_q-line."""
+    ctx = f.ctx
+    vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
+    xs = np.arange(1, ctx.size, dtype=np.int64)
+    logs_x = ctx.LOG[xs]
+    # ratio f(x)/x in log form; kernel elements get the sentinel ctx.order
+    ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - logs_x) % ctx.order)
+    line_mod = ctx.order // (ctx.q - 1)
+    keys = ratio * (line_mod + 1) + logs_x % line_mod
+    n_points = int(np.unique(ratio).size)
+    return n_points, np.unique(keys).size == n_points
 
 
 def _compose_with_span_of_f(outer, inner, bs):

@@ -69,6 +69,12 @@ def test_stabilizer_command(tmp_path):
     assert rep["schema_version"] == 1
 
 
+def test_out_of_range_h_is_refused():
+    for h in ("-1", "729"):
+        with pytest.raises(ValueError, match="nonzero element index below 729"):
+            main(["stabilizer", "--q", "3", "--t", "3", "--m", "0", "--h", h])
+
+
 def test_idealizer_command(tmp_path):
     ctx = make_field(3, 1, 3)
     m, h = condition_pairs(ctx, 1)[0]
@@ -189,7 +195,17 @@ def test_bad_q_rejected():
 def test_reports_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     args = ["classify", "--q", "3", "--t", "3", "--s", "1", "--h-dedup",
-            "--no-witness", "--deterministic"]
+            "--no-witness"]
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_conjecture_reports_are_byte_identical_across_runs(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["conjecture", "--q", "3", "--t", "3", "--s", "1"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "elapsed_s" not in read_json(a)
+    assert capsys.readouterr().err.count("s=1: ") == 2

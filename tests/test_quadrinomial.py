@@ -93,8 +93,9 @@ def test_square_root_of_minus_one_kills_middle_field(f33):
 def test_param_validation(f33):
     with pytest.raises(ValueError, match="middle field"):
         QuadParams(f33, 1, 4, 1)  # 4 is not fixed by the middle Frobenius
-    with pytest.raises(ValueError, match="nonzero"):
-        QuadParams(f33, 1, 1, 0)
+    for h in (0, -1, f33.size):  # -1 would wrap round to the last index
+        with pytest.raises(ValueError, match="nonzero element index below 729"):
+            QuadParams(f33, 1, 1, h)
     with pytest.raises(ValueError, match="coprime"):
         QuadParams(f33, 2, 1, 1)
 

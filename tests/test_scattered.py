@@ -1,11 +1,17 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from scatlin.fieldcore import BudgetExceededError
+from reference import fiber_profile_sorted
+from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
-from scatlin.scattered import is_scattered_fiber, is_scattered_roots, linear_set_size
+from scatlin.scattered import (
+    fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size,
+)
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
-from scatlin.sweep import condition_pairs, h_class_reps, quad_fiber_profile
+from scatlin.sweep import condition_pairs, h_class_reps
 
 
 def lp_binomial(ctx, s=1):
@@ -97,14 +103,46 @@ def test_roots_oracle_refuses_large_fields(f35):
         is_scattered_roots(f, size_bound=3 ** 9)
 
 
-def test_fast_kernel_matches_generic_oracle(f33):
-    rng = np.random.default_rng(3)
-    mids = f33.subfield(3)
-    for _ in range(50):
-        m = int(mids[rng.integers(0, 27)])
-        h = int(rng.integers(1, 729))
-        p = QuadParams(f33, 1, m, h)
-        f = build_quadrinomial(p)
-        n_points, scattered = quad_fiber_profile(p)
-        assert scattered == is_scattered_fiber(f)
-        assert n_points == linear_set_size(f)
+F33, F34 = make_field(3, 1, 3), make_field(3, 1, 4)
+_SPECIAL = [
+    poly
+    for ctx in (F33, F34)
+    for poly in (
+        LinPoly.zero(ctx, 1),
+        LinPoly.identity(ctx, 1),
+        LinPoly.monomial(ctx, 1, ctx.t),                       # middle-field Frobenius
+        LinPoly.monomial(ctx, 1, 2),                           # X^(q^2), kernel-free
+        LinPoly.from_terms(ctx, 1, {1: 1, 0: ctx.neg_one}),    # X^q - X, kernel F_q
+        LinPoly.from_terms(ctx, 1, {2: 1, 0: ctx.neg_one}),    # X^(q^2) - X, kernel F_(q^2)
+    )
+]
+
+
+@st.composite
+def _polys(draw):
+    """A family member at any coprime step, or a random polynomial."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    s = draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(ctx.subfield(ctx.t).tolist()))
+        h = draw(st.integers(1, ctx.size - 1))
+        return build_quadrinomial(QuadParams(ctx, s, m, h))
+    terms = draw(st.dictionaries(st.integers(0, ctx.n - 1), st.integers(0, ctx.size - 1),
+                                 max_size=4))
+    return LinPoly.from_terms(ctx, s, terms)
+
+
+def _with_examples(test):
+    for poly in _SPECIAL:
+        test = example(poly)(test)
+    return test
+
+
+@_with_examples
+@settings(max_examples=150, deadline=None)
+@given(_polys())
+def test_fast_kernel_matches_generic_oracle(f):
+    n_points, scattered = fiber_profile(f)
+    assert (n_points, scattered) == fiber_profile_sorted(f)
+    if f.ctx is F33:
+        assert scattered == is_scattered_roots(f)
