@@ -260,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one h per base-field-scalar orbit")
     sp.add_argument("--no-witness", action="store_true")
     sp.add_argument("--csv", type=str, default=None, help="also write a CSV projection")
+    sp.add_argument("--workers", type=int, default=None,
+                    help="processes to shard the sweep across (default 1)")
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("conjecture", help="scattered-vs-conditions scan, both orderings")
@@ -312,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp_name, sp_obj in sub.choices.items():
         sp_obj.add_argument("--out", type=str, default=None)
-        sp_obj.add_argument("--workers", type=int, default=None)
         sp_obj.add_argument("--budget", type=int, default=None,
                             help="largest admissible field size for classify/conjecture")
     return ap
@@ -326,7 +327,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             presets = json.load(fh)
     # flags override config presets, which override the built-in defaults
-    if args.workers is None:
+    if args.command == "classify" and args.workers is None:
         args.workers = presets.get("workers", 1)
     if args.budget is None:
         args.budget = presets.get("budget", 5 ** 6)

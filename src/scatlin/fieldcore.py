@@ -13,9 +13,16 @@ Two conventions make results comparable across runs and machines:
   (not a Conway polynomial -- no bundled tables);
 * the generator is the smallest index that has full multiplicative order.
 
-Exp/log/Zech-free arithmetic: multiplication runs through exp/log tables,
-addition through digit vectors, Frobenius through precomputed index maps.
-All bulk operations accept numpy arrays of indices.
+The construction is d x d linear algebra over F_p with the companion matrix
+C of the modulus (multiplication by x on the power basis, d = e*2t): the
+p-power matrix Q decides irreducibility (Q^d = I and rank(Q - I) = d - 1),
+the multiplication matrix a(C) decides the order of a, the exp table is
+filled in blocks G^(iB) [g^0 ... g^(B-1)] with G = g(C), and the Frobenius
+index maps come from Q^e.
+
+Zech-free arithmetic: multiplication runs through exp/log tables, addition
+through digit vectors, Frobenius through precomputed index maps.  All bulk
+operations accept numpy arrays of indices.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from functools import lru_cache
 from math import gcd
 import numpy as np
 
-LOG_TABLE_BOUND_DEFAULT = 2 ** 24
+from . import gflinalg
+
+TABLE_SIZE_BOUND = 2 ** 24
 
 
 class FieldConstructionError(ValueError):
@@ -41,92 +50,57 @@ class DirectSumError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# F_p[x] helpers (coefficient lists, little-endian, not necessarily trimmed)
+# F_p-matrices of the residue algebra F_p[x]/(m) on the power basis 1, x, ...,
+# x^(d-1); a column holds the base-p digits of an element index.
 
 
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _digits(idx: int, p: int, d: int) -> np.ndarray:
+    return np.array([(idx // p ** j) % p for j in range(d)], dtype=np.int64)
 
 
-def _pmul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+def _matpow(mat: np.ndarray, k: int, p: int) -> np.ndarray:
+    """mat**k mod p, by square and multiply."""
+    out = np.eye(len(mat), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ mat % p
+        mat = mat @ mat % p
+        k >>= 1
+    return out
 
 
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = 1  # monic
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    del a[dm:]
-    return _trim(a)
+def _krylov(mat: np.ndarray, v, p: int) -> np.ndarray:
+    """The d columns v, mat v, ..., mat^(d-1) v; a(C) when mat = C and v = a."""
+    cols = [np.asarray(v, dtype=np.int64)]
+    for _ in range(len(mat) - 1):
+        cols.append(mat @ cols[-1] % p)
+    return np.stack(cols, axis=1)
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b with b made monic on the fly
-        lead_inv = pow(b[-1], p - 2, p)
-        bm = [(c * lead_inv) % p for c in b]
-        r = list(a)
-        db = len(bm) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % p
-            if c:
-                for j in range(db + 1):
-                    r[i - db + j] = (r[i - db + j] - c * bm[j]) % p
-        del r[db:]
-        a, b = b, _trim(r)
-    return a
+def _companion(m, p: int) -> np.ndarray:
+    """Companion matrix C of the monic m: multiplication by x."""
+    d = len(m) - 1
+    comp = np.eye(d, k=-1, dtype=np.int64)
+    comp[:, -1] = -np.asarray(m[:d], dtype=np.int64) % p
+    return comp
 
 
-def _x_power_ppow(k, m, p):
-    """x**(p**k) modulo the monic polynomial m, by k-fold p-th powering."""
-    cur = [0, 1]  # x
-    for _ in range(k):
-        # cur -> cur(x)**p = cur(x**p) in characteristic p
-        nxt = [0] * ((len(cur) - 1) * p + 1) if cur else []
-        for i, ci in enumerate(cur):
-            if ci:
-                nxt[i * p] = ci
-        cur = _pmod(nxt, m, p)
-    return cur
+def _frobenius_matrix(comp: np.ndarray, p: int) -> np.ndarray:
+    """The p-power map: column j is x^(jp) = (C^p)^j e_0."""
+    return _krylov(_matpow(comp, p, p), _digits(1, p, len(comp)), p)
 
 
 def _is_irreducible(m, p):
     """Degree-d monic m is irreducible over F_p.
 
-    Checks gcd(x^(p^k) - x, m) = 1 for every proper divisor k of d, then
-    x^(p^d) = x mod m.
+    With Q the p-power matrix modulo m: Q^d = I says x^(p^d) = x, so m is
+    squarefree (Rabin), and then rank(Q - I) = d - 1 says the fixed space
+    has dimension one, i.e. m has a single irreducible factor (Berlekamp).
     """
     d = len(m) - 1
-    for k in range(1, d):
-        if d % k:
-            continue
-        xk = _x_power_ppow(k, m, p)
-        diff = list(xk)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(m, _trim(diff), p)
-        if len(g) != 1:
-            return False
-    xd = list(_x_power_ppow(d, m, p))
-    while len(xd) < 2:
-        xd.append(0)
-    xd[1] = (xd[1] - 1) % p
-    return _trim(xd) == []
+    frob = _frobenius_matrix(_companion(m, p), p)
+    eye = np.eye(d, dtype=np.int64)
+    return np.array_equal(_matpow(frob, d, p), eye) and gflinalg.rank(frob - eye, p) == d - 1
 
 
 def smallest_irreducible(p: int, d: int) -> list:
@@ -135,26 +109,31 @@ def smallest_irreducible(p: int, d: int) -> list:
     Candidates are ordered by the tuple (c_0, c_1, ..., c_{d-1}), constant
     term first; the returned list is little-endian with the leading 1.
     """
-    for k in range(p ** d):
-        # decode k into (c_0,...,c_{d-1}); c_0 is the most significant digit
-        coeffs = [(k // p ** (d - 1 - i)) % p for i in range(d)]
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        m = coeffs + [1]
+    # k encodes (c_0,...,c_{d-1}) with c_0 the most significant digit; below
+    # p^(d-1) every candidate has c_0 = 0 and is divisible by x
+    for k in range(p ** (d - 1), p ** d):
+        m = [(k // p ** (d - 1 - i)) % p for i in range(d)] + [1]
         if _is_irreducible(m, p):
             return m
     raise FieldConstructionError(f"no irreducible of degree {d} over F_{p}")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+def smallest_generator(modulus, p: int) -> int:
+    """Smallest index of full multiplicative order modulo the irreducible modulus.
+
+    The index a generates iff its multiplication matrix A = a(C) has
+    A^(order/r) != I for every prime r dividing the order.
+    """
+    d = len(modulus) - 1
+    order = p ** d - 1
+    comp = _companion(modulus, p)
+    eye = np.eye(d, dtype=np.int64)
+    cofactors = [order // r for r in _factorize(order)]
+    for cand in range(2, order + 1):
+        mat = _krylov(comp, _digits(cand, p, d), p)
+        if all(not np.array_equal(_matpow(mat, cf, p), eye) for cf in cofactors):
+            return cand
+    raise FieldConstructionError("no generator found")
 
 
 def _factorize(n: int):
@@ -180,8 +159,8 @@ class FieldCtx:
     rebuilds its own copy through make_field's cache).
     """
 
-    def __init__(self, p: int, e: int, t: int, log_bound: int = LOG_TABLE_BOUND_DEFAULT):
-        if not _is_prime(p):
+    def __init__(self, p: int, e: int, t: int):
+        if _factorize(p) != {p: 1}:
             raise FieldConstructionError(f"p must be prime, got {p}")
         if p == 2:
             raise FieldConstructionError("p must be odd")
@@ -197,10 +176,9 @@ class FieldCtx:
         self.deg = e * 2 * t
         self.size = p ** self.deg
         self.order = self.size - 1
-        self.log_bound = log_bound
-        if self.size > log_bound:
+        if self.size > TABLE_SIZE_BOUND:
             raise BudgetExceededError(
-                f"field size {self.size} exceeds the log-table bound {log_bound}"
+                f"field size {self.size} exceeds the table bound {TABLE_SIZE_BOUND}"
             )
         self.modulus = smallest_irreducible(p, self.deg)
         self._build_tables()
@@ -216,28 +194,24 @@ class FieldCtx:
         self.DIGITS = digits  # int8: digit sums of <= 2t terms stay far below 127
         self.PP = p ** np.arange(d, dtype=np.int64)
 
-        # matrix of the p-power map on the power basis
-        pf = np.zeros((d, d), dtype=np.int64)
-        for j in range(d):
-            col = _pmod([0] * (j * p) + [1], self.modulus, p)
-            for i, c in enumerate(col):
-                pf[i, j] = c
-        self._pfrob_mat = pf
+        comp = _companion(self.modulus, p)
+        self.generator = smallest_generator(self.modulus, p)
 
-        # generator: smallest index of full multiplicative order
-        fac = _factorize(self.order)
-        self.generator = self._find_generator(fac)
-
-        # exp table by repeated multiplication with the generator
-        gmat = self._mult_matrix_poly(self.generator)
+        # exp table in blocks of B columns: g^r for r < B by doubling, then
+        # G^(iB) times that block, with G = g(C) the multiplication by g
+        step = _krylov(comp, _digits(self.generator, p, d), p)
+        block = 1 << (self.order.bit_length() // 2)
+        cols = _digits(1, p, d)[:, None]
+        while cols.shape[1] < block:
+            cols = np.hstack([cols, step @ cols % p])
+            step = step @ step % p
         exp = np.empty(2 * self.order, dtype=np.int64)
-        v = np.zeros(d, dtype=np.int64)
-        v[0] = 1
-        for k in range(self.order):
-            exp[k] = int(v @ self.PP)
-            v = (gmat @ v) % p
-        if exp[0] != 1 or int(v @ self.PP) != 1:
-            raise FieldConstructionError("generator order check failed")
+        for start in range(0, self.order, block):
+            n = min(block, self.order - start)
+            exp[start:start + n] = self.PP @ cols[:, :n]
+            cols = step @ cols % p
+        if (np.bincount(exp[: self.order], minlength=size)[1:] != 1).any():
+            raise FieldConstructionError("generator powers miss a nonzero element")
         exp[self.order:] = exp[: self.order]
         self.EXP = exp
         log = np.zeros(size, dtype=np.int64)
@@ -248,10 +222,8 @@ class FieldCtx:
         self.neg_one = int(self.NEG[1])
 
         # q-Frobenius index maps, one per tower step 0..n-1
-        pfrob_idx = ((digits @ pf.T) % p) @ self.PP
-        qf = pfrob_idx
-        for _ in range(self.e - 1):
-            qf = pfrob_idx[qf]
+        qmat = _matpow(_frobenius_matrix(comp, p), self.e, p)
+        qf = ((digits @ qmat.T) % p) @ self.PP
         frob = np.empty((self.n, size), dtype=np.int64)
         frob[0] = idx
         for i in range(1, self.n):
@@ -259,37 +231,6 @@ class FieldCtx:
         if not np.array_equal(qf[frob[self.n - 1]], idx):
             raise FieldConstructionError("Frobenius order check failed")
         self.FROB = frob
-
-    def _mult_matrix_poly(self, a_idx: int) -> np.ndarray:
-        """Multiplication-by-a as a matrix over F_p, from polynomial arithmetic."""
-        p, d = self.p, self.deg
-        a = [(a_idx // p ** j) % p for j in range(d)]
-        mat = np.zeros((d, d), dtype=np.int64)
-        for j in range(d):
-            col = _pmod(_pmul(a, [0] * j + [1], p), self.modulus, p)
-            for i, c in enumerate(col):
-                mat[i, j] = c
-        return mat
-
-    def _find_generator(self, order_factors) -> int:
-        p, d = self.p, self.deg
-        cofactors = [self.order // r for r in order_factors]
-
-        def powmod(a_idx, k):
-            # square-and-multiply on coefficient lists (pre-table bootstrap)
-            a = [(a_idx // p ** j) % p for j in range(d)]
-            acc = [1]
-            while k:
-                if k & 1:
-                    acc = _pmod(_pmul(acc, a, p), self.modulus, p)
-                a = _pmod(_pmul(a, a, p), self.modulus, p)
-                k >>= 1
-            return sum(c * p ** i for i, c in enumerate(acc))
-
-        for cand in range(2, self.size):
-            if all(powmod(cand, cf) != 1 for cf in cofactors):
-                return cand
-        raise FieldConstructionError("no generator found")
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -332,15 +273,6 @@ class FieldCtx:
     def add_vec(self, a, b):
         return ((self.DIGITS[a] + self.DIGITS[b]) % self.p) @ self.PP
 
-    def sum_vec(self, terms):
-        acc = self.DIGITS[terms[0]].copy()
-        for tm in terms[1:]:
-            acc += self.DIGITS[tm]
-        return (acc % self.p) @ self.PP
-
-    def neg_vec(self, a):
-        return self.NEG[a]
-
     def mul_vec(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
@@ -359,12 +291,6 @@ class FieldCtx:
     def pow_vec(self, a, k: int):
         a = np.asarray(a)
         return np.where(a == 0, 0, self.EXP[(self.LOG[a] * (k % self.order)) % self.order])
-
-    def inv_vec(self, a):
-        a = np.asarray(a)
-        if (a == 0).any():
-            raise ZeroDivisionError("inverse of 0")
-        return self.EXP[(self.order - self.LOG[a]) % self.order]
 
     # -- tower structure -----------------------------------------------------
 
@@ -493,6 +419,6 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, e: int, t: int, log_bound: int = LOG_TABLE_BOUND_DEFAULT) -> FieldCtx:
+def make_field(p: int, e: int, t: int) -> FieldCtx:
     """Tower context for F_p <= F_{p^e} <= ... <= F_{p^(e*2t)}, cached per process."""
-    return FieldCtx(p, e, t, log_bound)
+    return FieldCtx(p, e, t)

@@ -27,6 +27,8 @@ class LinPoly:
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.shape != (ctx.n,):
             raise ValueError(f"need exactly {ctx.n} coefficient slots")
+        if not all(0 <= c < ctx.size for c in coeffs.tolist()):
+            raise ValueError(f"coefficients must be element indices in [0, {ctx.size})")
         self.ctx = ctx
         self.s = s % ctx.n
         self.coeffs = coeffs.copy()

@@ -9,7 +9,13 @@ g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
 coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
 and `gl_search`.  `left_idealizer_grid` tests every pair for the left
 idealizer.  Both cost q^(2n) and are meant for the (3,3) tower.
+
+`is_irreducible_trial` divides by every monic polynomial of degree at most
+d/2; it is the reference for the companion-matrix test
+`fieldcore._is_irreducible`.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -30,6 +36,28 @@ def fiber_profile_sorted(f):
     keys = ratio * (line_mod + 1) + logs_x % line_mod
     n_points = int(np.unique(ratio).size)
     return n_points, np.unique(keys).size == n_points
+
+
+def _has_remainder(a, b, p):
+    """a mod the monic b over F_p is nonzero (coefficient lists, little-endian)."""
+    r = list(a)
+    k = len(b) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i] % p
+        if c:
+            for j in range(k + 1):
+                r[i - k + j] = (r[i - k + j] - c * b[j]) % p
+    return any(x % p for x in r[:k])
+
+
+def is_irreducible_trial(m, p):
+    """The monic m has no monic factor of degree 1 .. deg(m)/2 over F_p."""
+    d = len(m) - 1
+    return all(
+        _has_remainder(m, list(low) + [1], p)
+        for k in range(1, d // 2 + 1)
+        for low in product(range(p), repeat=k)
+    )
 
 
 def _compose_with_span_of_f(outer, inner, bs):

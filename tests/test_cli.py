@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scatlin.cli import main
+from scatlin.cli import build_parser, main
 from scatlin.sweep import condition_pairs
 from scatlin.fieldcore import make_field
 
@@ -73,6 +73,19 @@ def test_out_of_range_h_is_refused():
     for h in ("-1", "729"):
         with pytest.raises(ValueError, match="nonzero element index below 729"):
             main(["stabilizer", "--q", "3", "--t", "3", "--m", "0", "--h", h])
+
+
+def test_out_of_range_delta_is_refused():
+    for delta in ("-1", "729"):
+        with pytest.raises(ValueError, match="element indices"):
+            main(["intn", "--q", "3", "--t", "3", "--family", "lp", "--delta", delta])
+
+
+def test_workers_is_a_classify_flag():
+    with pytest.raises(SystemExit):
+        main(["witness", "--q", "3", "--t", "3", "--m", "1", "--h", "1", "--workers", "7"])
+    args = build_parser().parse_args(["classify", "--q", "3", "--t", "3", "--workers", "2"])
+    assert args.workers == 2
 
 
 def test_idealizer_command(tmp_path):

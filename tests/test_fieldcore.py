@@ -1,16 +1,46 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scatlin import fieldcore
 from scatlin.fieldcore import (
     FieldCtx,
     FieldConstructionError,
     make_field,
+    smallest_generator,
     smallest_irreducible,
     _is_irreducible,
 )
+from reference import is_irreducible_trial
+
+# (modulus, generator) of every admitted tower (p, e, t), field size <= 2^24
+ADMITTED_TOWERS = {
+    (3, 1, 3): ([1, 0, 0, 0, 1, 1, 1], 4),
+    (3, 1, 4): ([1, 0, 0, 0, 0, 1, 1, 0, 1], 4),
+    (3, 1, 5): ([1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1], 34),
+    (3, 1, 6): ([1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1], 4),
+    (3, 1, 7): ([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1], 4),
+    (3, 2, 3): ([1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1], 4),
+    (5, 1, 3): ([1, 0, 0, 0, 1, 1, 1], 6),
+    (5, 1, 4): ([1, 0, 0, 0, 0, 1, 1, 0, 1], 6),
+    (5, 1, 5): ([1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1], 6),
+    (7, 1, 3): ([1, 0, 0, 0, 1, 0, 1], 8),
+    (7, 1, 4): ([1, 0, 0, 0, 0, 0, 1, 2, 1], 10),
+    (11, 1, 3): ([1, 0, 0, 0, 1, 1, 1], 15),
+    (13, 1, 3): ([1, 0, 0, 0, 0, 1, 1], 15),
+}
+
+# SHA-256 of EXP, LOG, NEG and FROB (in that order); every report rests on
+# these tables, so any construction must reproduce them byte for byte
+TABLE_DIGESTS = {
+    (3, 1, 3): "999f09f30a55b3f7a810bda455cf98a58213cbcb80233dcdc3496113957333d3",
+    (3, 1, 4): "bd7225c68cd6483e235ef55cf5e678c36377b23b815cd9ed2bb0447c612055c4",
+    (5, 1, 3): "8039ad762718b41ba653ad4a9d0a2e29691ff87815d91faffba15957d685f56f",
+    (3, 1, 5): "897355acbbc3573d73a32ac1ebe2f9c30d2580804247a9f63abe77f27b2f6b9e",
+}
 
 
 def test_construction_examples(f33, f53):
@@ -43,11 +73,59 @@ def test_modulus_is_lexicographically_smallest(f33):
         coeffs = [(k // 3 ** (d - 1 - i)) % 3 for i in range(d)]
         cand = coeffs + [1]
         if tuple_key(cand) == tuple_key(found):
-            assert _is_irreducible(cand, 3)
+            assert is_irreducible_trial(cand, 3)
             break
-        if coeffs[0] == 0:
-            continue
-        assert not _is_irreducible(cand, 3)
+        assert not is_irreducible_trial(cand, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=2, max_size=8))
+))
+def test_irreducibility_matches_trial_division(case):
+    p, low = case
+    m = low + [1]
+    assert _is_irreducible(m, p) == is_irreducible_trial(m, p)
+
+
+@pytest.mark.parametrize("p,d,count", [(3, 6, 116), (5, 4, 150), (7, 3, 112)])
+def test_irreducible_counts_match_gauss(p, d, count):
+    # Gauss: (1/d) * sum over k | d of mobius(k) * p^(d/k) monic irreducibles
+    cands = [[(k // p ** i) % p for i in range(d)] + [1] for k in range(p ** d)]
+    found = [m for m in cands if _is_irreducible(m, p)]
+    assert len(found) == count
+    assert found == [m for m in cands if is_irreducible_trial(m, p)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_linear_polynomials_are_irreducible(p):
+    assert all(_is_irreducible([c, 1], p) for c in range(p))
+
+
+@pytest.mark.parametrize("p,e,t", sorted(ADMITTED_TOWERS))
+def test_admitted_tower_is_pinned(p, e, t):
+    modulus, generator = ADMITTED_TOWERS[p, e, t]
+    assert smallest_irreducible(p, e * 2 * t) == modulus
+    assert smallest_generator(modulus, p) == generator
+
+
+def test_exp_table_fault_check(monkeypatch):
+    # 2 lies in F_3, so its powers cover two elements instead of 728
+    monkeypatch.setattr(fieldcore, "smallest_generator", lambda modulus, p: 2)
+    with pytest.raises(FieldConstructionError, match="generator powers"):
+        FieldCtx(3, 1, 3)
+
+
+@pytest.mark.parametrize("p,e,t", sorted(TABLE_DIGESTS))
+def test_tables_are_pinned(p, e, t):
+    ctx = make_field(p, e, t)
+    assert ctx.DIGITS.dtype == np.int8
+    digest = hashlib.sha256()
+    for name in ("EXP", "LOG", "NEG", "FROB"):
+        table = getattr(ctx, name)
+        assert table.dtype == np.int64
+        digest.update(table.tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[p, e, t]
 
 
 def test_construction_is_deterministic():

@@ -136,6 +136,12 @@ def test_validation_errors(f33, f53):
     other = LinPoly.monomial(f53, 1, 1)
     with pytest.raises(ValueError, match="contexts"):
         f.compose(other)
+    for bad in (-1, 729):
+        with pytest.raises(ValueError, match="element indices"):
+            LinPoly(f33, 1, [bad, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="element indices"):
+            LinPoly.from_terms(f33, 1, {1: 1, 5: bad})
+    assert LinPoly(f33, 1, [728, 0, 0, 0, 0, 0]).coeffs[0] == 728
 
 
 def test_serialization_and_str(f33):
