@@ -68,6 +68,17 @@ def _emit_lines(header, records, summary, out_path):
         print("\n".join(lines))
 
 
+def _report_cost(s, elapsed, stats):
+    """Wall time and kernel calls per polynomial on stderr, not in the report."""
+    print(f"s={s}: {elapsed}s, {stats['profiles']}/{stats['polynomials']} profiles",
+          file=sys.stderr)
+
+
+def _add_budget_arg(sp):
+    sp.add_argument("--budget", type=int, default=None,
+                    help="largest admissible field size (default 5^6, or the --config preset)")
+
+
 def cmd_classify(args) -> int:
     ctx = _ctx_from_args(args)
     svals = [args.s]
@@ -80,12 +91,13 @@ def cmd_classify(args) -> int:
         return 2
     bad = 0
     for s in svals:
+        stats = {}
         records, summary = classify_sweep(
             ctx, s, h_dedup=args.h_dedup, with_witness=not args.no_witness,
-            workers=args.workers,
+            workers=args.workers, stats=stats,
         )
         # wall-clock noise would break byte-identical reports
-        print(f"s={s}: {summary.pop('elapsed_s')}s", file=sys.stderr)
+        _report_cost(s, summary.pop("elapsed_s"), stats)
         header = {
             "schema_version": SCHEMA_VERSION,
             "kind": "classify",
@@ -118,8 +130,9 @@ def cmd_conjecture(args) -> int:
     if ctx.size > args.budget:
         print(f"refused: field size {ctx.size} above budget {args.budget}", file=sys.stderr)
         return 2
-    rep = conjecture_scan(ctx, args.s, h_dedup=not args.no_h_dedup)
-    print(f"s={args.s}: {rep.pop('elapsed_s')}s", file=sys.stderr)
+    stats = {}
+    rep = conjecture_scan(ctx, args.s, h_dedup=not args.no_h_dedup, stats=stats)
+    _report_cost(args.s, rep.pop("elapsed_s"), stats)
     rep["kind"] = "conjecture"
     _emit(rep, args.out)
     return 0  # mismatches are data, not assertion failures
@@ -262,11 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--csv", type=str, default=None, help="also write a CSV projection")
     sp.add_argument("--workers", type=int, default=None,
                     help="processes to shard the sweep across (default 1)")
+    _add_budget_arg(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("conjecture", help="scattered-vs-conditions scan, both orderings")
     _add_field_args(sp)
     sp.add_argument("--no-h-dedup", action="store_true")
+    _add_budget_arg(sp)
     sp.set_defaults(func=cmd_conjecture)
 
     sp = sub.add_parser("props", help="structural property suite")
@@ -312,10 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=int, required=True)
     sp.set_defaults(func=cmd_witness)
 
-    for sp_name, sp_obj in sub.choices.items():
+    for sp_obj in sub.choices.values():
         sp_obj.add_argument("--out", type=str, default=None)
-        sp_obj.add_argument("--budget", type=int, default=None,
-                            help="largest admissible field size for classify/conjecture")
     return ap
 
 
@@ -329,7 +342,7 @@ def main(argv=None) -> int:
     # flags override config presets, which override the built-in defaults
     if args.command == "classify" and args.workers is None:
         args.workers = presets.get("workers", 1)
-    if args.budget is None:
+    if args.command in ("classify", "conjecture") and args.budget is None:
         args.budget = presets.get("budget", 5 ** 6)
     return args.func(args)
 

@@ -16,9 +16,9 @@ Two conventions make results comparable across runs and machines:
 The construction is d x d linear algebra over F_p with the companion matrix
 C of the modulus (multiplication by x on the power basis, d = e*2t): the
 p-power matrix Q decides irreducibility (Q^d = I and rank(Q - I) = d - 1),
-the multiplication matrix a(C) decides the order of a, the exp table is
-filled in blocks G^(iB) [g^0 ... g^(B-1)] with G = g(C), and the Frobenius
-index maps come from Q^e.
+the multiplication matrix a(C) decides the order of a, and the exp table is
+filled in blocks G^(iB) [g^0 ... g^(B-1)] with G = g(C).  The Frobenius
+index maps are gathers from the finished tables, x^q = exp[q*log x].
 
 Zech-free arithmetic: multiplication runs through exp/log tables, addition
 through digit vectors, Frobenius through precomputed index maps.  All bulk
@@ -221,9 +221,9 @@ class FieldCtx:
         self.NEG = ((p - digits) % p) @ self.PP
         self.neg_one = int(self.NEG[1])
 
-        # q-Frobenius index maps, one per tower step 0..n-1
-        qmat = _matpow(_frobenius_matrix(comp, p), self.e, p)
-        qf = ((digits @ qmat.T) % p) @ self.PP
+        # q-Frobenius index maps, one per tower step 0..n-1; x^q = g^(q log x)
+        qf = exp[log * self.q % self.order]
+        qf[0] = 0
         frob = np.empty((self.n, size), dtype=np.int64)
         frob[0] = idx
         for i in range(1, self.n):

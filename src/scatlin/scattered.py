@@ -2,13 +2,17 @@
 
 The primary oracle is `fiber_profile`: one count of the values of f(x)/x
 over the punctured field gives both the size of the linear set and the
-scatteredness verdict (no value taken on more than one F_q-line).  The
+scatteredness verdict (no value taken on more than one F_q-line).
+`profile_key` names the class of f under the scalings f -> mu*f(lambda*X),
+which all share one profile, so a sweep runs the count once per class.  The
 cross-check oracle counts roots of f + m*X for every shift m, naively, and
 is kept deliberately independent of the fiber count.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import gcd
 import numpy as np
 
 from .fieldcore import BudgetExceededError
@@ -30,6 +34,57 @@ def fiber_profile(f: LinPoly) -> tuple:
     ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - ctx.LOG[1:]) % ctx.order)
     counts = np.bincount(ratio, minlength=ctx.order + 1)
     return int(np.count_nonzero(counts)), bool(counts.max() == ctx.q - 1)
+
+
+def profile_key(f: LinPoly) -> tuple:
+    """Canonical form of f under the scalings f -> mu*f(lambda*X), lambda, mu != 0.
+
+    Polynomials with one key have one `fiber_profile`, and so do the p-power
+    twists f^sigma of their coefficients:
+    * mu*f(lambda*x)/x = lambda*mu * f(lambda*x)/(lambda*x), so the scaling
+      multiplies every ratio by the same scalar (x and lambda*x run over the
+      nonzero elements together);
+    * f^sigma(x^p)/x^p = (f(x)/x)^p for the p-power twist.
+    So both maps permute the values of f(x)/x and keep the kernel, and the
+    bincount histogram of `fiber_profile` is only permuted.
+
+    The scaling adds log(mu) + log(lambda)*q^e to the log of the coefficient
+    a_e of X^(q^e).  With E the q-exponent support, e0 = min E and N the
+    multiplicative order, the log differences u_e = log a_e - log a_e0
+    (e != e0) are therefore defined up to the cyclic group generated by
+    w = (q^e - q^e0 mod N).  The coset is reduced one coordinate at a time:
+    with g = gcd(w_i, N), the multiple of w that sends u_i to u_i mod g is
+    added, and w is replaced by (N/g)*w, which vanishes on coordinates 0..i.
+    The key is (E, u); two polynomials share it iff one is a scaling of the
+    other.  The zero polynomial has the key ().  Keys compare only within
+    one tower.
+    """
+    ctx = f.ctx
+    terms = sorted(((f.s * i) % ctx.n, c) for i, c in enumerate(f.coeffs.tolist()) if c)
+    if not terms:
+        return ()
+    support = tuple(e for e, _ in terms)
+    order = ctx.order
+    log0 = int(ctx.LOG[terms[0][1]])
+    u = [(int(ctx.LOG[c]) - log0) % order for _, c in terms[1:]]
+    for i, (g, mod, inv, w) in enumerate(_scaling_steps(ctx.q, order, support)):
+        k = (u[i] % g - u[i]) // g * inv % mod
+        if k:
+            u = [(x + k * y) % order for x, y in zip(u, w)]
+    return support, tuple(u)
+
+
+@lru_cache(maxsize=None)
+def _scaling_steps(q: int, order: int, support: tuple) -> tuple:
+    """(g, N/g, inverse of w_i/g mod N/g, w) per coordinate of `profile_key`."""
+    w = [(pow(q, e, order) - pow(q, support[0], order)) % order for e in support[1:]]
+    steps = []
+    for i in range(len(w)):
+        g = gcd(w[i], order)
+        mod = order // g
+        steps.append((g, mod, pow(w[i] // g, -1, mod), tuple(w)))
+        w = [x * mod % order for x in w]
+    return tuple(steps)
 
 
 def linear_set_size(f: LinPoly) -> int:

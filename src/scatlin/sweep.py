@@ -8,6 +8,14 @@ would refute the only-if direction of the expected characterization, so it
 is reported, never assumed away).  Every verdict comes from
 `scattered.fiber_profile`, the kernel one-shot decisions use too.
 
+Each sweep call keeps a `ProfileMemo`: the profile is the same on every
+scaling mu*f(lambda*X) and every p-power twist of f (see
+`scattered.profile_key`), so the kernel runs once per orbit of these maps
+and every other pair pays only for its key.  Records, tags and witnesses
+stay per pair.  The memo lives for one call only; a sweep given a `stats`
+dict writes the number of kernel calls (`profiles`) and of polynomials asked
+(`polynomials`) there, outside its report.
+
 Polynomials only depend on h through two power ratios, so h and lambda*h
 give the same member for every base-field scalar lambda; the sweeps can
 optionally deduplicate h by these orbits.
@@ -29,7 +37,8 @@ from .quadrinomial import (
     prior_family_tag,
     nonscattered_witness,
 )
-from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots
+from .linpoly import LinPoly
+from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots, profile_key
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +51,37 @@ def quad_fiber_profile(params: QuadParams):
     return fiber_profile(build_quadrinomial(params))
 
 
+class ProfileMemo:
+    """`fiber_profile` once per scaling-Frobenius orbit, for one sweep call.
+
+    On a miss the profile is computed and stored under the `profile_key` of
+    every p-power twist of f, so the kernel runs once per orbit of
+    f -> mu*f(lambda*X)^sigma.  `calls` counts kernel runs and `asked`
+    counts lookups.
+    """
+
+    def __init__(self):
+        self.profiles = {}
+        self.calls = 0
+        self.asked = 0
+
+    def __call__(self, f: LinPoly) -> tuple:
+        self.asked += 1
+        key = profile_key(f)
+        hit = self.profiles.get(key)
+        if hit is None:
+            hit = fiber_profile(f)
+            self.calls += 1
+            for j in range(f.ctx.deg):
+                self.profiles[profile_key(f.frobenius_twist(j))] = hit
+        return hit
+
+
+def _write_stats(stats, calls: int, asked: int):
+    if stats is not None:
+        stats.update(profiles=calls, polynomials=asked)
+
+
 def h_class_reps(ctx: FieldCtx) -> np.ndarray:
     """Smallest index per base-field-scalar orbit of nonzero h."""
     d = ctx.order // (ctx.q - 1)
@@ -52,10 +92,11 @@ def h_class_reps(ctx: FieldCtx) -> np.ndarray:
     return np.sort(reps)
 
 
-def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
+def classify_record(params: QuadParams, with_witness: bool = True, memo=None) -> dict:
+    """One classification record; a sweep passes its `ProfileMemo`."""
     ctx = params.ctx
     verdict = scattered_conditions(params)
-    n_points, scattered = quad_fiber_profile(params)
+    n_points, scattered = (memo or ProfileMemo())(build_quadrinomial(params))
     rec = {
         "m": int(params.m),
         "h": int(params.h),
@@ -77,11 +118,12 @@ def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
 def _classify_shard(args):
     p, e, t, s, ms, hs, with_witness = args
     ctx = make_field(p, e, t)
+    memo = ProfileMemo()
     out = []
     for m in ms:
         for h in hs:
-            out.append(classify_record(QuadParams(ctx, s, int(m), int(h)), with_witness))
-    return out
+            out.append(classify_record(QuadParams(ctx, s, int(m), int(h)), with_witness, memo))
+    return out, memo.calls, memo.asked
 
 
 def classify_sweep(
@@ -90,11 +132,12 @@ def classify_sweep(
     h_dedup: bool = False,
     with_witness: bool = True,
     workers: int = 1,
+    stats: dict | None = None,
 ) -> tuple:
     """Full grid sweep; returns (records, summary).
 
     Records are emitted in canonical (m index, h index) order regardless of
-    worker count.
+    worker count.  Each worker keeps its own memo.
     """
     t0 = time.time()
     ms = [int(m) for m in ctx.subfield(ctx.t)]
@@ -106,10 +149,11 @@ def classify_sweep(
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_classify_shard, shards))
-        records = [r for chunk in chunks for r in chunk]
-        records.sort(key=lambda r: (r["m"], r["h"]))
     else:
-        records = _classify_shard((ctx.p, ctx.e, ctx.t, s, ms, hs, with_witness))
+        chunks = [_classify_shard((ctx.p, ctx.e, ctx.t, s, ms, hs, with_witness))]
+    records = sorted((r for chunk, _, _ in chunks for r in chunk),
+                     key=lambda r: (r["m"], r["h"]))
+    _write_stats(stats, sum(c[1] for c in chunks), sum(c[2] for c in chunks))
 
     applies_not_scattered = [
         (r["m"], r["h"]) for r in records if r["case_tag"] != "none" and not r["scattered"]
@@ -173,14 +217,18 @@ def condition_pairs(ctx: FieldCtx, s: int):
     return pairs
 
 
-def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 0) -> dict:
+def sufficiency_sweep(
+    ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 0, stats: dict | None = None,
+) -> dict:
     """Every pair satisfying the sufficient conditions must be scattered.
 
     Runs the fiber oracle on all such pairs and, optionally, the independent
-    roots oracle on a seeded sample.  Returns counts and any violations.
+    roots oracle on a seeded sample, cross-checked against a fresh fiber
+    count.  Returns counts and any violations.
     """
     t0 = time.time()
     pairs = condition_pairs(ctx, s)
+    memo = ProfileMemo()
     violations = []
     case_counts = {}
     for m, h in pairs:
@@ -189,8 +237,9 @@ def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 
         if not verdict.applies:
             raise RuntimeError("condition pair construction disagrees with the predicate")
         case_counts[verdict.case_tag] = case_counts.get(verdict.case_tag, 0) + 1
-        if not quad_fiber_profile(params)[1]:
+        if not memo(build_quadrinomial(params))[1]:
             violations.append((m, h, verdict.case_tag))
+    _write_stats(stats, memo.calls, memo.asked)
     roots_checked = 0
     roots_disagreements = []
     if roots_sample:
@@ -219,7 +268,7 @@ def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 
     }
 
 
-def bad_power_set_sweep(ctx: FieldCtx, s: int) -> dict:
+def bad_power_set_sweep(ctx: FieldCtx, s: int, stats: dict | None = None) -> dict:
     """Every m in the minus power set with mid-field h of fourth power 1 must
     fail scatteredness, with a verified constructive witness where one exists."""
     t0 = time.time()
@@ -229,11 +278,11 @@ def bad_power_set_sweep(ctx: FieldCtx, s: int) -> dict:
     hs = [int(h) for h in mid_nz[ctx.pow_vec(mid_nz, 4) == 1]]
     failures = []
     witnesses = 0
+    memo = ProfileMemo()
     for m in minus:
         for h in hs:
             params = QuadParams(ctx, s, int(m), h)
-            f = build_quadrinomial(params)
-            if is_scattered_fiber(f):
+            if memo(build_quadrinomial(params))[1]:
                 failures.append((int(m), h, "scattered"))
                 continue
             w = nonscattered_witness(params)
@@ -241,6 +290,7 @@ def bad_power_set_sweep(ctx: FieldCtx, s: int) -> dict:
                 failures.append((int(m), h, "no witness"))
             else:
                 witnesses += 1
+    _write_stats(stats, memo.calls, memo.asked)
     return {
         "schema_version": SCHEMA_VERSION,
         "pairs_checked": int(minus.size) * len(hs),
@@ -250,7 +300,9 @@ def bad_power_set_sweep(ctx: FieldCtx, s: int) -> dict:
     }
 
 
-def conjecture_scan(ctx: FieldCtx, s: int, h_dedup: bool = True) -> dict:
+def conjecture_scan(
+    ctx: FieldCtx, s: int, h_dedup: bool = True, stats: dict | None = None,
+) -> dict:
     """Scattered-versus-conditions comparison for both exponent orderings.
 
     The swapped ordering exchanges the roles of the t-1 and t+1 exponents;
@@ -263,12 +315,13 @@ def conjecture_scan(ctx: FieldCtx, s: int, h_dedup: bool = True) -> dict:
     mismatches_main = []
     mismatches_swapped = []
     counts = {"pairs": 0, "scattered_main": 0, "scattered_swapped": 0, "applies": 0}
+    memo = ProfileMemo()
     for m in ms:
         for h in hs:
             params = QuadParams(ctx, s, int(m), int(h))
             applies = scattered_conditions(params).applies
-            sc_main = quad_fiber_profile(params)[1]
-            sc_sw = is_scattered_fiber(build_quadrinomial_swapped(params))
+            sc_main = memo(build_quadrinomial(params))[1]
+            sc_sw = memo(build_quadrinomial_swapped(params))[1]
             counts["pairs"] += 1
             counts["scattered_main"] += sc_main
             counts["scattered_swapped"] += sc_sw
@@ -277,6 +330,7 @@ def conjecture_scan(ctx: FieldCtx, s: int, h_dedup: bool = True) -> dict:
                 mismatches_main.append((int(m), int(h), applies, sc_main))
             if sc_sw != applies:
                 mismatches_swapped.append((int(m), int(h), applies, sc_sw))
+    _write_stats(stats, memo.calls, memo.asked)
     return {
         "schema_version": SCHEMA_VERSION,
         "p": ctx.p,

@@ -4,11 +4,20 @@
 distinct keys with distinct values by sorting; it is the reference for
 `scattered.fiber_profile`, which counts the values instead.
 
+`scaling_class` normalizes f under every nonzero lambda and picks the
+smallest result; it is the reference for `scattered.profile_key`.
+`PerPairProfiles` has the interface of `sweep.ProfileMemo` but runs
+`scattered.fiber_profile` on every polynomial; put in place of the memo, it
+turns each sweep back into its per-pair form.
+
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
 g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
 coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
 and `gl_search`.  `left_idealizer_grid` tests every pair for the left
 idealizer.  Both cost q^(2n) and are meant for the (3,3) tower.
+
+`closure_all_pairs` adds and multiplies every pair of a set of 2x2
+matrices; it is the reference for `StabilizerSet.closure_flags`.
 
 `is_irreducible_trial` divides by every monic polynomial of degree at most
 d/2; it is the reference for the companion-matrix test
@@ -20,6 +29,7 @@ from itertools import product
 import numpy as np
 
 from scatlin.linpoly import LinPoly
+from scatlin.scattered import fiber_profile
 
 GRID_BOUND = 3 ** 12
 
@@ -36,6 +46,38 @@ def fiber_profile_sorted(f):
     keys = ratio * (line_mod + 1) + logs_x % line_mod
     n_points = int(np.unique(ratio).size)
     return n_points, np.unique(keys).size == n_points
+
+
+def scaling_class(f):
+    """Smallest coefficient vector of mu*f(lambda*X) over all lambda != 0,
+    with mu chosen to make the lowest-exponent coefficient 1; () for f = 0.
+
+    Two polynomials get the same class iff one is a scaling of the other.
+    """
+    ctx = f.ctx
+    qv = f.q_view()
+    support = np.flatnonzero(qv).tolist()
+    if not support:
+        return ()
+    lam = ctx.nonzero_elements()
+    # coefficient of X^(q^e) in f(lambda*X) is a_e * lambda^(q^e)
+    cols = [ctx.scale_vec(int(qv[e]), ctx.frob_vec(lam, e)) for e in support]
+    inv_lead = ctx.pow_vec(cols[0], -1)
+    normed = np.stack([ctx.mul_vec(c, inv_lead) for c in cols], axis=1)
+    return tuple(support), min(map(tuple, normed.tolist()))
+
+
+class PerPairProfiles:
+    """`fiber_profile` on every call, counted like `sweep.ProfileMemo`."""
+
+    def __init__(self):
+        self.calls = 0
+        self.asked = 0
+
+    def __call__(self, f):
+        self.calls += 1
+        self.asked += 1
+        return fiber_profile(f)
 
 
 def _has_remainder(a, b, p):
@@ -121,6 +163,24 @@ def graph_maps_grid(f, g):
     return sorted(
         zip(aa.tolist(), bb.tolist(), gamma[aa, bb].tolist(), delta[aa, bb].tolist())
     )
+
+
+def closure_all_pairs(ctx, elements):
+    """(additive, multiplicative) closure of the 2x2 matrices in elements
+    plus the zero matrix, by testing every ordered pair."""
+    mats = np.array(list(elements) + [(0, 0, 0, 0)], dtype=np.int64)
+    members = {tuple(m) for m in mats.tolist()}
+    ii, jj = np.meshgrid(np.arange(len(mats)), np.arange(len(mats)), indexing="ij")
+    a, b = mats[ii.ravel()], mats[jj.ravel()]
+
+    def entry(x, y, u, v):
+        return ctx.add_vec(ctx.mul_vec(a[:, x], b[:, y]), ctx.mul_vec(a[:, u], b[:, v]))
+
+    sums = np.stack([ctx.add_vec(a[:, k], b[:, k]) for k in range(4)], axis=1)
+    prods = np.stack([entry(0, 0, 1, 2), entry(0, 1, 1, 3),
+                      entry(2, 0, 3, 2), entry(2, 1, 3, 3)], axis=1)
+    return (all(tuple(m) in members for m in sums.tolist()),
+            all(tuple(m) in members for m in prods.tolist()))
 
 
 def invertible(ctx, maps):

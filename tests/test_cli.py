@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -115,21 +116,19 @@ def test_equiv_command(tmp_path):
     assert rep["agree"] and rep["case"] == "c"
 
 
-def test_equiv_report_does_not_depend_on_budget(tmp_path):
-    """--budget caps the field size of classify/conjecture only; it must not
-    cut the equivalence search short."""
+def test_budget_is_refused_outside_classify_and_conjecture(tmp_path):
+    """--budget caps the field size of classify/conjecture only; the other
+    subcommands refuse the flag instead of ignoring it."""
     ctx = make_field(3, 1, 3)
     m, h = condition_pairs(ctx, 1)[0]
-    m2, h2 = condition_pairs(ctx, 5)[0]
-    for s2, mm, hh in ((1, m, h), (5, m2, h2)):
-        argv = ["equiv", "--q", "3", "--t", "3", "--s", "1", "--m", str(m), "--h", str(h),
-                "--s2", str(s2), "--m2", str(mm), "--h2", str(hh), "--allow-small-t"]
-        texts = []
-        for extra in ([], ["--budget", "10"]):
-            out = tmp_path / f"equiv{len(texts)}.json"
-            assert main(argv + extra + ["--out", str(out)]) == 0
-            texts.append(out.read_text())
-        assert texts[0] == texts[1]
+    argv = ["equiv", "--q", "3", "--t", "3", "--s", "1", "--m", str(m), "--h", str(h),
+            "--s2", "1", "--m2", str(m), "--h2", str(h), "--allow-small-t",
+            "--out", str(tmp_path / "equiv.json")]
+    with pytest.raises(SystemExit):
+        main(argv + ["--budget", "10"])
+    with pytest.raises(SystemExit):
+        main(["props", "--q", "3", "--t", "3", "--budget", "10"])
+    assert main(argv) == 0
 
 
 def test_intn_command_families(tmp_path):
@@ -191,6 +190,13 @@ def test_config_file_presets(tmp_path):
          "--out", str(tmp_path / "x.jsonl")]
     )
     assert rc == 2  # preset budget forces the refusal
+    rc = main(["--config", str(cfg), "conjecture", "--q", "3", "--t", "3", "--s", "1",
+               "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    # the other subcommands take no budget, so the preset leaves them alone
+    rc = main(["--config", str(cfg), "witness", "--q", "3", "--t", "3", "--s", "1",
+               "--m", "0", "--h", "1", "--out", str(tmp_path / "w.json")])
+    assert rc == 0
     # explicit flag overrides the preset
     rc = main(
         ["--config", str(cfg), "classify", "--q", "3", "--t", "3", "--s", "1",
@@ -222,3 +228,21 @@ def test_conjecture_reports_are_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     assert "elapsed_s" not in read_json(a)
     assert capsys.readouterr().err.count("s=1: ") == 2
+
+
+def test_cost_line_counts_kernel_calls(tmp_path, capsys):
+    """One fiber count per scaling-Frobenius orbit: 139 of the 9,828
+    h-deduped (3,3) pairs per step, in every call; the count stays off the
+    artifact."""
+    out = tmp_path / "c.jsonl"
+    assert main(["classify", "--q", "3", "--t", "3", "--all-s", "--h-dedup",
+                 "--no-witness", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(re.fullmatch(rf"s={s}: [0-9.]+s, 139/9828 profiles", line)
+               for s, line in zip((1, 5), err))
+    assert "profiles" not in (tmp_path / "c.jsonl.s1").read_text()
+    # the memo lives for one sweep call: a repeated step redoes its counts
+    assert main(["classify", "--q", "3", "--t", "3", "--s", "1", "--h-dedup",
+                 "--no-witness", "--out", str(out)]) == 0
+    assert ", 139/9828 profiles" in capsys.readouterr().err

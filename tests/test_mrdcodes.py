@@ -9,6 +9,7 @@ from scatlin.scattered import is_scattered_fiber
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.mrdcodes import (
     RankCode,
+    StabilizerSet,
     right_idealizer,
     left_idealizer,
     stabilizer,
@@ -16,7 +17,9 @@ from scatlin.mrdcodes import (
 )
 from scatlin.sweep import condition_pairs
 
-from reference import canonical_witness, graph_maps_grid, invertible, left_idealizer_grid
+from reference import (
+    canonical_witness, closure_all_pairs, graph_maps_grid, invertible, left_idealizer_grid,
+)
 
 
 def lp_binomial(ctx, s=1):
@@ -152,7 +155,50 @@ def test_stabilizer_order_equals_right_idealizer_order(f33):
 def test_stabilizer_field_closure(f33):
     for f in (lp_binomial(f33), condition_member(f33)):
         flags = stabilizer(f).closure_flags()
-        assert flags["additive"] and flags["multiplicative"] and flags["exhaustive"]
+        assert flags["additive"] and flags["multiplicative"]
+
+
+def test_closure_flags_match_all_pairs(f33):
+    """The rank and basis-product test against every pair, on stabilizers
+    and on hand-made sets that fail each closure."""
+    c = 5  # c != 0, 1: (1, 0; 0, c) squared is (1, 0; 0, c^2), outside the set
+    neg = f33.neg_one
+    sets = [stabilizer(f) for f in (
+        LinPoly.monomial(f33, 1, 1), lp_binomial(f33), condition_member(f33),
+        LinPoly.from_terms(f33, 1, {1: 1, 4: 7}),
+    )]
+    f = sets[0].f
+    sets += [
+        StabilizerSet(f, [(1, 0, 0, c), (neg, 0, 0, f33.neg(c))]),
+        StabilizerSet(f, [(1, 0, 0, 1), (neg, 0, 0, neg)]),
+        StabilizerSet(f, [(1, 0, 0, 1)]),                    # 2 elements with zero
+        StabilizerSet(f, [(1, 0, 0, 1), (neg, 0, 0, c)]),    # 3, not a subspace
+    ]
+    seen = set()
+    for st in sets:
+        flags = st.closure_flags()
+        additive, multiplicative = closure_all_pairs(f33, st.elements)
+        assert flags["additive"] == additive
+        assert flags["multiplicative"] == (multiplicative if additive else None)
+        seen.add((additive, multiplicative))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_pseudoregulus_stabilizer_at_34_is_a_field(f34):
+    """X^q at (3,4): 6,561 matrices with zero, decided without sampling."""
+    st = stabilizer(LinPoly.monomial(f34, 1, 1))
+    assert st.order_with_zero == 3 ** 8
+    assert st.closure_flags() == {"additive": True, "multiplicative": True}
+    assert st.to_report()["is_field"]
+
+
+def test_middle_frobenius_stabilizer_is_no_field(f33):
+    """X^(q^3) at (3,3) has 511,057 invertible graph maps with zero, not a
+    power of 3, so the set is no subspace."""
+    st = stabilizer(LinPoly.monomial(f33, 1, 3))
+    assert st.order_with_zero == 511057
+    assert st.closure_flags() == {"additive": False, "multiplicative": None}
+    assert not st.to_report()["is_field"]
 
 
 def test_even_tower_stabilizer_is_scalar_frobenius_diagonal(f34):

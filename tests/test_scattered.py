@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import fiber_profile_sorted
+from reference import fiber_profile_sorted, scaling_class
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import (
-    fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size,
+    fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size, profile_key,
 )
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.sweep import condition_pairs, h_class_reps
@@ -146,3 +146,50 @@ def test_fast_kernel_matches_generic_oracle(f):
     assert (n_points, scattered) == fiber_profile_sorted(f)
     if f.ctx is F33:
         assert scattered == is_scattered_roots(f)
+
+
+# -- the scaling key ------------------------------------------------------------
+
+
+def _scaled(f, lam, mu):
+    """mu*f(lambda*X)."""
+    return f.compose(LinPoly.from_terms(f.ctx, f.s, {0: lam})).scale(mu)
+
+
+@st.composite
+def _scalings(draw):
+    """f with 0-4 terms at (3,3) or (3,4), lambda, mu, a twist j, and one
+    slot to perturb."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    s = draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    terms = draw(st.dictionaries(st.integers(0, ctx.n - 1), st.integers(1, ctx.size - 1),
+                                 max_size=4))
+    nonzero = st.integers(1, ctx.size - 1)
+    return (LinPoly.from_terms(ctx, s, terms), draw(nonzero), draw(nonzero),
+            draw(st.integers(0, ctx.deg - 1)), draw(st.integers(0, ctx.n - 1)), draw(nonzero))
+
+
+@example((LinPoly.zero(F33, 1), 5, 7, 1, 0, 3))
+@example((LinPoly.zero(F34, 3), 5, 7, 1, 2, 3))
+@settings(max_examples=200, deadline=None)
+@given(_scalings())
+def test_profile_key_is_a_scaling_invariant(case):
+    f, lam, mu, j, slot, c = case
+    image = _scaled(f, lam, mu)
+    assert profile_key(image) == profile_key(f)
+    assert fiber_profile(image.frobenius_twist(j)) == fiber_profile(f)
+    # multiplying one coefficient by c leaves the scaling class only sometimes;
+    # the key must follow the class either way
+    other = LinPoly.from_terms(f.ctx, f.s, {**dict(enumerate(image.coeffs.tolist())),
+                                            slot: f.ctx.mul(int(image.coeffs[slot]), c)})
+    assert (profile_key(other) == profile_key(f)) == (scaling_class(other) == scaling_class(f))
+
+
+def test_profile_key_separates_the_scaling_classes_of_the_grid(f33):
+    """On the h-deduped (3,3) grid, keys and brute-force classes induce the
+    same partition: 741 classes for 9,828 members."""
+    mids, reps = f33.subfield(3), h_class_reps(f33)
+    fs = [build_quadrinomial(QuadParams(f33, 1, int(m), int(h))) for m in mids for h in reps]
+    keys = [profile_key(f) for f in fs]
+    classes = [scaling_class(f) for f in fs]
+    assert len(set(keys)) == len(set(zip(keys, classes))) == len(set(classes)) == 741

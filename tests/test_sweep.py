@@ -1,7 +1,15 @@
 import json
 
-from scatlin.quadrinomial import QuadParams, scattered_conditions
+import numpy as np
+import pytest
+
+from reference import PerPairProfiles
+from scatlin import sweep
+from scatlin.linpoly import LinPoly
+from scatlin.quadrinomial import QuadParams, build_quadrinomial, scattered_conditions
+from scatlin.scattered import fiber_profile
 from scatlin.sweep import (
+    ProfileMemo,
     classify_sweep,
     classify_record,
     condition_pairs,
@@ -81,3 +89,55 @@ def test_conjecture_scan_nonzero_m_clean(f33):
     assert rep["nonzero_m_mismatches_main"] == 0
     # the swapped exponent ordering does not match the conditions
     assert rep["nonzero_m_mismatches_swapped"] > 0
+
+
+def _all_sweeps(ctx, s):
+    """Every sweep report at step s, wall times dropped, with the memo stats."""
+    out, stats = [], []
+    for run in (
+        lambda st: sweep.classify_sweep(ctx, s, h_dedup=True, stats=st),
+        lambda st: sweep.conjecture_scan(ctx, s, stats=st),
+        lambda st: sweep.sufficiency_sweep(ctx, s, roots_sample=2, seed=s, stats=st),
+        lambda st: sweep.bad_power_set_sweep(ctx, s, stats=st),
+    ):
+        st = {}
+        rep = run(st)
+        (rep[1] if isinstance(rep, tuple) else rep).pop("elapsed_s")
+        out.append(rep)
+        stats.append(st)
+    return out, stats
+
+
+@pytest.mark.parametrize("s", [1, 5])
+def test_sweeps_match_per_pair_reference(f33, s, monkeypatch):
+    """All four sweeps with the orbit memo equal their per-pair form, in
+    which every polynomial gets its own fiber count."""
+    fast, fast_stats = _all_sweeps(f33, s)
+    monkeypatch.setattr(sweep, "ProfileMemo", PerPairProfiles)
+    slow, slow_stats = _all_sweeps(f33, s)
+    assert fast == slow
+    assert [st["polynomials"] for st in fast_stats] == [9828, 2 * 9828, 364, 28]
+    assert [st["profiles"] for st in fast_stats][:2] == [139, 260]
+    assert slow_stats == [{"profiles": n, "polynomials": n}
+                          for n in (9828, 2 * 9828, 364, 28)]
+
+
+def test_memo_matches_fiber_profile_on_seeded_34_orbits(f34):
+    """Seeded members at (3,4), each followed by three scaled and twisted
+    images: every lookup equals its own fiber count, and images never miss."""
+    rng = np.random.default_rng(34)
+    mids = f34.subfield(4)
+    memo = ProfileMemo()
+    for _ in range(40):
+        s = int(rng.choice([1, 3, 5, 7]))
+        f = build_quadrinomial(QuadParams(f34, s, int(rng.choice(mids)),
+                                          int(rng.integers(1, f34.size))))
+        calls = memo.calls
+        assert memo(f) == fiber_profile(f)
+        for _ in range(3):
+            lam, mu = (int(x) for x in rng.integers(1, f34.size, 2))
+            image = f.compose(LinPoly.from_terms(f34, s, {0: lam})).scale(mu)
+            image = image.frobenius_twist(int(rng.integers(f34.deg)))
+            assert memo(image) == fiber_profile(image)
+        assert memo.calls <= calls + 1
+    assert memo.asked == 4 * 40
