@@ -9,11 +9,14 @@ assertions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import sys
+from math import gcd
 
-from .fieldcore import make_field
+from .fieldcore import _factorize, make_field
 from .linpoly import LinPoly
 from .quadrinomial import (
     QuadParams,
@@ -26,46 +29,29 @@ from .scattered import is_scattered_fiber
 from .mrdcodes import RankCode, right_idealizer, left_idealizer, stabilizer
 from .equivalence import pair_report
 from .projgeom import polynomial_vertex, intersection_number
-from .sweep import SCHEMA_VERSION, classify_sweep, conjecture_scan
+from .sweep import SCHEMA_VERSION, classify_sweep, condition_pairs, conjecture_scan
 
 import numpy as np
 
 
-def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                e += 1
-            if qq != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return p, e
-    raise ValueError(f"q={q} is not a prime power")
-
-
 def _ctx_from_args(args):
-    p, e = _factor_prime_power(args.q)
+    factors = _factorize(args.q)
+    if len(factors) != 1:
+        raise ValueError(f"q={args.q} is not a prime power")
+    (p, e), = factors.items()
     return make_field(p, e, args.t)
 
 
 def _emit(obj, out_path):
-    text = json.dumps(obj, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _emit_lines(header, records, summary, out_path):
-    lines = [json.dumps(header)] + [json.dumps(r) for r in records] + [json.dumps(summary)]
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        print("\n".join(lines))
+    """JSON lines, written one at a time: the artifact is never joined in memory."""
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        for obj in itertools.chain([header], records, [summary]):
+            fh.write(json.dumps(obj) + "\n")
 
 
 def _report_cost(s, elapsed, stats):
@@ -81,11 +67,7 @@ def _add_budget_arg(sp):
 
 def cmd_classify(args) -> int:
     ctx = _ctx_from_args(args)
-    svals = [args.s]
-    if args.all_s:
-        from math import gcd
-
-        svals = [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]
+    svals = [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1] if args.all_s else [args.s]
     if ctx.size > args.budget:
         print(f"refused: field size {ctx.size} above budget {args.budget}", file=sys.stderr)
         return 2
@@ -205,8 +187,6 @@ def cmd_intn(args) -> int:
     if fam == "quadrinomial":
         m, h = args.m, args.h
         if m is None or h is None:
-            from .sweep import condition_pairs
-
             m, h = condition_pairs(ctx, args.s)[0]
         f = build_quadrinomial(QuadParams(ctx, args.s, m, h))
     elif fam == "pseudoregulus":

@@ -13,7 +13,7 @@ maps, and the constructive non-scatteredness witness for the bad power set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 import numpy as np
 
@@ -45,18 +45,25 @@ class QuadParams:
         return self.ctx.norm_rel(self.h, self.ctx.t)
 
 
-def quad_coeffs(params: QuadParams):
+def family_slots(t: int, swapped: bool = False) -> tuple:
+    """(slot, times m, negated, k) per term of the family polynomial.
+
+    The coefficient of slot i is [m] * [-1] * h^(1 - q^(s*k)); k = 0 gives 1.
+    The swapped ordering exchanges the roles of the t-1 and t+1 exponents.
+    """
+    up, dn = (t - 1, t + 1) if swapped else (t + 1, t - 1)
+    return ((1, True, False, 0), (up, True, True, up), (dn, False, False, 0),
+            (2 * t - 1, False, False, 2 * t - 1))
+
+
+def quad_coeffs(params: QuadParams, swapped: bool = False):
     """Slot -> coefficient map of the family polynomial."""
     ctx, s, m, h = params.ctx, params.s, params.m, params.h
-    t = ctx.t
-    c_up = ctx.pow(h, 1 - ctx.q ** ((s * (t + 1)) % ctx.n))
-    c_dn = ctx.pow(h, 1 - ctx.q ** ((s * (2 * t - 1)) % ctx.n))
-    return {
-        1: m,
-        t + 1: ctx.neg(ctx.mul(m, c_up)),
-        t - 1: 1,
-        2 * t - 1: c_dn,
-    }
+    out = {}
+    for slot, times_m, negated, k in family_slots(ctx.t, swapped):
+        c = ctx.mul(m if times_m else 1, ctx.pow(h, 1 - ctx.q ** ((s * k) % ctx.n)))
+        out[slot] = ctx.neg(c) if negated else c
+    return out
 
 
 def build_quadrinomial(params: QuadParams) -> LinPoly:
@@ -69,20 +76,7 @@ def build_quadrinomial_swapped(params: QuadParams) -> LinPoly:
     Kept alongside the main form so the classification harness can report
     both orderings; see the conjecture driver in sweep.py.
     """
-    ctx, s, m, h = params.ctx, params.s, params.m, params.h
-    t = ctx.t
-    c_dn1 = ctx.pow(h, 1 - ctx.q ** ((s * (t - 1)) % ctx.n))
-    c_dn2 = ctx.pow(h, 1 - ctx.q ** ((s * (2 * t - 1)) % ctx.n))
-    return LinPoly.from_terms(
-        ctx,
-        s,
-        {
-            1: m,
-            t - 1: ctx.neg(ctx.mul(m, c_dn1)),
-            t + 1: 1,
-            2 * t - 1: c_dn2,
-        },
-    )
+    return LinPoly.from_terms(params.ctx, params.s, quad_coeffs(params, swapped=True))
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +90,8 @@ def trace_zero_power_set(ctx: FieldCtx, s: int, sign: int) -> np.ndarray:
     """The set {w^(q^s + sign) : w in ker Tr} as a sorted index array.
 
     sign is +1 or -1.  Both sets land inside the middle field (checked) and
-    both contain 0 (the image of w = 0).  Cached per (tower, step, sign):
-    condition sweeps query these sets q^t * q^(2t) times.
+    both contain 0 (the image of w = 0).  Cached per (tower, step, sign),
+    since the per-pair predicates look them up once per (m, h).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -247,11 +241,10 @@ class QuadSplit:
 def split_maps(params: QuadParams) -> QuadSplit:
     ctx, s, m, h = params.ctx, params.s, params.m, params.h
     t, n, q = ctx.t, ctx.n, ctx.q
-    c_up = ctx.pow(h, 1 - q ** ((s * (t + 1)) % n))
-    c_dn = ctx.pow(h, 1 - q ** ((s * (2 * t - 1)) % n))
-    lead_unit = LinPoly.from_terms(ctx, s, {1: 1, t + 1: ctx.neg(c_up)})
+    unit = quad_coeffs(replace(params, m=1))
+    lead_unit = LinPoly.from_terms(ctx, s, {k: unit[k] for k in (1, t + 1)})
     lead = lead_unit.scale(m)
-    tail = LinPoly.from_terms(ctx, s, {t - 1: 1, 2 * t - 1: c_dn})
+    tail = LinPoly.from_terms(ctx, s, {k: unit[k] for k in (t - 1, 2 * t - 1)})
     exp_gap = q ** ((s * (t - 1)) % n) - q ** (s % n)
     c_r = ctx.pow(h, exp_gap)
     c_t = ctx.pow(h, -exp_gap)

@@ -4,15 +4,16 @@ The primary oracle is `fiber_profile`: one count of the values of f(x)/x
 over the punctured field gives both the size of the linear set and the
 scatteredness verdict (no value taken on more than one F_q-line).
 `profile_key` names the class of f under the scalings f -> mu*f(lambda*X),
-which all share one profile, so a sweep runs the count once per class.  The
-cross-check oracle counts roots of f + m*X for every shift m, naively, and
-is kept deliberately independent of the fiber count.
+which all share one profile; `profile_keys` is the same reduction on rows
+of coefficient logs, and `orbit_codes` folds in the p-power twists, so a
+sweep runs the count once per orbit.  The cross-check oracle counts roots
+of f + m*X for every shift m, naively, independent of the fiber count.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 import numpy as np
 
 from .fieldcore import BudgetExceededError
@@ -64,14 +65,40 @@ def profile_key(f: LinPoly) -> tuple:
     if not terms:
         return ()
     support = tuple(e for e, _ in terms)
+    u = profile_keys(ctx, support, [[int(ctx.LOG[c]) for _, c in terms]])
+    return support, tuple(u[0].tolist())
+
+
+def profile_keys(ctx, support: tuple, logs) -> np.ndarray:
+    """The reduced u of `profile_key`, one row per polynomial.
+
+    `support` is the sorted q-exponent support E, shared by every row, and
+    logs[r, i] is the log of the coefficient of X^(q^E[i]) in row r.
+    """
     order = ctx.order
-    log0 = int(ctx.LOG[terms[0][1]])
-    u = [(int(ctx.LOG[c]) - log0) % order for _, c in terms[1:]]
-    for i, (g, mod, inv, w) in enumerate(_scaling_steps(ctx.q, order, support)):
-        k = (u[i] % g - u[i]) // g * inv % mod
-        if k:
-            u = [(x + k * y) % order for x, y in zip(u, w)]
-    return support, tuple(u)
+    logs = np.asarray(logs, dtype=np.int64)
+    u = (logs[:, 1:] - logs[:, :1]) % order
+    for i, (g, mod, inv, w) in enumerate(_scaling_steps(ctx.q, order, tuple(support))):
+        k = (u[:, i] % g - u[:, i]) // g * inv % mod
+        u = (u + k[:, None] * np.array(w, dtype=np.int64)) % order
+    return u
+
+
+def orbit_codes(ctx, support: tuple, logs) -> np.ndarray:
+    """One integer per row, shared exactly by the scalings and p-power twists.
+
+    The p-power twist multiplies every coefficient log by p, so the code is
+    the smallest `profile_keys` row of logs*p^j, j < deg, read in mixed radix:
+    coordinate i of a reduced key lies below g_i.
+    """
+    order = ctx.order
+    radices = [g for g, *_ in _scaling_steps(ctx.q, order, tuple(support))]
+    if prod(radices) >= 2 ** 63:
+        raise BudgetExceededError(f"orbit codes of {len(radices) + 1} terms overflow int64")
+    weights = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype=np.int64)
+    logs = np.asarray(logs, dtype=np.int64)
+    return np.min([profile_keys(ctx, support, logs * pow(ctx.p, j, order) % order) @ weights
+                   for j in range(ctx.deg)], axis=0)
 
 
 @lru_cache(maxsize=None)

@@ -1,85 +1,53 @@
 """Exhaustive (m, h) sweeps over the four-term family at desk scale.
 
-The classification sweep walks the full parameter grid, records the
-sufficient-condition verdict, the prior-class tag and the fiber-oracle
-verdict per pair, and surfaces every disagreement between "conditions
+Every sweep reduces the arrays of one grid builder, `pair_grid`, over flat
+pair arrays (M, H).  Tags: the case and prior tags depend on m only through
+the power sets (at step s for the cases, at step 1 for SZZ), m = 0 and
+m = 1, and on h only through its norm, h^2 = -1 and membership in F_{q^t}
+and F_q; a class table written by the rules of `scattered_conditions` and
+`prior_family_tag` gives both, and `condition_pairs` reads it too.
+Profiles: the profile is shared by every scaling mu*f(lambda*X) and p-power
+twist of f, so `fiber_profile` runs once per `scattered.orbit_codes` code
+and support.  `classify_record` is the per-pair reference.
+
+The classification sweep reports every disagreement between "conditions
 apply" and "scattered" as a datum (a scattered pair outside the conditions
-would refute the only-if direction of the expected characterization, so it
-is reported, never assumed away).  Every verdict comes from
-`scattered.fiber_profile`, the kernel one-shot decisions use too.
-
-Each sweep call keeps a `ProfileMemo`: the profile is the same on every
-scaling mu*f(lambda*X) and every p-power twist of f (see
-`scattered.profile_key`), so the kernel runs once per orbit of these maps
-and every other pair pays only for its key.  Records, tags and witnesses
-stay per pair.  The memo lives for one call only; a sweep given a `stats`
-dict writes the number of kernel calls (`profiles`) and of polynomials asked
-(`polynomials`) there, outside its report.
-
-Polynomials only depend on h through two power ratios, so h and lambda*h
-give the same member for every base-field scalar lambda; the sweeps can
-optionally deduplicate h by these orbits.
+would refute the only-if direction of the expected characterization).  A
+sweep given a `stats` dict writes its kernel calls (`profiles`) and
+polynomials (`polynomials`) there, outside its report.  Polynomials depend
+on h only through two power ratios, so h and lambda*h give one member for
+every base-field scalar lambda; the sweeps can deduplicate h by these orbits.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from collections import namedtuple
 import numpy as np
 
 from .fieldcore import make_field, FieldCtx
-from .quadrinomial import (
-    QuadParams,
-    build_quadrinomial,
-    build_quadrinomial_swapped,
-    trace_zero_power_set,
-    scattered_conditions,
-    prior_family_tag,
-    nonscattered_witness,
-)
+from .quadrinomial import (QuadParams, build_quadrinomial, family_slots, trace_zero_power_set,
+                           scattered_conditions, prior_family_tag, nonscattered_witness)
 from .linpoly import LinPoly
-from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots, profile_key
+from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots, orbit_codes
 
 SCHEMA_VERSION = 1
+CASES = ("none", "I", "IIa", "IIb")
+PRIORS = ("none", "LZ-ZZ", "LMTZ", "SZZ")
 
 # Always empty; perfbench clears it in every workload set-up.
 _FIBER_CACHE: dict = {}
+
+# class bits of m (power sets at step s, m = 0, m = 1, outside the step-1
+# sets) and of h (norm +-1, h^2 = -1, h in F_{q^t}, h in F_q)
+_PLUS, _MINUS, _ZERO, _ONE, _OUT1 = 1, 2, 4, 8, 16
+_NORM1, _NORMM1, _SQRTM1, _MID, _BASE = 1, 2, 4, 8, 16
 
 
 def quad_fiber_profile(params: QuadParams):
     """(linear set size, scattered) for one family member."""
     return fiber_profile(build_quadrinomial(params))
-
-
-class ProfileMemo:
-    """`fiber_profile` once per scaling-Frobenius orbit, for one sweep call.
-
-    On a miss the profile is computed and stored under the `profile_key` of
-    every p-power twist of f, so the kernel runs once per orbit of
-    f -> mu*f(lambda*X)^sigma.  `calls` counts kernel runs and `asked`
-    counts lookups.
-    """
-
-    def __init__(self):
-        self.profiles = {}
-        self.calls = 0
-        self.asked = 0
-
-    def __call__(self, f: LinPoly) -> tuple:
-        self.asked += 1
-        key = profile_key(f)
-        hit = self.profiles.get(key)
-        if hit is None:
-            hit = fiber_profile(f)
-            self.calls += 1
-            for j in range(f.ctx.deg):
-                self.profiles[profile_key(f.frobenius_twist(j))] = hit
-        return hit
-
-
-def _write_stats(stats, calls: int, asked: int):
-    if stats is not None:
-        stats.update(profiles=calls, polynomials=asked)
 
 
 def h_class_reps(ctx: FieldCtx) -> np.ndarray:
@@ -92,134 +60,208 @@ def h_class_reps(ctx: FieldCtx) -> np.ndarray:
     return np.sort(reps)
 
 
-def classify_record(params: QuadParams, with_witness: bool = True, memo=None) -> dict:
-    """One classification record; a sweep passes its `ProfileMemo`."""
-    ctx = params.ctx
-    verdict = scattered_conditions(params)
-    n_points, scattered = (memo or ProfileMemo())(build_quadrinomial(params))
+def _witness(params: QuadParams):
+    ctx, h = params.ctx, params.h
+    if ctx.in_subfield(h, ctx.t) and ctx.pow(h, 4) == 1:
+        return nonscattered_witness(params)
+    return None
+
+
+def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
+    """One classification record, pair by pair; the sweeps' reference."""
+    n_points, scattered = quad_fiber_profile(params)
     rec = {
         "m": int(params.m),
         "h": int(params.h),
         "norm_h": int(params.norm_h),
-        "case_tag": verdict.case_tag,
+        "case_tag": scattered_conditions(params).case_tag,
         "prior_tag": prior_family_tag(params),
         "scattered": bool(scattered),
         "linear_set_size": n_points,
     }
     if with_witness:
-        rec["witness"] = None
-        if ctx.in_subfield(params.h, ctx.t) and ctx.pow(params.h, 4) == 1:
-            w = nonscattered_witness(params)
-            if w is not None:
-                rec["witness"] = w
+        rec["witness"] = _witness(params)
     return rec
 
 
+def _tags(mc: int, hc: int, branch_one: bool) -> tuple:
+    """(case, prior) codes of one (m class, h class), by the rules of
+    `scattered_conditions` and `prior_family_tag`."""
+    outside = not mc & (_PLUS | _MINUS)
+    if branch_one:
+        case = 1 if outside and hc & (_NORM1 | _NORMM1) else 0
+    elif mc & _PLUS and not mc & _ZERO and hc & _NORMM1:
+        case = 2
+    elif outside and hc & _NORM1 and not hc & _SQRTM1:
+        case = 3
+    else:
+        case = 0
+    if mc & _ONE and hc & _MID and hc & _SQRTM1:
+        prior = 1
+    elif mc & _ONE and not hc & _MID and hc & _NORMM1:
+        prior = 2
+    else:
+        prior = 3 if hc & _BASE and mc & _OUT1 else 0
+    return case, prior
+
+
+def _class_tables(ctx: FieldCtx, s: int):
+    """Class of every element as m and as h, the norms, and the
+    (case, prior) table indexed by (m class, h class)."""
+    idx = ctx.elements()
+    plus, minus = (trace_zero_power_set(ctx, s, sign) for sign in (1, -1))
+    step1 = np.union1d(trace_zero_power_set(ctx, 1, 1), trace_zero_power_set(ctx, 1, -1))
+    norm = ctx.pow_vec(idx, ctx.order // (ctx.q ** ctx.t - 1))
+    mcls = _bits((np.isin(idx, plus), _PLUS), (np.isin(idx, minus), _MINUS),
+                 (idx == 0, _ZERO), (idx == 1, _ONE), (~np.isin(idx, step1), _OUT1))
+    hcls = _bits((norm == 1, _NORM1), (norm == ctx.neg_one, _NORMM1),
+                 (ctx.mul_vec(idx, idx) == ctx.neg_one, _SQRTM1),
+                 (ctx.frob_vec(idx, ctx.t) == idx, _MID), (ctx.frob_vec(idx, 1) == idx, _BASE))
+    branch_one = ctx.t % 2 == 0 or ctx.q % 4 == 1
+    table = np.array([[_tags(a, b, branch_one) for b in range(32)] for a in range(32)])
+    return mcls, hcls, norm, table
+
+
+def _bits(*flags) -> np.ndarray:
+    return sum(mask.astype(np.int64) * bit for mask, bit in flags)
+
+
+# per-pair arrays of `pair_grid` (size and scattered: one row per form) and
+# the number of kernel calls
+Grid = namedtuple("Grid", "norm_h case prior size scattered calls")
+
+
+def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
+    """Tags of every pair (M[i], H[i]), and the fiber profile in each form.
+
+    `forms` lists the orderings to profile (False main, True swapped; see
+    `family_slots`), all from one orbit pool; `calls` counts kernel runs.
+    """
+    M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
+    mcls, hcls, norm, table = _class_tables(ctx, s)
+    tags = table[mcls[M], hcls[H]]
+    n, order = ctx.n, ctx.order
+    logs = np.zeros((len(forms), M.size, n), dtype=np.int64)
+    live = np.zeros(logs.shape, dtype=bool)
+    for f, swapped in enumerate(forms):
+        for slot, times_m, negated, k in family_slots(ctx.t, swapped):
+            e = (1 - ctx.q ** ((s * k) % n)) % order
+            logs[f, :, slot] = (ctx.LOG[H] * e + ctx.LOG[M] * times_m + order // 2 * negated) % order
+            live[f, :, slot] = (M != 0) | (not times_m)
+    logs, live = logs.reshape(-1, n), live.reshape(-1, n)
+    exps = (s * np.arange(n)) % n
+    support = live @ (1 << exps)
+    size, scattered = np.zeros((2, support.size), dtype=np.int64)
+    calls = 0
+    # codes compare only within one support
+    for pattern in np.unique(support):
+        rows = np.flatnonzero(support == pattern)
+        slots = np.flatnonzero(live[rows[0]])
+        slots = slots[np.argsort(exps[slots])]
+        codes = orbit_codes(ctx, tuple(exps[slots].tolist()), logs[rows][:, slots])
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        profiles = np.array([
+            fiber_profile(LinPoly(ctx, s, np.where(live[r], ctx.EXP[logs[r]], 0)))
+            for r in rows[first]
+        ], dtype=np.int64)
+        size[rows] = profiles[inverse, 0]
+        scattered[rows] = profiles[inverse, 1]
+        calls += first.size
+    shape = (len(forms), M.size)
+    return Grid(norm[H], tags[:, 0], tags[:, 1], size.reshape(shape),
+                scattered.reshape(shape) != 0, calls)
+
+
+def _product(ms, hs):
+    """(M, H) over ms x hs in (m, h) order."""
+    return np.repeat(ms, hs.size), np.tile(hs, ms.size)
+
+
+def _pairs_where(M, H, mask) -> list:
+    return list(zip(M[mask].tolist(), H[mask].tolist()))
+
+
+def _counts(names, codes) -> dict:
+    """{name: count} in order of first appearance."""
+    seen, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return {names[seen[i]]: int(counts[i]) for i in np.argsort(first)}
+
+
+def _head(ctx: FieldCtx, s: int, stats, grid: Grid) -> dict:
+    """Report head; the grid's kernel calls and polynomials go to `stats`."""
+    if stats is not None:
+        stats.update(profiles=grid.calls, polynomials=grid.scattered.size)
+    return {"schema_version": SCHEMA_VERSION, "p": ctx.p, "e": ctx.e, "t": ctx.t, "s": s}
+
+
 def _classify_shard(args):
-    p, e, t, s, ms, hs, with_witness = args
-    ctx = make_field(p, e, t)
-    memo = ProfileMemo()
-    out = []
-    for m in ms:
-        for h in hs:
-            out.append(classify_record(QuadParams(ctx, s, int(m), int(h)), with_witness, memo))
-    return out, memo.calls, memo.asked
+    p, e, t, s, ms, hs = args
+    M, H = _product(ms, hs)
+    return M, H, pair_grid(make_field(p, e, t), s, M, H)
 
 
-def classify_sweep(
-    ctx: FieldCtx,
-    s: int,
-    h_dedup: bool = False,
-    with_witness: bool = True,
-    workers: int = 1,
-    stats: dict | None = None,
-) -> tuple:
+def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: bool = True,
+                   workers: int = 1, stats: dict | None = None) -> tuple:
     """Full grid sweep; returns (records, summary).
 
     Records are emitted in canonical (m index, h index) order regardless of
-    worker count.  Each worker keeps its own memo.
+    worker count.  Each worker builds the grid of its own m slice.
     """
     t0 = time.time()
-    ms = [int(m) for m in ctx.subfield(ctx.t)]
-    hs = [int(h) for h in (h_class_reps(ctx) if h_dedup else ctx.nonzero_elements())]
+    ms = ctx.subfield(ctx.t)
+    hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
+    # contiguous m slices concatenate in canonical order
+    shards = [(ctx.p, ctx.e, ctx.t, s, part, hs) for part in np.array_split(ms, workers)]
     if workers > 1:
-        shards = [
-            (ctx.p, ctx.e, ctx.t, s, ms[i::workers], hs, with_witness)
-            for i in range(workers)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_classify_shard, shards))
     else:
-        chunks = [_classify_shard((ctx.p, ctx.e, ctx.t, s, ms, hs, with_witness))]
-    records = sorted((r for chunk, _, _ in chunks for r in chunk),
-                     key=lambda r: (r["m"], r["h"]))
-    _write_stats(stats, sum(c[1] for c in chunks), sum(c[2] for c in chunks))
-
-    applies_not_scattered = [
-        (r["m"], r["h"]) for r in records if r["case_tag"] != "none" and not r["scattered"]
+        chunks = [_classify_shard(shards[0])]
+    M, H = (np.concatenate([c[k] for c in chunks]) for k in (0, 1))
+    grid = Grid(*(np.concatenate([c[2][k] for c in chunks], axis=-1) for k in range(5)),
+                sum(c[2].calls for c in chunks))
+    scattered = grid.scattered[0]
+    records = [
+        {"m": m, "h": h, "norm_h": nh, "case_tag": CASES[c], "prior_tag": PRIORS[pr],
+         "scattered": sc, "linear_set_size": sz}
+        for m, h, nh, c, pr, sc, sz in zip(M.tolist(), H.tolist(), grid.norm_h.tolist(),
+                                           grid.case.tolist(), grid.prior.tolist(),
+                                           scattered.tolist(), grid.size[0].tolist())
     ]
-    scattered_not_applies = [
-        (r["m"], r["h"]) for r in records if r["case_tag"] == "none" and r["scattered"]
-    ]
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "p": ctx.p,
-        "e": ctx.e,
-        "t": ctx.t,
-        "s": s,
+    if with_witness:
+        # `_witness` needs h in the middle field with h^4 = 1
+        candidate = (ctx.frob_vec(H, ctx.t) == H) & (ctx.pow_vec(H, 4) == 1)
+        for rec, cand in zip(records, candidate.tolist()):
+            rec["witness"] = _witness(QuadParams(ctx, s, rec["m"], rec["h"])) if cand else None
+    applies = grid.case != 0
+    return records, {
+        **_head(ctx, s, stats, grid),
         "h_dedup": h_dedup,
         "pairs": len(records),
-        "scattered": sum(r["scattered"] for r in records),
-        "condition_applies": sum(r["case_tag"] != "none" for r in records),
-        "case_counts": _count_by(records, "case_tag"),
-        "prior_counts": _count_by(records, "prior_tag"),
-        "violations_applies_not_scattered": applies_not_scattered,
-        "conjecture_data_scattered_not_applies": scattered_not_applies,
+        "scattered": int(scattered.sum()),
+        "condition_applies": int(applies.sum()),
+        "case_counts": _counts(CASES, grid.case),
+        "prior_counts": _counts(PRIORS, grid.prior),
+        "violations_applies_not_scattered": _pairs_where(M, H, applies & ~scattered),
+        "conjecture_data_scattered_not_applies": _pairs_where(M, H, ~applies & scattered),
         "elapsed_s": round(time.time() - t0, 3),
     }
-    return records, summary
-
-
-def _count_by(records, key):
-    out = {}
-    for r in records:
-        out[r[key]] = out.get(r[key], 0) + 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 
 
 def condition_pairs(ctx: FieldCtx, s: int):
-    """All (m, h) where the sufficient conditions apply, by direct construction."""
-    plus = trace_zero_power_set(ctx, s, +1)
-    minus = trace_zero_power_set(ctx, s, -1)
-    mid = ctx.subfield(ctx.t)
-    outside = np.setdiff1d(mid, np.union1d(plus, minus))
-    hs = ctx.nonzero_elements()
-    norms = ctx.pow_vec(hs, ctx.order // (ctx.q ** ctx.t - 1))
-    h_norm_one = hs[norms == 1]
-    h_norm_minus = hs[norms == ctx.neg_one]
-    pairs = []
-    if ctx.t % 2 == 0 or ctx.q % 4 == 1:
-        for m in outside:
-            for h in np.concatenate([h_norm_one, h_norm_minus]):
-                pairs.append((int(m), int(h)))
-    else:
-        for m in plus[plus != 0]:
-            for h in h_norm_minus:
-                pairs.append((int(m), int(h)))
-        h2 = ctx.mul_vec(h_norm_one, h_norm_one)
-        good = h_norm_one[h2 != ctx.neg_one]
-        for m in outside:
-            for h in good:
-                pairs.append((int(m), int(h)))
-    return pairs
+    """All (m, h) where the sufficient conditions apply, read off the class
+    table, in (case, m, norm_h != 1, h) order."""
+    mcls, hcls, norm, table = _class_tables(ctx, s)
+    ms, hs = ctx.subfield(ctx.t), ctx.nonzero_elements()
+    blocks = [_product(ms[mcls[ms] == a], hs[hcls[hs] == b])
+              for a, b in np.argwhere(table[:, :, 0] != 0)]
+    M, H = (np.concatenate([blk[k] for blk in blocks]) for k in (0, 1))
+    order = np.lexsort((H, norm[H] != 1, M, table[mcls[M], hcls[H], 0]))
+    return _pairs_where(M[order], H[order], slice(None))
 
 
-def sufficiency_sweep(
-    ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 0, stats: dict | None = None,
-) -> dict:
+def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 0,
+                      stats: dict | None = None) -> dict:
     """Every pair satisfying the sufficient conditions must be scattered.
 
     Runs the fiber oracle on all such pairs and, optionally, the independent
@@ -228,42 +270,22 @@ def sufficiency_sweep(
     """
     t0 = time.time()
     pairs = condition_pairs(ctx, s)
-    memo = ProfileMemo()
-    violations = []
-    case_counts = {}
-    for m, h in pairs:
-        params = QuadParams(ctx, s, m, h)
-        verdict = scattered_conditions(params)
-        if not verdict.applies:
-            raise RuntimeError("condition pair construction disagrees with the predicate")
-        case_counts[verdict.case_tag] = case_counts.get(verdict.case_tag, 0) + 1
-        if not memo(build_quadrinomial(params))[1]:
-            violations.append((m, h, verdict.case_tag))
-    _write_stats(stats, memo.calls, memo.asked)
-    roots_checked = 0
-    roots_disagreements = []
-    if roots_sample:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pairs), size=min(roots_sample, len(pairs)), replace=False)
-        for i in sorted(idx.tolist()):
-            m, h = pairs[i]
-            f = build_quadrinomial(QuadParams(ctx, s, m, h))
-            fiber = is_scattered_fiber(f)
-            roots = is_scattered_roots(f)
-            roots_checked += 1
-            if fiber != roots:
-                roots_disagreements.append((m, h))
+    M, H = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    grid = pair_grid(ctx, s, M, H)
+    bad = ~grid.scattered[0]
+    rng = np.random.default_rng(seed)
+    sample = rng.choice(len(pairs), size=min(roots_sample, len(pairs)), replace=False)
+    members = [(pairs[i], build_quadrinomial(QuadParams(ctx, s, *pairs[i])))
+               for i in sorted(sample.tolist())]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "p": ctx.p,
-        "e": ctx.e,
-        "t": ctx.t,
-        "s": s,
+        **_head(ctx, s, stats, grid),
         "pairs_checked": len(pairs),
-        "case_counts": case_counts,
-        "violations": violations,
-        "roots_oracle_checked": roots_checked,
-        "roots_oracle_disagreements": roots_disagreements,
+        "case_counts": _counts(CASES, grid.case),
+        "violations": [(m, h, CASES[c]) for m, h, c in
+                       zip(M[bad].tolist(), H[bad].tolist(), grid.case[bad].tolist())],
+        "roots_oracle_checked": len(members),
+        "roots_oracle_disagreements": [mh for mh, f in members
+                                       if is_scattered_fiber(f) != is_scattered_roots(f)],
         "elapsed_s": round(time.time() - t0, 3),
     }
 
@@ -272,37 +294,28 @@ def bad_power_set_sweep(ctx: FieldCtx, s: int, stats: dict | None = None) -> dic
     """Every m in the minus power set with mid-field h of fourth power 1 must
     fail scatteredness, with a verified constructive witness where one exists."""
     t0 = time.time()
-    minus = trace_zero_power_set(ctx, s, -1)
     mid = ctx.subfield(ctx.t)
     mid_nz = mid[mid != 0]
-    hs = [int(h) for h in mid_nz[ctx.pow_vec(mid_nz, 4) == 1]]
+    M, H = _product(trace_zero_power_set(ctx, s, -1), mid_nz[ctx.pow_vec(mid_nz, 4) == 1])
+    grid = pair_grid(ctx, s, M, H)
     failures = []
-    witnesses = 0
-    memo = ProfileMemo()
-    for m in minus:
-        for h in hs:
-            params = QuadParams(ctx, s, int(m), h)
-            if memo(build_quadrinomial(params))[1]:
-                failures.append((int(m), h, "scattered"))
-                continue
-            w = nonscattered_witness(params)
-            if w is None:
-                failures.append((int(m), h, "no witness"))
-            else:
-                witnesses += 1
-    _write_stats(stats, memo.calls, memo.asked)
+    for m, h, scattered in zip(M.tolist(), H.tolist(), grid.scattered[0].tolist()):
+        if scattered:
+            failures.append((m, h, "scattered"))
+        elif nonscattered_witness(QuadParams(ctx, s, m, h)) is None:
+            failures.append((m, h, "no witness"))
+    _head(ctx, s, stats, grid)
     return {
         "schema_version": SCHEMA_VERSION,
-        "pairs_checked": int(minus.size) * len(hs),
-        "witnesses_verified": witnesses,
+        "pairs_checked": int(M.size),
+        "witnesses_verified": int(M.size) - len(failures),
         "failures": failures,
         "elapsed_s": round(time.time() - t0, 3),
     }
 
 
-def conjecture_scan(
-    ctx: FieldCtx, s: int, h_dedup: bool = True, stats: dict | None = None,
-) -> dict:
+def conjecture_scan(ctx: FieldCtx, s: int, h_dedup: bool = True,
+                    stats: dict | None = None) -> dict:
     """Scattered-versus-conditions comparison for both exponent orderings.
 
     The swapped ordering exchanges the roles of the t-1 and t+1 exponents;
@@ -310,41 +323,25 @@ def conjecture_scan(
     expected characterization can be examined from the same artifact.
     """
     t0 = time.time()
-    ms = ctx.subfield(ctx.t)
     hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
-    mismatches_main = []
-    mismatches_swapped = []
-    counts = {"pairs": 0, "scattered_main": 0, "scattered_swapped": 0, "applies": 0}
-    memo = ProfileMemo()
-    for m in ms:
-        for h in hs:
-            params = QuadParams(ctx, s, int(m), int(h))
-            applies = scattered_conditions(params).applies
-            sc_main = memo(build_quadrinomial(params))[1]
-            sc_sw = memo(build_quadrinomial_swapped(params))[1]
-            counts["pairs"] += 1
-            counts["scattered_main"] += sc_main
-            counts["scattered_swapped"] += sc_sw
-            counts["applies"] += applies
-            if sc_main != applies:
-                mismatches_main.append((int(m), int(h), applies, sc_main))
-            if sc_sw != applies:
-                mismatches_swapped.append((int(m), int(h), applies, sc_sw))
-    _write_stats(stats, memo.calls, memo.asked)
+    M, H = _product(ctx.subfield(ctx.t), hs)
+    grid = pair_grid(ctx, s, M, H, forms=(False, True))
+    applies = grid.case != 0
+    main, swapped = ([(m, h, a, not a) for m, h, a in
+                      zip(M[off].tolist(), H[off].tolist(), applies[off].tolist())]
+                     for off in grid.scattered != applies)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "p": ctx.p,
-        "e": ctx.e,
-        "t": ctx.t,
-        "s": s,
+        **_head(ctx, s, stats, grid),
         "h_dedup": h_dedup,
-        "counts": counts,
-        "mismatches_main_ordering": mismatches_main,
-        "mismatches_swapped_ordering": mismatches_swapped,
+        "counts": {"pairs": int(M.size), "scattered_main": int(grid.scattered[0].sum()),
+                   "scattered_swapped": int(grid.scattered[1].sum()),
+                   "applies": int(applies.sum())},
+        "mismatches_main_ordering": main,
+        "mismatches_swapped_ordering": swapped,
         # m = 0 degenerates to the trailing binomial, which the conditions
         # never cover but which can be scattered off the norm range; the
         # nonzero-m splits isolate the family proper
-        "nonzero_m_mismatches_main": sum(1 for r in mismatches_main if r[0] != 0),
-        "nonzero_m_mismatches_swapped": sum(1 for r in mismatches_swapped if r[0] != 0),
+        "nonzero_m_mismatches_main": sum(1 for r in main if r[0] != 0),
+        "nonzero_m_mismatches_swapped": sum(1 for r in swapped if r[0] != 0),
         "elapsed_s": round(time.time() - t0, 3),
     }

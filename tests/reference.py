@@ -6,9 +6,13 @@ distinct keys with distinct values by sorting; it is the reference for
 
 `scaling_class` normalizes f under every nonzero lambda and picks the
 smallest result; it is the reference for `scattered.profile_key`.
-`PerPairProfiles` has the interface of `sweep.ProfileMemo` but runs
-`scattered.fiber_profile` on every polynomial; put in place of the memo, it
-turns each sweep back into its per-pair form.
+`classify_sweep_pairs`, `conjecture_scan_pairs`, `sufficiency_sweep_pairs`
+and `bad_power_set_sweep_pairs` walk the (m, h) grid pair by pair with
+`classify_record`, `scattered_conditions`, `prior_family_tag` and one
+`fiber_profile` per polynomial; they are the references for the sweeps of
+`scatlin.sweep`, whose reports they reproduce without `elapsed_s`.
+`condition_pairs_grid` filters the whole grid with `scattered_conditions`;
+it is the reference for `sweep.condition_pairs`.
 
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
 g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
@@ -29,7 +33,12 @@ from itertools import product
 import numpy as np
 
 from scatlin.linpoly import LinPoly
-from scatlin.scattered import fiber_profile
+from scatlin.quadrinomial import (
+    QuadParams, build_quadrinomial, build_quadrinomial_swapped, nonscattered_witness,
+    scattered_conditions, trace_zero_power_set,
+)
+from scatlin.scattered import fiber_profile, is_scattered_roots
+from scatlin.sweep import SCHEMA_VERSION, classify_record, h_class_reps
 
 GRID_BOUND = 3 ** 12
 
@@ -67,17 +76,115 @@ def scaling_class(f):
     return tuple(support), min(map(tuple, normed.tolist()))
 
 
-class PerPairProfiles:
-    """`fiber_profile` on every call, counted like `sweep.ProfileMemo`."""
+def _grid(ctx, s, h_dedup):
+    hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
+    return [QuadParams(ctx, s, int(m), int(h)) for m in ctx.subfield(ctx.t) for h in hs]
 
-    def __init__(self):
-        self.calls = 0
-        self.asked = 0
 
-    def __call__(self, f):
-        self.calls += 1
-        self.asked += 1
-        return fiber_profile(f)
+def _head(ctx, s):
+    return {"schema_version": SCHEMA_VERSION, "p": ctx.p, "e": ctx.e, "t": ctx.t, "s": s}
+
+
+def _count(tags):
+    out = {}
+    for tag in tags:
+        out[tag] = out.get(tag, 0) + 1
+    return out
+
+
+def classify_sweep_pairs(ctx, s, h_dedup=False, with_witness=True):
+    """(records, summary) of `classify_sweep`, one `classify_record` per pair."""
+    records = [classify_record(p, with_witness) for p in _grid(ctx, s, h_dedup)]
+    return records, {
+        **_head(ctx, s),
+        "h_dedup": h_dedup,
+        "pairs": len(records),
+        "scattered": sum(r["scattered"] for r in records),
+        "condition_applies": sum(r["case_tag"] != "none" for r in records),
+        "case_counts": _count(r["case_tag"] for r in records),
+        "prior_counts": _count(r["prior_tag"] for r in records),
+        "violations_applies_not_scattered": [
+            (r["m"], r["h"]) for r in records if r["case_tag"] != "none" and not r["scattered"]],
+        "conjecture_data_scattered_not_applies": [
+            (r["m"], r["h"]) for r in records if r["case_tag"] == "none" and r["scattered"]],
+    }
+
+
+def conjecture_scan_pairs(ctx, s, h_dedup=True):
+    """The report of `conjecture_scan`, pair by pair."""
+    mismatches = {False: [], True: []}
+    counts = {"pairs": 0, "scattered_main": 0, "scattered_swapped": 0, "applies": 0}
+    for p in _grid(ctx, s, h_dedup):
+        applies = scattered_conditions(p).applies
+        counts["pairs"] += 1
+        counts["applies"] += applies
+        for swapped, build in ((False, build_quadrinomial), (True, build_quadrinomial_swapped)):
+            scattered = fiber_profile(build(p))[1]
+            counts["scattered_swapped" if swapped else "scattered_main"] += scattered
+            if scattered != applies:
+                mismatches[swapped].append((p.m, p.h, applies, scattered))
+    return {
+        **_head(ctx, s),
+        "h_dedup": h_dedup,
+        "counts": counts,
+        "mismatches_main_ordering": mismatches[False],
+        "mismatches_swapped_ordering": mismatches[True],
+        "nonzero_m_mismatches_main": sum(1 for r in mismatches[False] if r[0] != 0),
+        "nonzero_m_mismatches_swapped": sum(1 for r in mismatches[True] if r[0] != 0),
+    }
+
+
+def condition_pairs_grid(ctx, s):
+    """Every (m, h) on which `scattered_conditions` applies, in
+    (case, m, norm_h != 1, h) order."""
+    rows = []
+    for p in _grid(ctx, s, False):
+        verdict = scattered_conditions(p)
+        if verdict.applies:
+            rows.append((verdict.case_tag, p.m, p.norm_h != 1, p.h))
+    return [(m, h) for _, m, _, h in sorted(rows)]
+
+
+def sufficiency_sweep_pairs(ctx, s, roots_sample=0, seed=0):
+    """The report of `sufficiency_sweep`, pair by pair."""
+    pairs = condition_pairs_grid(ctx, s)
+    tags = [scattered_conditions(QuadParams(ctx, s, m, h)).case_tag for m, h in pairs]
+    violations = [(m, h, tag) for (m, h), tag in zip(pairs, tags)
+                  if not fiber_profile(build_quadrinomial(QuadParams(ctx, s, m, h)))[1]]
+    rng = np.random.default_rng(seed)
+    sample = rng.choice(len(pairs), size=min(roots_sample, len(pairs)), replace=False)
+    disagreements = []
+    for i in sorted(sample.tolist()):
+        f = build_quadrinomial(QuadParams(ctx, s, *pairs[i]))
+        if fiber_profile(f)[1] != is_scattered_roots(f):
+            disagreements.append(pairs[i])
+    return {
+        **_head(ctx, s),
+        "pairs_checked": len(pairs),
+        "case_counts": _count(tags),
+        "violations": violations,
+        "roots_oracle_checked": int(sample.size),
+        "roots_oracle_disagreements": disagreements,
+    }
+
+
+def bad_power_set_sweep_pairs(ctx, s):
+    """The report of `bad_power_set_sweep`, pair by pair."""
+    mid = ctx.subfield(ctx.t)
+    hs = [int(h) for h in mid if h and ctx.pow(int(h), 4) == 1]
+    failures, witnesses = [], 0
+    for m in trace_zero_power_set(ctx, s, -1).tolist():
+        for h in hs:
+            p = QuadParams(ctx, s, m, h)
+            if fiber_profile(build_quadrinomial(p))[1]:
+                failures.append((m, h, "scattered"))
+            elif nonscattered_witness(p) is None:
+                failures.append((m, h, "no witness"))
+            else:
+                witnesses += 1
+    return {"schema_version": SCHEMA_VERSION,
+            "pairs_checked": len(hs) * trace_zero_power_set(ctx, s, -1).size,
+            "witnesses_verified": witnesses, "failures": failures}
 
 
 def _has_remainder(a, b, p):

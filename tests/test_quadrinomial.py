@@ -24,6 +24,7 @@ from scatlin.quadrinomial import (
     run_property_suite,
     admissible_h,
 )
+from scatlin.sweep import pair_grid
 
 
 def h_with_norm(ctx, value, count=None):
@@ -212,23 +213,29 @@ def test_prior_tags(f33, f53):
     assert prior_family_tag(QuadParams(f33, 1, 0, 5)) == "none"
 
 
-@pytest.mark.parametrize("fixture", ["f33", "f53"])
-def test_prior_conditions_inside_new_conditions(fixture, request):
+def _tags_per_pair(ctx):
+    params = [QuadParams(ctx, 1, int(m), int(h))
+              for m in ctx.subfield(ctx.t) for h in ctx.nonzero_elements()]
+    return (np.array([prior_family_tag(p) != "none" for p in params]),
+            np.array([scattered_conditions(p).applies for p in params]))
+
+
+def _tags_on_grid(ctx):
+    hs = ctx.nonzero_elements()
+    mids = ctx.subfield(ctx.t)
+    grid = pair_grid(ctx, 1, np.repeat(mids, hs.size), np.tile(hs, mids.size), forms=())
+    return grid.prior != 0, grid.case != 0
+
+
+@pytest.mark.parametrize("fixture, tags", [("f33", _tags_per_pair), ("f53", _tags_on_grid)],
+                         ids=["f33", "f53"])
+def test_prior_conditions_inside_new_conditions(fixture, tags, request):
     """Every previously settled parameter pair also satisfies the new cases,
-    and the containment is strict."""
-    ctx = request.getfixturevalue(fixture)
-    mid = ctx.subfield(ctx.t)
-    strict = 0
-    for m in mid:
-        for h in ctx.nonzero_elements():
-            params = QuadParams(ctx, 1, int(m), int(h))
-            tag = prior_family_tag(params)
-            applies = scattered_conditions(params).applies
-            if tag != "none":
-                assert applies, (int(m), int(h), tag)
-            elif applies:
-                strict += 1
-    assert strict > 0
+    and the containment is strict: pair by pair at (3,3), on the sweep's tag
+    arrays for the 1.95M pairs at (5,3)."""
+    prior, applies = tags(request.getfixturevalue(fixture))
+    assert applies[prior].all()
+    assert (applies & ~prior).sum() > 0
 
 
 # -- structural maps ------------------------------------------------------------

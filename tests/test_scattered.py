@@ -1,4 +1,5 @@
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from reference import fiber_profile_sorted, scaling_class
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import (
-    fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size, profile_key,
+    fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size, orbit_codes,
+    profile_key,
 )
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.sweep import condition_pairs, h_class_reps
@@ -193,3 +195,12 @@ def test_profile_key_separates_the_scaling_classes_of_the_grid(f33):
     keys = [profile_key(f) for f in fs]
     classes = [scaling_class(f) for f in fs]
     assert len(set(keys)) == len(set(zip(keys, classes))) == len(set(classes)) == 741
+
+
+def test_orbit_codes_refuse_to_overflow():
+    """Codes are int64; a support whose key space exceeds it is refused.
+    With q = 3 and N = 3^40 - 1, the keys of X + X^q + X^(q^2) + X^(q^3)
+    span 2 * N^2 values."""
+    big = SimpleNamespace(p=3, q=3, order=3 ** 40 - 1, deg=40)
+    with pytest.raises(BudgetExceededError, match="overflow"):
+        orbit_codes(big, (0, 1, 2, 3), [[0, 0, 0, 0]])

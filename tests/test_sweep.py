@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from reference import PerPairProfiles
-from scatlin import sweep
+import reference
+from scatlin import quadrinomial, sweep
 from scatlin.linpoly import LinPoly
-from scatlin.quadrinomial import QuadParams, build_quadrinomial, scattered_conditions
-from scatlin.scattered import fiber_profile
+from scatlin.quadrinomial import (
+    QuadParams, build_quadrinomial, prior_family_tag, scattered_conditions,
+)
+from scatlin.scattered import fiber_profile, orbit_codes, profile_key
 from scatlin.sweep import (
-    ProfileMemo,
     classify_sweep,
     classify_record,
     condition_pairs,
@@ -91,53 +92,111 @@ def test_conjecture_scan_nonzero_m_clean(f33):
     assert rep["nonzero_m_mismatches_swapped"] > 0
 
 
-def _all_sweeps(ctx, s):
-    """Every sweep report at step s, wall times dropped, with the memo stats."""
-    out, stats = [], []
-    for run in (
-        lambda st: sweep.classify_sweep(ctx, s, h_dedup=True, stats=st),
-        lambda st: sweep.conjecture_scan(ctx, s, stats=st),
-        lambda st: sweep.sufficiency_sweep(ctx, s, roots_sample=2, seed=s, stats=st),
-        lambda st: sweep.bad_power_set_sweep(ctx, s, stats=st),
-    ):
-        st = {}
-        rep = run(st)
-        (rep[1] if isinstance(rep, tuple) else rep).pop("elapsed_s")
-        out.append(rep)
-        stats.append(st)
-    return out, stats
-
-
 @pytest.mark.parametrize("s", [1, 5])
-def test_sweeps_match_per_pair_reference(f33, s, monkeypatch):
-    """All four sweeps with the orbit memo equal their per-pair form, in
-    which every polynomial gets its own fiber count."""
-    fast, fast_stats = _all_sweeps(f33, s)
-    monkeypatch.setattr(sweep, "ProfileMemo", PerPairProfiles)
-    slow, slow_stats = _all_sweeps(f33, s)
-    assert fast == slow
-    assert [st["polynomials"] for st in fast_stats] == [9828, 2 * 9828, 364, 28]
-    assert [st["profiles"] for st in fast_stats][:2] == [139, 260]
-    assert slow_stats == [{"profiles": n, "polynomials": n}
-                          for n in (9828, 2 * 9828, 364, 28)]
+def test_sweeps_match_per_pair_reference(f33, s):
+    """All four sweeps equal their per-pair form, in which every pair gets
+    its own tags and every polynomial its own fiber count, key order and
+    JSON types included; the kernel runs once per orbit."""
+    stats = [{} for _ in range(4)]
+    fast = [
+        sweep.classify_sweep(f33, s, h_dedup=True, stats=stats[0]),
+        sweep.conjecture_scan(f33, s, stats=stats[1]),
+        sweep.sufficiency_sweep(f33, s, roots_sample=2, seed=s, stats=stats[2]),
+        sweep.bad_power_set_sweep(f33, s, stats=stats[3]),
+    ]
+    for rep in fast:
+        (rep[1] if isinstance(rep, tuple) else rep).pop("elapsed_s")
+    slow = [
+        reference.classify_sweep_pairs(f33, s, h_dedup=True),
+        reference.conjecture_scan_pairs(f33, s),
+        reference.sufficiency_sweep_pairs(f33, s, roots_sample=2, seed=s),
+        reference.bad_power_set_sweep_pairs(f33, s),
+    ]
+    assert [json.dumps(r) for r in fast] == [json.dumps(r) for r in slow]
+    assert stats == [{"profiles": c, "polynomials": n}
+                     for c, n in ((139, 9828), (260, 2 * 9828), (3, 364), (2, 28))]
 
 
-def test_memo_matches_fiber_profile_on_seeded_34_orbits(f34):
-    """Seeded members at (3,4), each followed by three scaled and twisted
-    images: every lookup equals its own fiber count, and images never miss."""
+def test_condition_pairs_match_the_filtered_grid(f33):
+    for s in (1, 5):
+        assert condition_pairs(f33, s) == reference.condition_pairs_grid(f33, s)
+
+
+def test_conditions_hold_on_every_53_condition_pair(f53):
+    """The class table against `scattered_conditions` on all 7,812 pairs."""
+    pairs = condition_pairs(f53, 1)
+    M, H = np.array(pairs).T
+    cases = sweep.pair_grid(f53, 1, M, H, forms=()).case
+    assert len(pairs) == 7812
+    for (m, h), case in zip(pairs, cases.tolist()):
+        assert scattered_conditions(QuadParams(f53, 1, m, h)).case_tag == sweep.CASES[case] != "none"
+
+
+def test_classify_shard_matches_per_pair_reference_on_seeded_34_rows(f34):
+    """A seeded 3-row m slice of the h-deduped (3,4) grid, as one worker builds it."""
+    rng = np.random.default_rng(34)
+    s = int(rng.choice([1, 3, 5, 7]))
+    ms = np.sort(rng.choice(f34.subfield(4), 3, replace=False))
+    M, H, grid = sweep._classify_shard((3, 1, 4, s, ms, h_class_reps(f34)))
+    for i, (m, h) in enumerate(zip(M.tolist(), H.tolist())):
+        rec = classify_record(QuadParams(f34, s, m, h), with_witness=False)
+        assert rec == {"m": m, "h": h, "norm_h": int(grid.norm_h[i]),
+                       "case_tag": sweep.CASES[grid.case[i]],
+                       "prior_tag": sweep.PRIORS[grid.prior[i]],
+                       "scattered": bool(grid.scattered[0, i]),
+                       "linear_set_size": int(grid.size[0, i])}
+
+
+def test_tags_read_step_s_cases_and_step_1_szz(f33, monkeypatch):
+    """The cases use the power sets at step s and SZZ those at step 1.  Both
+    coincide at every tower tried, so the step-5 sets are thinned here to
+    tell them apart; the tags must still follow the per-pair rules."""
+    real = quadrinomial.trace_zero_power_set
+
+    def thinned(ctx, s, sign):
+        sets = real(ctx, s, sign)
+        return sets if s % ctx.n == 1 else sets[:-1]
+
+    monkeypatch.setattr(quadrinomial, "trace_zero_power_set", thinned)
+    monkeypatch.setattr(sweep, "trace_zero_power_set", thinned)
+    params = [QuadParams(f33, 5, int(m), h) for m in f33.subfield(3) for h in range(1, f33.size)]
+    grid = sweep.pair_grid(f33, 5, [p.m for p in params], [p.h for p in params], forms=())
+    tags = list(zip((sweep.CASES[c] for c in grid.case), (sweep.PRIORS[c] for c in grid.prior)))
+    assert tags == [(scattered_conditions(p).case_tag, prior_family_tag(p)) for p in params]
+    assert ("none", "SZZ") not in tags
+
+
+def _orbit_code(f):
+    ctx = f.ctx
+    support = np.flatnonzero(f.q_view())
+    logs = ctx.LOG[f.q_view()[support]]
+    return int(orbit_codes(ctx, tuple(support.tolist()), logs[None, :])[0])
+
+
+def test_orbit_codes_match_fiber_profile_on_seeded_34_orbits(f34):
+    """Seeded members at (3,4), each with three scaled and twisted images:
+    the images share the member's orbit code and fiber profile."""
     rng = np.random.default_rng(34)
     mids = f34.subfield(4)
-    memo = ProfileMemo()
     for _ in range(40):
         s = int(rng.choice([1, 3, 5, 7]))
         f = build_quadrinomial(QuadParams(f34, s, int(rng.choice(mids)),
                                           int(rng.integers(1, f34.size))))
-        calls = memo.calls
-        assert memo(f) == fiber_profile(f)
         for _ in range(3):
             lam, mu = (int(x) for x in rng.integers(1, f34.size, 2))
             image = f.compose(LinPoly.from_terms(f34, s, {0: lam})).scale(mu)
             image = image.frobenius_twist(int(rng.integers(f34.deg)))
-            assert memo(image) == fiber_profile(image)
-        assert memo.calls <= calls + 1
-    assert memo.asked == 4 * 40
+            assert _orbit_code(image) == _orbit_code(f)
+            assert fiber_profile(image) == fiber_profile(f)
+
+
+def test_orbit_codes_separate_the_twisted_scaling_classes(f33):
+    """On seeded nonzero-m members of the (3,3) grid, one code per class of
+    the smallest `profile_key` over the p-power twists."""
+    rng = np.random.default_rng(33)
+    mids, reps = f33.subfield(3)[1:], h_class_reps(f33)
+    fs = [build_quadrinomial(QuadParams(f33, 1, int(rng.choice(mids)), int(rng.choice(reps))))
+          for _ in range(300)]
+    codes = [_orbit_code(f) for f in fs]
+    classes = [min(profile_key(f.frobenius_twist(j)) for j in range(f33.deg)) for f in fs]
+    assert len(set(codes)) == len(set(zip(codes, classes))) == len(set(classes)) > 20
