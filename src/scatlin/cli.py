@@ -209,7 +209,7 @@ def _lp_delta(ctx) -> int:
     for d in range(2, ctx.size):
         if ctx.norm_rel(d, 1) not in (0, 1):
             return d
-    raise AssertionError("no admissible binomial coefficient found")
+    raise RuntimeError("no admissible binomial coefficient found")
 
 
 def cmd_witness(args) -> int:

@@ -23,7 +23,8 @@ import numpy as np
 from .fieldcore import FieldCtx
 from .linpoly import LinPoly
 from .mrdcodes import _graph_maps, _invertible
-from .quadrinomial import QuadParams, build_quadrinomial
+from .quadrinomial import (CASES, QuadParams, build_quadrinomial, condition_rows,
+                           trace_zero_power_set)
 
 
 @dataclass
@@ -254,11 +255,11 @@ def find_new_example(ctx: FieldCtx, s: int) -> dict:
     while avoiding the subfield and power-class obstructions that would allow
     equivalence to a member with m = 1 or h = 1.
 
-    Requires q >= 7 for odd t and q >= 5 for even t; refuses otherwise.
-    Also reports the counting margin that guarantees existence.
+    The pool is case IIa (m in the plus power set, norm -1) for odd t with
+    q = 3 mod 4 and case I (m outside both power sets, norm -1 before +1)
+    otherwise.  Requires q >= 7 for odd t and q >= 5 for even t; refuses
+    otherwise.  Also reports the counting margin that guarantees existence.
     """
-    from .quadrinomial import trace_zero_power_set, scattered_conditions
-
     t, q = ctx.t, ctx.q
     odd_t = t % 2 == 1
     if (odd_t and q < 7) or (not odd_t and q < 5):
@@ -270,38 +271,31 @@ def find_new_example(ctx: FieldCtx, s: int) -> dict:
     mid = ctx.subfield(t)
     mid_nz = mid[mid != 0]
     d_mask = ctx.LOG[mid_nz] % (q - 1) == 0
-    d_set = set(mid_nz[d_mask].tolist())
-    if len(d_set) != 2 * (qt - 1) // (q - 1):
+    if d_mask.sum() != 2 * (qt - 1) // (q - 1):
         raise RuntimeError("power-class count mismatch")
 
-    plus = set(trace_zero_power_set(ctx, s, +1).tolist())
-    minus = set(trace_zero_power_set(ctx, s, -1).tolist())
-    g_sub = gcd(t - 2, ctx.n)
     if odd_t and q % 4 == 3:
-        m_pool = [m for m in sorted(plus) if m != 0 and m not in d_set]
-        norm_targets = [ctx.neg_one]
+        target = CASES.index("IIa")
         margin = {"pool": "plus-power-set", "pool_size": (qt - 1) // 2,
                   "obstruction_size": 2 * (qt - 1) // (q - 1)}
     else:
-        m_pool = [
-            m for m in sorted(set(mid_nz.tolist()) - plus - minus - d_set)
-        ]
-        norm_targets = [ctx.neg_one, 1]
+        target = CASES.index("I")
+        powers = np.union1d(trace_zero_power_set(ctx, s, +1), trace_zero_power_set(ctx, s, -1))
         margin = {"pool": "outside-both-power-sets",
                   "pool_size": qt - 1,
-                  "obstruction_size": 2 * (qt - 1) // (q - 1) + len(plus | minus) - 1}
-    if not m_pool:
-        raise ValueError("counting margin failed: no admissible m")
+                  "obstruction_size": 2 * (qt - 1) // (q - 1) + powers.size - 1}
 
+    g_sub = gcd(t - 2, ctx.n)
     hs = ctx.nonzero_elements()
-    norms = ctx.pow_vec(hs, (ctx.size - 1) // (qt - 1))
-    for m in m_pool:
-        for target in norm_targets:
-            cand = hs[(norms == target) & (ctx.FROB[g_sub][hs] != hs)]
-            for h in cand:
-                params = QuadParams(ctx, s, int(m), int(h))
-                if scattered_conditions(params).applies:
-                    return {"params": params, "margin": margin,
-                            "m": int(m), "h": int(h),
-                            "subfield_degree_avoided": g_sub}
-    raise ValueError("no admissible pair found despite the counting margin")
+    hs = hs[ctx.frob_vec(hs, g_sub) != hs]
+    ms = mid_nz[~d_mask]
+    cls, (case, _, norm) = condition_rows(ctx, s, ms, hs)
+    found = np.flatnonzero((case == target).any(axis=1)[cls])
+    if not found.size:
+        raise ValueError("no admissible pair found despite the counting margin")
+    hit = np.flatnonzero(case[cls[found[0]]] == target)
+    # norm -1 before norm +1, then h in canonical order
+    h = int(hs[hit[np.lexsort((hit, norm[hit] != ctx.neg_one))[0]]])
+    m = int(ms[found[0]])
+    return {"params": QuadParams(ctx, s, m, h), "margin": margin,
+            "m": m, "h": h, "subfield_degree_avoided": g_sub}

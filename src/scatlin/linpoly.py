@@ -151,13 +151,7 @@ class LinPoly:
     def frobenius_twist(self, j: int) -> "LinPoly":
         """Apply the p-power automorphism x -> x**(p**j) to every coefficient."""
         ctx = self.ctx
-        c = [0] * ctx.n
-        for i in self.support():
-            v = int(self.coeffs[i])
-            for _ in range(j % (ctx.e * ctx.n)):
-                v = ctx.pow(v, ctx.p)
-            c[i] = v
-        return LinPoly(ctx, self.s, np.array(c, dtype=np.int64))
+        return LinPoly(ctx, self.s, ctx.pow_vec(self.coeffs, ctx.p ** (j % ctx.deg)))
 
     # -- linear-map structure -----------------------------------------------------
 

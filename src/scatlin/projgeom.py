@@ -163,4 +163,4 @@ def intersection_number(gamma: ProjSubspace, check_position: bool = True) -> int
         chain.append(current)
         if intersect_dim(chain) > k - 2 * g:
             return g
-    raise AssertionError("intersection number failed to stabilize")
+    raise RuntimeError("intersection number failed to stabilize")

@@ -6,14 +6,15 @@ to (m, h) in F_{q^t} x F_{q^(2t)}* is
     m*(X^(q^s) - h^(1-q^(s(t+1))) X^(q^(s(t+1)))) + X^(q^(s(t-1))) + h^(1-q^(s(2t-1))) X^(q^(s(2t-1)))
 
 Everything that decides scatteredness of this polynomial lives here: the two
-power sets of trace-zero elements, the sufficient-condition cases, the
+power sets of trace-zero elements, the sufficient-condition cases and prior
+families (one calculus, `condition_tags`, on scalars or index arrays), the
 structural split into a leading and trailing pair with their multiplier
 maps, and the constructive non-scatteredness witness for the bad power set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import gcd
 import numpy as np
 
@@ -83,6 +84,8 @@ def build_quadrinomial_swapped(params: QuadParams) -> LinPoly:
 # power sets of trace-zero elements
 
 
+# power sets per (tower, step, sign), m-bit tables per (tower, step) and the
+# tag table per tower
 _POWER_SET_CACHE: dict = {}
 
 
@@ -90,8 +93,7 @@ def trace_zero_power_set(ctx: FieldCtx, s: int, sign: int) -> np.ndarray:
     """The set {w^(q^s + sign) : w in ker Tr} as a sorted index array.
 
     sign is +1 or -1.  Both sets land inside the middle field (checked) and
-    both contain 0 (the image of w = 0).  Cached per (tower, step, sign),
-    since the per-pair predicates look them up once per (m, h).
+    both contain 0 (the image of w = 0).  Cached per (tower, step, sign).
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -109,11 +111,6 @@ def trace_zero_power_set(ctx: FieldCtx, s: int, sign: int) -> np.ndarray:
     powers.setflags(write=False)
     _POWER_SET_CACHE[key] = powers
     return powers
-
-
-def _in_sorted(arr: np.ndarray, v: int) -> bool:
-    i = np.searchsorted(arr, v)
-    return i < arr.size and arr[i] == v
 
 
 def power_set_sizes(ctx: FieldCtx, s: int) -> dict:
@@ -138,7 +135,113 @@ def power_sets_step_independent(ctx: FieldCtx, s: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the sufficient-condition cases
+# the condition calculus: sufficient-condition cases and prior families
+
+
+CASES = ("none", "I", "IIa", "IIb")
+PRIORS = ("none", "LZ-ZZ", "LMTZ", "SZZ")
+
+# class bits of m (power sets at step s, m = 0, m = 1, outside the step-1
+# sets) and of h (norm +-1, h^2 = -1, h in F_{q^t}, h in F_q)
+_PLUS, _MINUS, _ZERO, _ONE, _OUT1 = 1, 2, 4, 8, 16
+_NORM1, _NORMM1, _SQRTM1, _MID, _BASE = 1, 2, 4, 8, 16
+
+
+def _m_bits(ctx: FieldCtx, s: int, M):
+    """Class bits of m (a scalar or an index array) at step s.
+
+    The cases read the power sets at step s, SZZ those at step 1.  The
+    table over the whole field is cached per (tower, step).
+    """
+    key = (ctx, s % ctx.n, "m bits")
+    table = _POWER_SET_CACHE.get(key)
+    if table is None:
+        table = np.full(ctx.size, _OUT1, dtype=np.int8)
+        table[trace_zero_power_set(ctx, 1, +1)] = 0
+        table[trace_zero_power_set(ctx, 1, -1)] = 0
+        table[trace_zero_power_set(ctx, s, +1)] |= _PLUS
+        table[trace_zero_power_set(ctx, s, -1)] |= _MINUS
+        table[0] |= _ZERO
+        table[1] |= _ONE
+        table.setflags(write=False)
+        _POWER_SET_CACHE[key] = table
+    return table[M]
+
+
+def _h_bits(ctx: FieldCtx, H):
+    """(class bits, norm onto F_{q^t}) of nonzero h, a scalar or an index array."""
+    logs = ctx.LOG[H]
+    norm = ctx.EXP[logs * (ctx.order // (ctx.q ** ctx.t - 1)) % ctx.order]
+    bits = ((norm == 1) * _NORM1 | (norm == ctx.neg_one) * _NORMM1
+            | (ctx.EXP[2 * logs % ctx.order] == ctx.neg_one) * _SQRTM1
+            | (ctx.FROB[ctx.t][H] == H) * _MID | (ctx.FROB[1][H] == H) * _BASE)
+    return bits, norm
+
+
+def _tag_table(ctx: FieldCtx) -> np.ndarray:
+    """(case, prior) codes of every (m class, h class) by the rules stated in
+    `condition_tags`; cached per tower."""
+    key = (ctx, "tags")
+    table = _POWER_SET_CACHE.get(key)
+    if table is None:
+        mc, hc = np.arange(32)[:, None], np.arange(32)[None, :]
+        plus, minus, zero, one, out1 = ((mc & b) != 0 for b in (_PLUS, _MINUS, _ZERO, _ONE, _OUT1))
+        norm1, normm1, sqrtm1, mid, base = (
+            (hc & b) != 0 for b in (_NORM1, _NORMM1, _SQRTM1, _MID, _BASE))
+        outside = ~plus & ~minus
+        if ctx.t % 2 == 0 or ctx.q % 4 == 1:
+            case = np.select([outside & (norm1 | normm1)], [1])
+        else:
+            case = np.select([plus & ~zero & normm1, outside & norm1 & ~sqrtm1], [2, 3])
+        prior = np.select([one & mid & sqrtm1, one & ~mid & normm1, base & out1], [1, 2, 3])
+        table = np.stack([case, prior], axis=-1).astype(np.int8)
+        table.setflags(write=False)
+        _POWER_SET_CACHE[key] = table
+    return table
+
+
+def condition_tags(ctx: FieldCtx, s: int, M, H) -> tuple:
+    """(case codes, prior codes, norms of h) of the pairs (M, H).
+
+    M (in F_{q^t}) and H (nonzero) are scalars or index arrays that
+    broadcast; the codes index CASES and PRIORS.
+
+    Case I   : t even, or t odd with q = 1 mod 4; m outside both power sets
+               and norm of h onto the middle field equal to +-1.
+    Case IIa : t odd, q = 3 mod 4; m a nonzero (q^s+1)-power of a trace-zero
+               element and norm -1.
+    Case IIb : t odd, q = 3 mod 4; m outside both power sets, norm +1 and
+               h^2 != -1.
+    Priors, first match: LZ-ZZ (m = 1, h mid-field with h^2 = -1), LMTZ
+    (m = 1, h outside the middle field with norm -1), SZZ (h in the base
+    field, m outside both power sets at step 1).
+    Refuses m outside F_{q^t} and h outside the nonzero element indices.
+    """
+    _refuse_outside(ctx, M, H)
+    return _condition_tags(ctx, s, M, H)
+
+
+def condition_rows(ctx: FieldCtx, s: int, ms, H) -> tuple:
+    """(cls, tags): the tags see m only through its class bits, so
+    `condition_tags` of one m per class gives every m; the tags of
+    (ms[i], H) are row cls[i] of each array in tags."""
+    _refuse_outside(ctx, ms, H)
+    _, first, cls = np.unique(_m_bits(ctx, s, ms), return_index=True, return_inverse=True)
+    return cls, _condition_tags(ctx, s, ms[first, None], H)
+
+
+def _refuse_outside(ctx: FieldCtx, M, H):
+    M, H = np.asarray(M), np.asarray(H)
+    if (((H < 1) | (H >= ctx.size)).any() or ((M < 0) | (M >= ctx.size)).any()
+            or (ctx.FROB[ctx.t][M] != M).any()):
+        raise ValueError("m must lie in F_{q^t} and h must be a nonzero element index")
+
+
+def _condition_tags(ctx: FieldCtx, s: int, M, H) -> tuple:
+    """`condition_tags` of pairs known to be in range."""
+    hc, norm = _h_bits(ctx, H)
+    tags = _tag_table(ctx)[_m_bits(ctx, s, M), hc]
+    return tags[..., 0], tags[..., 1], norm
 
 
 @dataclass
@@ -147,71 +250,19 @@ class CriterionVerdict:
 
     applies: bool
     case_tag: str  # "I", "IIa", "IIb" or "none"
-    reasons: list = field(default_factory=list)
 
 
 def scattered_conditions(params: QuadParams) -> CriterionVerdict:
-    """Sufficient conditions for the family member to be scattered.
-
-    Case I   : t even, or t odd with q = 1 mod 4; m outside both power sets
-               and norm of h onto the middle field equal to +-1.
-    Case IIa : t odd, q = 3 mod 4; m a nonzero (q^s+1)-power of a trace-zero
-               element and norm -1.
-    Case IIb : t odd, q = 3 mod 4; m outside both power sets, norm +1 and
-               h^2 != -1.
-    """
-    ctx, s, m, h = params.ctx, params.s, params.m, params.h
-    plus = trace_zero_power_set(ctx, s, +1)
-    minus = trace_zero_power_set(ctx, s, -1)
-    in_plus = _in_sorted(plus, m)
-    in_minus = _in_sorted(minus, m)
-    nh = params.norm_h
-    norm_is_one = nh == 1
-    norm_is_minus_one = nh == ctx.neg_one
-    h2_is_minus_one = ctx.mul(h, h) == ctx.neg_one
-    branch_one = (ctx.t % 2 == 0) or (ctx.q % 4 == 1)
-
-    reasons = [
-        ("t_even_or_q_1_mod_4", branch_one),
-        ("m_outside_power_sets", not in_plus and not in_minus),
-        ("m_in_plus_power_set_nonzero", in_plus and m != 0),
-        ("norm_h_is_one", norm_is_one),
-        ("norm_h_is_minus_one", norm_is_minus_one),
-        ("h_squared_not_minus_one", not h2_is_minus_one),
-    ]
-
-    if branch_one:
-        if (not in_plus and not in_minus) and (norm_is_one or norm_is_minus_one):
-            return CriterionVerdict(True, "I", reasons)
-        return CriterionVerdict(False, "none", reasons)
-    # t odd and q = 3 mod 4
-    if in_plus and m != 0 and norm_is_minus_one:
-        return CriterionVerdict(True, "IIa", reasons)
-    if (not in_plus and not in_minus) and norm_is_one and not h2_is_minus_one:
-        return CriterionVerdict(True, "IIb", reasons)
-    return CriterionVerdict(False, "none", reasons)
+    """Sufficient conditions for the family member to be scattered: the
+    case of `condition_tags` for the one pair, which QuadParams checked."""
+    case = _condition_tags(params.ctx, params.s, params.m, params.h)[0]
+    return CriterionVerdict(bool(case), CASES[case])
 
 
 def prior_family_tag(params: QuadParams) -> str:
-    """Which previously settled parameter class, if any, covers (m, h).
-
-    Tags: "LZ-ZZ" (m = 1, h mid-field with h^2 = -1), "LMTZ" (m = 1, h outside
-    the middle field with norm -1), "SZZ" (h in the base field, m outside both
-    power sets), or "none".
-    """
-    ctx, s, m, h = params.ctx, params.s, params.m, params.h
-    h_mid = ctx.in_subfield(h, ctx.t)
-    h2_minus_one = ctx.mul(h, h) == ctx.neg_one
-    if m == 1 and h_mid and h2_minus_one:
-        return "LZ-ZZ"
-    if m == 1 and not h_mid and params.norm_h == ctx.neg_one:
-        return "LMTZ"
-    if ctx.in_subfield(h, 1):
-        plus = trace_zero_power_set(ctx, 1, +1)
-        minus = trace_zero_power_set(ctx, 1, -1)
-        if not _in_sorted(plus, m) and not _in_sorted(minus, m):
-            return "SZZ"
-    return "none"
+    """Which previously settled parameter class, if any, covers (m, h): the
+    prior tag of `condition_tags` for the one pair, which QuadParams checked."""
+    return PRIORS[_condition_tags(params.ctx, params.s, params.m, params.h)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +477,26 @@ def h_power_report(params: QuadParams) -> dict:
 # non-scatteredness witness for the minus power set
 
 
-def nonscattered_witness(params: QuadParams, x0: int = 1):
+def witness_range(ctx: FieldCtx, H):
+    """Mask of h in F_{q^t} with h^4 = 1 (a scalar or an index array): the
+    range of `nonscattered_witness`."""
+    return (ctx.frob_vec(H, ctx.t) == H) & (ctx.pow_vec(H, 4) == 1)
+
+
+def nonscattered_witness(params: QuadParams):
     """A verified pair (x, y) with f(x)/x = f(y)/y and x/y outside F_q.
 
     Exists whenever m is a (q^s - 1)-power of a trace-zero element and h lies
-    in the middle field with fourth power 1.  Returns None when m is outside
-    the minus power set; raises when h is outside the admissible range.
-    The construction picks x0 = 1 and the smallest nontrivial base-field
-    scalar by canonical order; all choices are reported for reproducibility.
+    in `witness_range`.  Returns None when m is outside the minus power set;
+    raises when h is outside the range.  The construction takes x = 1 + x1
+    and y = 1 + xi*x1 with xi the smallest base-field scalar other than 0
+    and 1 in canonical order; all choices are reported for reproducibility.
     """
     ctx, s, m, h = params.ctx, params.s, params.m, params.h
     t, n, q = ctx.t, ctx.n, ctx.q
-    if not ctx.in_subfield(h, t) or ctx.pow(h, 4) != 1:
+    if not witness_range(ctx, h):
         raise ValueError("witness requires h in the middle field with h^4 = 1")
-    minus = trace_zero_power_set(ctx, s, -1)
-    if not _in_sorted(minus, m):
+    if not _m_bits(ctx, s, m) & _MINUS:
         return None
     f = build_quadrinomial(params)
 
@@ -454,28 +510,21 @@ def nonscattered_witness(params: QuadParams, x0: int = 1):
         return rec
 
     ker = ctx.ker_trace()
-    h_sq_minus_one = ctx.mul(h, h) == ctx.neg_one and not ctx.in_subfield(h, 1)
-    if h_sq_minus_one:
-        # trailing-pair form: need x1 trace-zero with x1^(q^(s(t-1)) - 1) = m
-        expo = q ** ((s * (t - 1)) % n) - 1
-        cands = ker[ctx.pow_vec(ker, expo) == m]
-        gamma = int(cands[0])
-        x1 = ctx.mul(gamma, ctx.pow(x0, 0))  # x0 = 1 path; general x0 below
-        if x0 != 1:
-            raise ValueError("x0 != 1 unsupported for the h^2 = -1 branch")
+    if ctx.mul(h, h) == ctx.neg_one and not ctx.in_subfield(h, 1):
+        # trailing-pair form: x1 trace-zero with x1^(q^(s(t-1)) - 1) = m
+        cands = ker[ctx.pow_vec(ker, q ** ((s * (t - 1)) % n) - 1) == m]
+        gamma = x1 = int(cands[0])
     else:
-        expo = q ** (s % n) - 1
-        cands = ker[ctx.pow_vec(ker, expo) == m]
+        cands = ker[ctx.pow_vec(ker, q ** (s % n) - 1) == m]
         if cands.size == 0:
             return None
         gamma = int(cands[0])
-        x1 = ctx.mul(ctx.inv(gamma), ctx.pow(x0, -(q ** ((s * (2 * t - 1)) % n))))
+        x1 = ctx.inv(gamma)
     xi = _smallest_scalar_not_01(ctx)
-    x = ctx.add(x0, x1)
-    y = ctx.add(x0, ctx.mul(xi, x1))
+    x = ctx.add(1, x1)
+    y = ctx.add(1, ctx.mul(xi, x1))
     _check_witness(f, x, y)
-    return {"x": int(x), "y": int(y), "gamma": int(gamma), "x0": int(x0), "xi": int(xi),
-            "kind": "ratio"}
+    return {"x": int(x), "y": int(y), "gamma": gamma, "x0": 1, "xi": int(xi), "kind": "ratio"}
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +535,8 @@ def admissible_h(ctx: FieldCtx) -> np.ndarray:
     """Nonzero h with norm -1, or norm +1 and h^2 != -1 (the range where the
     kernel/image split machinery is valid)."""
     hs = ctx.nonzero_elements()
-    norms = ctx.pow_vec(hs, ctx.order // (ctx.q ** ctx.t - 1))
-    h2 = ctx.mul_vec(hs, hs)
-    mask = (norms == ctx.neg_one) | ((norms == 1) & (h2 != ctx.neg_one))
-    return hs[mask]
+    hc = _h_bits(ctx, hs)[0]
+    return hs[((hc & _NORMM1) != 0) | ((hc & (_NORM1 | _SQRTM1)) == _NORM1)]
 
 
 def run_property_suite(ctx: FieldCtx, s: int, exhaustive: bool = True,
@@ -608,17 +655,17 @@ def _smallest_scalar_not_01(ctx: FieldCtx) -> int:
     for v in base:
         if v not in (0, 1):
             return int(v)
-    raise AssertionError("base field has at least three elements for odd q")
+    raise RuntimeError("base field has at least three elements for odd q")
 
 
 def _check_witness(f: LinPoly, x: int, y: int):
     ctx = f.ctx
     if x == 0 or y == 0:
-        raise AssertionError("degenerate witness")
+        raise RuntimeError("degenerate witness")
     lhs = ctx.mul(f.eval(x), y)
     rhs = ctx.mul(f.eval(y), x)
     if lhs != rhs:
-        raise AssertionError("witness fails the ratio identity")
+        raise RuntimeError("witness fails the ratio identity")
     ratio = ctx.div(x, y)
     if ctx.in_subfield(ratio, 1):
-        raise AssertionError("witness pair is base-field dependent")
+        raise RuntimeError("witness pair is base-field dependent")

@@ -1,14 +1,12 @@
 """Exhaustive (m, h) sweeps over the four-term family at desk scale.
 
 Every sweep reduces the arrays of one grid builder, `pair_grid`, over flat
-pair arrays (M, H).  Tags: the case and prior tags depend on m only through
-the power sets (at step s for the cases, at step 1 for SZZ), m = 0 and
-m = 1, and on h only through its norm, h^2 = -1 and membership in F_{q^t}
-and F_q; a class table written by the rules of `scattered_conditions` and
-`prior_family_tag` gives both, and `condition_pairs` reads it too.
-Profiles: the profile is shared by every scaling mu*f(lambda*X) and p-power
-twist of f, so `fiber_profile` runs once per `scattered.orbit_codes` code
-and support.  `classify_record` is the per-pair reference.
+pair arrays (M, H).  Tags: the case and prior codes are those of
+`quadrinomial.condition_tags`, the one statement of the condition rules;
+`condition_pairs` reads one row of it per class of m.  Profiles: the profile is
+shared by every scaling mu*f(lambda*X) and p-power twist of f, so
+`fiber_profile` runs once per `scattered.orbit_codes` code and support.
+`classify_record` builds the same record for one pair.
 
 The classification sweep reports every disagreement between "conditions
 apply" and "scattered" as a datum (a scattered pair outside the conditions
@@ -27,22 +25,16 @@ from collections import namedtuple
 import numpy as np
 
 from .fieldcore import make_field, FieldCtx
-from .quadrinomial import (QuadParams, build_quadrinomial, family_slots, trace_zero_power_set,
-                           scattered_conditions, prior_family_tag, nonscattered_witness)
+from .quadrinomial import (CASES, PRIORS, QuadParams, build_quadrinomial, condition_rows,
+                           condition_tags, family_slots, nonscattered_witness, prior_family_tag,
+                           scattered_conditions, trace_zero_power_set, witness_range)
 from .linpoly import LinPoly
 from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots, orbit_codes
 
 SCHEMA_VERSION = 1
-CASES = ("none", "I", "IIa", "IIb")
-PRIORS = ("none", "LZ-ZZ", "LMTZ", "SZZ")
 
 # Always empty; perfbench clears it in every workload set-up.
 _FIBER_CACHE: dict = {}
-
-# class bits of m (power sets at step s, m = 0, m = 1, outside the step-1
-# sets) and of h (norm +-1, h^2 = -1, h in F_{q^t}, h in F_q)
-_PLUS, _MINUS, _ZERO, _ONE, _OUT1 = 1, 2, 4, 8, 16
-_NORM1, _NORMM1, _SQRTM1, _MID, _BASE = 1, 2, 4, 8, 16
 
 
 def quad_fiber_profile(params: QuadParams):
@@ -60,15 +52,8 @@ def h_class_reps(ctx: FieldCtx) -> np.ndarray:
     return np.sort(reps)
 
 
-def _witness(params: QuadParams):
-    ctx, h = params.ctx, params.h
-    if ctx.in_subfield(h, ctx.t) and ctx.pow(h, 4) == 1:
-        return nonscattered_witness(params)
-    return None
-
-
 def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
-    """One classification record, pair by pair; the sweeps' reference."""
+    """One classification record, pair by pair."""
     n_points, scattered = quad_fiber_profile(params)
     rec = {
         "m": int(params.m),
@@ -80,50 +65,9 @@ def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
         "linear_set_size": n_points,
     }
     if with_witness:
-        rec["witness"] = _witness(params)
+        in_range = witness_range(params.ctx, params.h)
+        rec["witness"] = nonscattered_witness(params) if in_range else None
     return rec
-
-
-def _tags(mc: int, hc: int, branch_one: bool) -> tuple:
-    """(case, prior) codes of one (m class, h class), by the rules of
-    `scattered_conditions` and `prior_family_tag`."""
-    outside = not mc & (_PLUS | _MINUS)
-    if branch_one:
-        case = 1 if outside and hc & (_NORM1 | _NORMM1) else 0
-    elif mc & _PLUS and not mc & _ZERO and hc & _NORMM1:
-        case = 2
-    elif outside and hc & _NORM1 and not hc & _SQRTM1:
-        case = 3
-    else:
-        case = 0
-    if mc & _ONE and hc & _MID and hc & _SQRTM1:
-        prior = 1
-    elif mc & _ONE and not hc & _MID and hc & _NORMM1:
-        prior = 2
-    else:
-        prior = 3 if hc & _BASE and mc & _OUT1 else 0
-    return case, prior
-
-
-def _class_tables(ctx: FieldCtx, s: int):
-    """Class of every element as m and as h, the norms, and the
-    (case, prior) table indexed by (m class, h class)."""
-    idx = ctx.elements()
-    plus, minus = (trace_zero_power_set(ctx, s, sign) for sign in (1, -1))
-    step1 = np.union1d(trace_zero_power_set(ctx, 1, 1), trace_zero_power_set(ctx, 1, -1))
-    norm = ctx.pow_vec(idx, ctx.order // (ctx.q ** ctx.t - 1))
-    mcls = _bits((np.isin(idx, plus), _PLUS), (np.isin(idx, minus), _MINUS),
-                 (idx == 0, _ZERO), (idx == 1, _ONE), (~np.isin(idx, step1), _OUT1))
-    hcls = _bits((norm == 1, _NORM1), (norm == ctx.neg_one, _NORMM1),
-                 (ctx.mul_vec(idx, idx) == ctx.neg_one, _SQRTM1),
-                 (ctx.frob_vec(idx, ctx.t) == idx, _MID), (ctx.frob_vec(idx, 1) == idx, _BASE))
-    branch_one = ctx.t % 2 == 0 or ctx.q % 4 == 1
-    table = np.array([[_tags(a, b, branch_one) for b in range(32)] for a in range(32)])
-    return mcls, hcls, norm, table
-
-
-def _bits(*flags) -> np.ndarray:
-    return sum(mask.astype(np.int64) * bit for mask, bit in flags)
 
 
 # per-pair arrays of `pair_grid` (size and scattered: one row per form) and
@@ -138,8 +82,7 @@ def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
     `family_slots`), all from one orbit pool; `calls` counts kernel runs.
     """
     M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
-    mcls, hcls, norm, table = _class_tables(ctx, s)
-    tags = table[mcls[M], hcls[H]]
+    case, prior, norm = condition_tags(ctx, s, M, H)
     n, order = ctx.n, ctx.order
     logs = np.zeros((len(forms), M.size, n), dtype=np.int64)
     live = np.zeros(logs.shape, dtype=bool)
@@ -168,7 +111,7 @@ def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
         scattered[rows] = profiles[inverse, 1]
         calls += first.size
     shape = (len(forms), M.size)
-    return Grid(norm[H], tags[:, 0], tags[:, 1], size.reshape(shape),
+    return Grid(norm, case, prior, size.reshape(shape),
                 scattered.reshape(shape) != 0, calls)
 
 
@@ -229,10 +172,9 @@ def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: b
                                            scattered.tolist(), grid.size[0].tolist())
     ]
     if with_witness:
-        # `_witness` needs h in the middle field with h^4 = 1
-        candidate = (ctx.frob_vec(H, ctx.t) == H) & (ctx.pow_vec(H, 4) == 1)
-        for rec, cand in zip(records, candidate.tolist()):
-            rec["witness"] = _witness(QuadParams(ctx, s, rec["m"], rec["h"])) if cand else None
+        for rec, in_range in zip(records, witness_range(ctx, H).tolist()):
+            rec["witness"] = (nonscattered_witness(QuadParams(ctx, s, rec["m"], rec["h"]))
+                              if in_range else None)
     applies = grid.case != 0
     return records, {
         **_head(ctx, s, stats, grid),
@@ -249,14 +191,14 @@ def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: b
 
 
 def condition_pairs(ctx: FieldCtx, s: int):
-    """All (m, h) where the sufficient conditions apply, read off the class
-    table, in (case, m, norm_h != 1, h) order."""
-    mcls, hcls, norm, table = _class_tables(ctx, s)
+    """All (m, h) where the sufficient conditions apply, in
+    (case, m, norm_h != 1, h) order."""
     ms, hs = ctx.subfield(ctx.t), ctx.nonzero_elements()
-    blocks = [_product(ms[mcls[ms] == a], hs[hcls[hs] == b])
-              for a, b in np.argwhere(table[:, :, 0] != 0)]
+    cls, (rows, _, _) = condition_rows(ctx, s, ms, hs)
+    blocks = [_product(ms[cls == i], hs[row != 0]) for i, row in enumerate(rows)]
     M, H = (np.concatenate([blk[k] for blk in blocks]) for k in (0, 1))
-    order = np.lexsort((H, norm[H] != 1, M, table[mcls[M], hcls[H], 0]))
+    case, _, norm = condition_tags(ctx, s, M, H)
+    order = np.lexsort((H, norm != 1, M, case))
     return _pairs_where(M[order], H[order], slice(None))
 
 
@@ -291,12 +233,11 @@ def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 
 
 
 def bad_power_set_sweep(ctx: FieldCtx, s: int, stats: dict | None = None) -> dict:
-    """Every m in the minus power set with mid-field h of fourth power 1 must
-    fail scatteredness, with a verified constructive witness where one exists."""
+    """Every m in the minus power set with h in the witness range must fail
+    scatteredness, with a verified constructive witness where one exists."""
     t0 = time.time()
     mid = ctx.subfield(ctx.t)
-    mid_nz = mid[mid != 0]
-    M, H = _product(trace_zero_power_set(ctx, s, -1), mid_nz[ctx.pow_vec(mid_nz, 4) == 1])
+    M, H = _product(trace_zero_power_set(ctx, s, -1), mid[witness_range(ctx, mid)])
     grid = pair_grid(ctx, s, M, H)
     failures = []
     for m, h, scattered in zip(M.tolist(), H.tolist(), grid.scattered[0].tolist()):

@@ -6,13 +6,19 @@ distinct keys with distinct values by sorting; it is the reference for
 
 `scaling_class` normalizes f under every nonzero lambda and picks the
 smallest result; it is the reference for `scattered.profile_key`.
-`classify_sweep_pairs`, `conjecture_scan_pairs`, `sufficiency_sweep_pairs`
-and `bad_power_set_sweep_pairs` walk the (m, h) grid pair by pair with
-`classify_record`, `scattered_conditions`, `prior_family_tag` and one
-`fiber_profile` per polynomial; they are the references for the sweeps of
-`scatlin.sweep`, whose reports they reproduce without `elapsed_s`.
-`condition_pairs_grid` filters the whole grid with `scattered_conditions`;
-it is the reference for `sweep.condition_pairs`.
+
+`scattered_conditions_branches` and `prior_family_tag_branches` decide the
+case and prior tags of one pair by if/else branches on power-set
+membership, the norm and h^2; they are the references for
+`quadrinomial.condition_tags` and its one-pair calls.  `record_pairs`
+builds one classification record from them, one `fiber_profile` and the
+witness range h in F_{q^t}, h^4 = 1.  `classify_sweep_pairs`,
+`conjecture_scan_pairs`, `sufficiency_sweep_pairs` and
+`bad_power_set_sweep_pairs` walk the (m, h) grid pair by pair with these;
+they are the references for the sweeps of `scatlin.sweep`, whose reports
+they reproduce without `elapsed_s`.  `condition_pairs_grid` filters the
+whole grid with `scattered_conditions_branches`; it is the reference for
+`sweep.condition_pairs`.
 
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
 g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
@@ -35,10 +41,10 @@ import numpy as np
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, nonscattered_witness,
-    scattered_conditions, trace_zero_power_set,
+    trace_zero_power_set,
 )
 from scatlin.scattered import fiber_profile, is_scattered_roots
-from scatlin.sweep import SCHEMA_VERSION, classify_record, h_class_reps
+from scatlin.sweep import SCHEMA_VERSION, h_class_reps
 
 GRID_BOUND = 3 ** 12
 
@@ -76,6 +82,78 @@ def scaling_class(f):
     return tuple(support), min(map(tuple, normed.tolist()))
 
 
+def _in_sorted(arr, v):
+    i = np.searchsorted(arr, v)
+    return i < arr.size and arr[i] == v
+
+
+def scattered_conditions_branches(params):
+    """Case tag of (m, h): "I", "IIa", "IIb" or "none".
+
+    Case I   : t even, or t odd with q = 1 mod 4; m outside both power sets
+               and norm of h onto the middle field equal to +-1.
+    Case IIa : t odd, q = 3 mod 4; m a nonzero (q^s+1)-power of a trace-zero
+               element and norm -1.
+    Case IIb : t odd, q = 3 mod 4; m outside both power sets, norm +1 and
+               h^2 != -1.
+    """
+    ctx, s, m, h = params.ctx, params.s, params.m, params.h
+    in_plus = _in_sorted(trace_zero_power_set(ctx, s, +1), m)
+    in_minus = _in_sorted(trace_zero_power_set(ctx, s, -1), m)
+    nh = params.norm_h
+    norm_is_one = nh == 1
+    norm_is_minus_one = nh == ctx.neg_one
+    h2_is_minus_one = ctx.mul(h, h) == ctx.neg_one
+    if (ctx.t % 2 == 0) or (ctx.q % 4 == 1):
+        if (not in_plus and not in_minus) and (norm_is_one or norm_is_minus_one):
+            return "I"
+        return "none"
+    # t odd and q = 3 mod 4
+    if in_plus and m != 0 and norm_is_minus_one:
+        return "IIa"
+    if (not in_plus and not in_minus) and norm_is_one and not h2_is_minus_one:
+        return "IIb"
+    return "none"
+
+
+def prior_family_tag_branches(params):
+    """Prior tag of (m, h): "LZ-ZZ" (m = 1, h mid-field with h^2 = -1),
+    "LMTZ" (m = 1, h outside the middle field with norm -1), "SZZ" (h in the
+    base field, m outside both step-1 power sets), or "none"."""
+    ctx, m, h = params.ctx, params.m, params.h
+    h_mid = ctx.in_subfield(h, ctx.t)
+    h2_minus_one = ctx.mul(h, h) == ctx.neg_one
+    if m == 1 and h_mid and h2_minus_one:
+        return "LZ-ZZ"
+    if m == 1 and not h_mid and params.norm_h == ctx.neg_one:
+        return "LMTZ"
+    if ctx.in_subfield(h, 1):
+        plus = trace_zero_power_set(ctx, 1, +1)
+        minus = trace_zero_power_set(ctx, 1, -1)
+        if not _in_sorted(plus, m) and not _in_sorted(minus, m):
+            return "SZZ"
+    return "none"
+
+
+def record_pairs(params, with_witness=True):
+    """The record of `classify_record` for one pair, tags by the branches."""
+    ctx, h = params.ctx, params.h
+    n_points, scattered = fiber_profile(build_quadrinomial(params))
+    rec = {
+        "m": params.m,
+        "h": h,
+        "norm_h": params.norm_h,
+        "case_tag": scattered_conditions_branches(params),
+        "prior_tag": prior_family_tag_branches(params),
+        "scattered": bool(scattered),
+        "linear_set_size": n_points,
+    }
+    if with_witness:
+        in_range = ctx.in_subfield(h, ctx.t) and ctx.pow(h, 4) == 1
+        rec["witness"] = nonscattered_witness(params) if in_range else None
+    return rec
+
+
 def _grid(ctx, s, h_dedup):
     hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
     return [QuadParams(ctx, s, int(m), int(h)) for m in ctx.subfield(ctx.t) for h in hs]
@@ -93,8 +171,8 @@ def _count(tags):
 
 
 def classify_sweep_pairs(ctx, s, h_dedup=False, with_witness=True):
-    """(records, summary) of `classify_sweep`, one `classify_record` per pair."""
-    records = [classify_record(p, with_witness) for p in _grid(ctx, s, h_dedup)]
+    """(records, summary) of `classify_sweep`, one `record_pairs` per pair."""
+    records = [record_pairs(p, with_witness) for p in _grid(ctx, s, h_dedup)]
     return records, {
         **_head(ctx, s),
         "h_dedup": h_dedup,
@@ -115,7 +193,7 @@ def conjecture_scan_pairs(ctx, s, h_dedup=True):
     mismatches = {False: [], True: []}
     counts = {"pairs": 0, "scattered_main": 0, "scattered_swapped": 0, "applies": 0}
     for p in _grid(ctx, s, h_dedup):
-        applies = scattered_conditions(p).applies
+        applies = scattered_conditions_branches(p) != "none"
         counts["pairs"] += 1
         counts["applies"] += applies
         for swapped, build in ((False, build_quadrinomial), (True, build_quadrinomial_swapped)):
@@ -135,20 +213,19 @@ def conjecture_scan_pairs(ctx, s, h_dedup=True):
 
 
 def condition_pairs_grid(ctx, s):
-    """Every (m, h) on which `scattered_conditions` applies, in
-    (case, m, norm_h != 1, h) order."""
+    """Every (m, h) on which a case applies, in (case, m, norm_h != 1, h) order."""
     rows = []
     for p in _grid(ctx, s, False):
-        verdict = scattered_conditions(p)
-        if verdict.applies:
-            rows.append((verdict.case_tag, p.m, p.norm_h != 1, p.h))
+        case = scattered_conditions_branches(p)
+        if case != "none":
+            rows.append((case, p.m, p.norm_h != 1, p.h))
     return [(m, h) for _, m, _, h in sorted(rows)]
 
 
 def sufficiency_sweep_pairs(ctx, s, roots_sample=0, seed=0):
     """The report of `sufficiency_sweep`, pair by pair."""
     pairs = condition_pairs_grid(ctx, s)
-    tags = [scattered_conditions(QuadParams(ctx, s, m, h)).case_tag for m, h in pairs]
+    tags = [scattered_conditions_branches(QuadParams(ctx, s, m, h)) for m, h in pairs]
     violations = [(m, h, tag) for (m, h), tag in zip(pairs, tags)
                   if not fiber_profile(build_quadrinomial(QuadParams(ctx, s, m, h)))[1]]
     rng = np.random.default_rng(seed)

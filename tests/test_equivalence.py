@@ -3,6 +3,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+import reference
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import is_scattered_fiber, linear_set_size
@@ -172,6 +173,24 @@ def test_new_example_search_refuses_small_q(f33, f53):
         find_new_example(f53, 1)
 
 
+_PLUS_POOL = {"pool": "plus-power-set", "pool_size": 171, "obstruction_size": 114}
+_OUTSIDE_POOL = {"pool": "outside-both-power-sets", "pool_size": 624, "obstruction_size": 572}
+
+
+@pytest.mark.parametrize("tower, s, found_mh, case, margin", [
+    ((7, 1, 3), 1, (55, 871, 1), "IIa", _PLUS_POOL),
+    ((7, 1, 3), 5, (55, 871, 1), "IIa", _PLUS_POOL),
+    ((5, 1, 4), 1, (1037, 787, 2), "I", _OUTSIDE_POOL),
+], ids=["73-s1", "73-s5", "54-s1"])
+def test_new_example_is_pinned(tower, s, found_mh, case, margin):
+    """The first pair of the case IIa pool at (7,3), for both steps, and of
+    the case I pool at (5,4), with the margins they report."""
+    found = find_new_example(make_field(*tower), s)
+    assert (found["m"], found["h"], found["subfield_degree_avoided"]) == found_mh
+    assert found["margin"] == margin
+    assert reference.scattered_conditions_branches(found["params"]) == case
+
+
 @pytest.mark.slow
 def test_new_example_search_at_73():
     ctx = make_field(7, 1, 3)
@@ -180,9 +199,7 @@ def test_new_example_search_at_73():
     assert qt - 1 > 2 * (qt - 1) // (7 - 1) + (qt - 1) // 2
     found = find_new_example(ctx, 1)
     params = found["params"]
-    from scatlin.quadrinomial import scattered_conditions
-
-    assert scattered_conditions(params).applies
+    assert reference.scattered_conditions_branches(params) != "none"
     g_sub = found["subfield_degree_avoided"]
     assert not ctx.in_subfield(params.h, g_sub)
     # the found m avoids every (q-1)-th power class, so no printed condition

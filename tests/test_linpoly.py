@@ -154,7 +154,7 @@ def test_serialization_and_str(f33):
     assert str(LinPoly.zero(f33, 1)) == "0"
 
 
-def test_scale_and_negate(f33):
+def test_scale_and_negate(f33, f34):
     rng = np.random.default_rng(10)
     f = rand_poly(f33, rng)
     c = 123
@@ -162,3 +162,12 @@ def test_scale_and_negate(f33):
     for x in rng.integers(0, 729, 10):
         assert sc.eval(int(x)) == f33.mul(c, f.eval(int(x)))
     assert f.add(f.neg()).is_zero()
+    # the p-power twist of every coefficient, against j repeated p-th powers
+    for ctx in (f33, f34):
+        g = rand_poly(ctx, rng, terms=ctx.n - 1)
+        for j in range(ctx.e * ctx.n):
+            twisted = [int(c) for c in g.coeffs]
+            for _ in range(j):
+                twisted = [ctx.pow(c, ctx.p) for c in twisted]
+            assert g.frobenius_twist(j).coeffs.tolist() == twisted
+        assert g.frobenius_twist(ctx.e * ctx.n + 1) == g.frobenius_twist(1)

@@ -1,7 +1,11 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scatlin.fieldcore import DirectSumError
+import reference
+from scatlin.fieldcore import DirectSumError, make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import is_scattered_fiber
 from scatlin.quadrinomial import (
@@ -23,6 +27,8 @@ from scatlin.quadrinomial import (
     nonscattered_witness,
     run_property_suite,
     admissible_h,
+    condition_rows,
+    condition_tags,
 )
 from scatlin.sweep import pair_grid
 
@@ -211,6 +217,71 @@ def test_prior_tags(f33, f53):
     assert prior_family_tag(QuadParams(f53, 1, m, 2)) == "SZZ"
     # and a pair matching nothing
     assert prior_family_tag(QuadParams(f33, 1, 0, 5)) == "none"
+
+
+F33, F34 = make_field(3, 1, 3), make_field(3, 1, 4)
+
+
+@st.composite
+def _pairs(draw):
+    """A member at (3,3) or (3,4) with any step; m = 0, m = 1, h in F_q,
+    h^2 = -1 and norm(h) = +-1 are drawn on purpose, as often as at random."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    s = draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    hs = ctx.nonzero_elements()
+    norms = ctx.pow_vec(hs, ctx.order // (ctx.q ** ctx.t - 1))
+    special_h = [ctx.subfield(1)[1:], hs[ctx.mul_vec(hs, hs) == ctx.neg_one],
+                 hs[(norms == 1) | (norms == ctx.neg_one)]]
+    m = draw(st.one_of(st.sampled_from([0, 1]), st.sampled_from(ctx.subfield(ctx.t).tolist())))
+    h = draw(st.one_of(*(st.sampled_from(x.tolist()) for x in special_h),
+                       st.integers(1, ctx.size - 1)))
+    return QuadParams(ctx, s, m, h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs())
+def test_one_pair_tags_match_the_branch_rules(params):
+    verdict = scattered_conditions(params)
+    assert verdict.case_tag == reference.scattered_conditions_branches(params)
+    assert verdict.applies == (verdict.case_tag != "none")
+    assert prior_family_tag(params) == reference.prior_family_tag_branches(params)
+
+
+def test_condition_tags_refuse_pairs_outside_the_family(f53):
+    """h = 0, indices out of range and m off the middle field are refused,
+    on scalars and arrays, by the calculus and the grid builder."""
+    m = int(trace_zero_power_set(f53, 1, +1)[3])
+    off = next(x for x in range(f53.size) if not f53.in_subfield(x, 3))
+    bad = [(m, 0), (m, -1), (m, f53.size), (off, 1), (-1, 1), (f53.size, 1),
+           (np.array([m, off]), np.array([1, 2])), (np.array([m, m]), np.array([1, 0]))]
+    for M, H in bad:
+        with pytest.raises(ValueError, match="F_"):
+            condition_tags(f53, 1, M, H)
+    with pytest.raises(ValueError, match="F_"):
+        condition_rows(f53, 1, np.array([m, off]), f53.nonzero_elements())
+    with pytest.raises(ValueError, match="F_"):
+        pair_grid(f53, 1, [m], [0], forms=())
+    assert [int(x) for x in condition_tags(f53, 1, m, 1)] == [0, 0, 1]
+
+
+def test_one_pair_tags_match_the_branch_rules_on_seeded_73_pairs():
+    """Case IIb needs q = 3 mod 4, t odd and m outside both power sets, so
+    q >= 7: seeded (7,3) pairs, h drawn from norm +1, norm -1, F_q and
+    h^2 = -1 in turn, reach it and SZZ."""
+    ctx = make_field(7, 1, 3)
+    rng = np.random.default_rng(73)
+    hs = ctx.nonzero_elements()
+    pools = [h_with_norm(ctx, 1), h_with_norm(ctx, ctx.neg_one), ctx.subfield(1)[1:],
+             hs[ctx.mul_vec(hs, hs) == ctx.neg_one]]
+    seen = set()
+    for i in range(1000):
+        params = QuadParams(ctx, int(rng.choice([1, 5])), int(rng.choice(ctx.subfield(3))),
+                            int(rng.choice(pools[i % 4])))
+        tags = (scattered_conditions(params).case_tag, prior_family_tag(params))
+        assert tags == (reference.scattered_conditions_branches(params),
+                        reference.prior_family_tag_branches(params))
+        seen.add(tags)
+    assert {("IIa", "none"), ("IIb", "none"), ("IIb", "SZZ"), ("none", "none")} <= seen
 
 
 def _tags_per_pair(ctx):

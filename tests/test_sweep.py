@@ -6,9 +6,7 @@ import pytest
 import reference
 from scatlin import quadrinomial, sweep
 from scatlin.linpoly import LinPoly
-from scatlin.quadrinomial import (
-    QuadParams, build_quadrinomial, prior_family_tag, scattered_conditions,
-)
+from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.scattered import fiber_profile, orbit_codes, profile_key
 from scatlin.sweep import (
     classify_sweep,
@@ -40,8 +38,8 @@ def test_condition_pairs_match_predicate(f33, f53):
         mid = ctx.subfield(ctx.t)
         for m in mid[:6]:
             for h in range(1, 40):
-                applies = scattered_conditions(QuadParams(ctx, 1, int(m), h)).applies
-                assert ((int(m), h) in pairs) == applies
+                case = reference.scattered_conditions_branches(QuadParams(ctx, 1, int(m), h))
+                assert ((int(m), h) in pairs) == (case != "none")
 
 
 def test_record_schema_roundtrips(f33):
@@ -123,13 +121,14 @@ def test_condition_pairs_match_the_filtered_grid(f33):
 
 
 def test_conditions_hold_on_every_53_condition_pair(f53):
-    """The class table against `scattered_conditions` on all 7,812 pairs."""
+    """The grid's case codes against the branch rules on all 7,812 pairs."""
     pairs = condition_pairs(f53, 1)
     M, H = np.array(pairs).T
     cases = sweep.pair_grid(f53, 1, M, H, forms=()).case
     assert len(pairs) == 7812
     for (m, h), case in zip(pairs, cases.tolist()):
-        assert scattered_conditions(QuadParams(f53, 1, m, h)).case_tag == sweep.CASES[case] != "none"
+        params = QuadParams(f53, 1, m, h)
+        assert reference.scattered_conditions_branches(params) == sweep.CASES[case] != "none"
 
 
 def test_classify_shard_matches_per_pair_reference_on_seeded_34_rows(f34):
@@ -139,7 +138,7 @@ def test_classify_shard_matches_per_pair_reference_on_seeded_34_rows(f34):
     ms = np.sort(rng.choice(f34.subfield(4), 3, replace=False))
     M, H, grid = sweep._classify_shard((3, 1, 4, s, ms, h_class_reps(f34)))
     for i, (m, h) in enumerate(zip(M.tolist(), H.tolist())):
-        rec = classify_record(QuadParams(f34, s, m, h), with_witness=False)
+        rec = reference.record_pairs(QuadParams(f34, s, m, h), with_witness=False)
         assert rec == {"m": m, "h": h, "norm_h": int(grid.norm_h[i]),
                        "case_tag": sweep.CASES[grid.case[i]],
                        "prior_tag": sweep.PRIORS[grid.prior[i]],
@@ -150,19 +149,22 @@ def test_classify_shard_matches_per_pair_reference_on_seeded_34_rows(f34):
 def test_tags_read_step_s_cases_and_step_1_szz(f33, monkeypatch):
     """The cases use the power sets at step s and SZZ those at step 1.  Both
     coincide at every tower tried, so the step-5 sets are thinned here to
-    tell them apart; the tags must still follow the per-pair rules."""
+    tell them apart; the tags must still follow the branch rules.  A fresh
+    cache keeps the class tables built from the real sets out of reach."""
     real = quadrinomial.trace_zero_power_set
 
     def thinned(ctx, s, sign):
         sets = real(ctx, s, sign)
         return sets if s % ctx.n == 1 else sets[:-1]
 
-    monkeypatch.setattr(quadrinomial, "trace_zero_power_set", thinned)
-    monkeypatch.setattr(sweep, "trace_zero_power_set", thinned)
+    monkeypatch.setattr(quadrinomial, "_POWER_SET_CACHE", {})
+    for module in (quadrinomial, sweep, reference):
+        monkeypatch.setattr(module, "trace_zero_power_set", thinned)
     params = [QuadParams(f33, 5, int(m), h) for m in f33.subfield(3) for h in range(1, f33.size)]
     grid = sweep.pair_grid(f33, 5, [p.m for p in params], [p.h for p in params], forms=())
     tags = list(zip((sweep.CASES[c] for c in grid.case), (sweep.PRIORS[c] for c in grid.prior)))
-    assert tags == [(scattered_conditions(p).case_tag, prior_family_tag(p)) for p in params]
+    assert tags == [(reference.scattered_conditions_branches(p),
+                     reference.prior_family_tag_branches(p)) for p in params]
     assert ("none", "SZZ") not in tags
 
 
