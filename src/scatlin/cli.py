@@ -184,9 +184,15 @@ def cmd_equiv(args) -> int:
 def cmd_intn(args) -> int:
     ctx = _ctx_from_args(args)
     fam = {"psi": "quadrinomial"}.get(args.family, args.family)
+    if fam != "quadrinomial" and (args.m, args.h) != (None, None):
+        raise ValueError(f"--m and --h select a quadrinomial member, not the {fam} family")
+    if fam != "lp" and args.delta is not None:
+        raise ValueError(f"--delta is the lp coefficient, not a parameter of the {fam} family")
     if fam == "quadrinomial":
         m, h = args.m, args.h
-        if m is None or h is None:
+        if (m is None) != (h is None):
+            raise ValueError("--m and --h go together; give both or neither")
+        if m is None:
             m, h = condition_pairs(ctx, args.s)[0]
         f = build_quadrinomial(QuadParams(ctx, args.s, m, h))
     elif fam == "pseudoregulus":

@@ -77,8 +77,10 @@ def verify_gl_witness(f: LinPoly, g: LinPoly, w) -> bool:
 
 
 def invert_witness(ctx: FieldCtx, w):
-    """Matrix inverse scaled to determinant 1 is unnecessary; plain adjugate
-    over the field inverts the witness."""
+    """Inverse of the 2x2 matrix (alpha, beta; gamma, delta): its adjugate
+    divided by its determinant.  A witness carrying the graph of f onto the
+    graph of g (see `verify_gl_witness`) inverts to one carrying the graph
+    of g onto the graph of f."""
     alpha, beta, gamma, delta = w
     det = ctx.sub(ctx.mul(alpha, delta), ctx.mul(beta, gamma))
     dinv = ctx.inv(det)

@@ -81,6 +81,9 @@ def solve_affine(mat: np.ndarray, rhs: np.ndarray, p: int):
 def rank_batched(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a (B, r, c) stack of matrices mod p, vectorized over B.
 
+    No library code calls it: it is the elimination inside the test
+    reference for the codeword ranks of `mrdcodes.RankCode`, and the
+    benchmark's span tracer binds it by name.
     The stack is reduced in int16, a quarter of the memory of int64; every
     intermediate stays within (p-1)^2 in magnitude, which int16 holds for
     p < 182.

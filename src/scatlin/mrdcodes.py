@@ -3,25 +3,29 @@
 For f in the reduced algebra, the code is the top-field span {a*X + b*f}.
 Minimum distance, the maximum-rank-distance test, the two idealizers, the
 stabilizer of the graph subspace {(x, f(x))} and the standard-form detector
-all live here.
+all live here.  Codeword ranks are read off `scattered.fiber_counts`, the
+scatteredness kernel (f is scattered iff the code is MRD).
 
 The stabilizer, the right idealizer and the GL search in `equivalence` never
 enumerate the 2x2 matrix group (size ~ q^(4n)).  They share one linear
 solve: g o (alpha*X + beta*f) = gamma*X + delta*f is F_p-linear in
 (alpha, beta, gamma, delta) jointly, so all its solutions are the nullspace
 of a single (n*deg) x (4*deg) matrix over F_p (`_graph_maps`), and each
-computation filters or projects that solution space.
+computation filters or projects that solution space.  The left idealizer
+is F x {0}, or F x F when f o f lies in the span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 import numpy as np
 
 from . import gflinalg
 from .fieldcore import FieldCtx, BudgetExceededError
 from .linpoly import LinPoly
+from .scattered import fiber_counts
 
 # largest solution space enumerated here (memory grows linearly with it)
 SOLUTION_SPACE_BOUND = 2 ** 20
@@ -42,21 +46,20 @@ class RankCode:
         """Ranks (as F_q-maps) of one representative per projective class.
 
         Classes are (1, b) for every b, plus (0, 1); scaling by a nonzero
-        field element never changes the rank.
+        field element never changes the rank.  X has rank n; the kernel of
+        X + b*f (b != 0) is 0 plus the fiber of f(x)/x = -1/b, and that of f
+        is 0 plus the kernel fiber, so the rank is n - log_q(1 + fiber count).
         """
         ctx = self.ctx
-        bs = ctx.elements()
-        fx = self.f.eval_vec(ctx.PP)
-        # matrices of x -> x + b*f(x) for every b, one basis column at a time;
-        # digit entries keep the stack at one byte per entry
-        mats = np.empty((ctx.size, ctx.deg, ctx.deg), dtype=np.int8)
-        for j in range(ctx.deg):
-            mats[:, :, j] = ctx.DIGITS[ctx.add_vec(ctx.scale_vec(int(fx[j]), bs), ctx.PP[j])]
-        ranks = gflinalg.rank_batched(mats, ctx.p)
-        ranks = np.append(ranks, gflinalg.rank(self.f.matrix(), ctx.p))
-        if (ranks % ctx.e).any():
-            raise RuntimeError("a codeword's F_p-rank is not a multiple of e")
-        return ranks // ctx.e
+        counts = fiber_counts(self.f)
+        logs = ctx.LOG[ctx.nonzero_elements()]
+        slots = np.append((ctx.LOG[ctx.neg_one] - logs) % ctx.order, ctx.order)
+        sizes = counts[slots] + 1
+        powers = ctx.q ** np.arange(ctx.n + 1, dtype=np.int64)
+        dims = np.searchsorted(powers, sizes)
+        if not np.array_equal(powers[np.minimum(dims, ctx.n)], sizes):
+            raise RuntimeError("a fiber count is not q^k - 1")
+        return np.concatenate([[ctx.n], ctx.n - dims])
 
     def min_distance(self) -> int:
         """Minimum rank over the nonzero codewords (one per projective class)."""
@@ -126,11 +129,13 @@ def _solutions(mat: np.ndarray, p: int) -> np.ndarray:
     """Every vector of the nullspace of mat, one per row; refuses spaces
     above SOLUTION_SPACE_BOUND vectors."""
     basis = gflinalg.nullspace(mat, p)
-    if p ** basis.shape[1] > SOLUTION_SPACE_BOUND:
-        raise BudgetExceededError(
-            f"{p}^{basis.shape[1]} solutions, above the bound {SOLUTION_SPACE_BOUND}"
-        )
+    _refuse_above_bound(p, basis.shape[1])
     return gflinalg.span_vectors(basis, p)
+
+
+def _refuse_above_bound(p: int, dim: int) -> None:
+    if p ** dim > SOLUTION_SPACE_BOUND:
+        raise BudgetExceededError(f"{p}^{dim} solutions, above the bound {SOLUTION_SPACE_BOUND}")
 
 
 def _invertible(ctx: FieldCtx, maps: np.ndarray) -> np.ndarray:
@@ -154,30 +159,21 @@ def right_idealizer(code: RankCode):
 
 
 def left_idealizer(code: RankCode):
-    """All g = a*X + b*f with g o f back in the span, as (a, b) pairs.
+    """All g = a*X + b*f with g o f back in the span, as sorted (a, b) pairs.
 
-    Left composition by a*X + b*f is plainly linear in (a, b), so one
-    F_q-linear solve settles it.
+    g o f = a*f + b*(f o f) and a*f is a codeword, so the answer is F x {0},
+    or F x F when (f o f)_k = b'*f_k for one b' in every q-view slot k >= 1.
+    Each pair fixes the a', b' of g o f = a'*X + b'*f, so the pair count is
+    a solution-space size, refused above SOLUTION_SPACE_BOUND.
     """
     ctx = code.ctx
-    f = code.f
-    ff = f.compose(f)
-    # slot equations: a*f_k + b*(f o f)_k = a'*[k=0] + b'*f_k
-    rows = []
-    d = ctx.deg
-    for k in range(ctx.n):
-        blocks = [
-            ctx.mult_matrix(int(f.coeffs[k])),
-            ctx.mult_matrix(int(ff.coeffs[k])),
-            -np.eye(d, dtype=np.int64) if k == 0 else np.zeros((d, d), dtype=np.int64),
-            -ctx.mult_matrix(int(f.coeffs[k])),
-        ]
-        rows.append(np.hstack(blocks))
-    sols = _solutions(np.vstack(rows) % ctx.p, ctx.p)
-    a = ctx.from_digits_vec(sols[:, :d])
-    b = ctx.from_digits_vec(sols[:, d: 2 * d])
-    pairs = sorted(set(zip(a.tolist(), b.tolist())))
-    return pairs
+    fq, ffq = code.f.q_view(), code.f.compose(code.f).q_view()
+    k = 1 + int(np.flatnonzero(fq[1:])[0])
+    ratio = ctx.mul(int(ffq[k]), ctx.inv(int(fq[k])))
+    closed = np.array_equal(ffq[1:], ctx.scale_vec(ratio, fq[1:]))
+    _refuse_above_bound(ctx.p, 2 * ctx.deg if closed else ctx.deg)
+    elements = ctx.elements().tolist()
+    return list(product(elements, elements if closed else [0]))
 
 
 # ---------------------------------------------------------------------------

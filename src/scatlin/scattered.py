@@ -1,7 +1,8 @@
 """Scatteredness oracles and linear-set statistics on the projective line.
 
 The primary oracle is `fiber_profile`: one count of the values of f(x)/x
-over the punctured field gives both the size of the linear set and the
+over the punctured field (`fiber_counts`, which also gives the codeword
+ranks in `mrdcodes`) gives both the size of the linear set and the
 scatteredness verdict (no value taken on more than one F_q-line).
 `profile_key` names the class of f under the scalings f -> mu*f(lambda*X),
 which all share one profile; `profile_keys` is the same reduction on rows
@@ -22,19 +23,25 @@ from .linpoly import LinPoly
 ROOTS_ORACLE_BOUND_DEFAULT = 3 ** 10
 
 
-def fiber_profile(f: LinPoly) -> tuple:
-    """(linear set size, scattered) from one count of the values of f(x)/x.
+def fiber_counts(f: LinPoly) -> np.ndarray:
+    """How many x != 0 give each value c of f(x)/x, indexed by log(c).
 
-    Each value c is one point of the linear set; kernel elements get the
-    value ctx.order.  The fiber of c, with 0 added, is the kernel of f - c*X
-    (of f for ctx.order), an F_q-subspace, so every count is q^k - 1; f is
-    scattered iff the largest is q - 1, i.e. every fiber is one F_q-line.
+    Kernel elements get the slot ctx.order.  The fiber of c, with 0 added,
+    is the kernel of f - c*X (of f for ctx.order), an F_q-subspace, so every
+    count is q^k - 1.
     """
     ctx = f.ctx
     vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
     ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - ctx.LOG[1:]) % ctx.order)
-    counts = np.bincount(ratio, minlength=ctx.order + 1)
-    return int(np.count_nonzero(counts)), bool(counts.max() == ctx.q - 1)
+    return np.bincount(ratio, minlength=ctx.order + 1)
+
+
+def fiber_profile(f: LinPoly) -> tuple:
+    """(linear set size, scattered): each value of f(x)/x is one point of the
+    linear set, and f is scattered iff every fiber is one F_q-line, i.e.
+    the largest count is q - 1."""
+    counts = fiber_counts(f)
+    return int(np.count_nonzero(counts)), bool(counts.max() == f.ctx.q - 1)
 
 
 def profile_key(f: LinPoly) -> tuple:

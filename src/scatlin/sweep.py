@@ -148,8 +148,11 @@ def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: b
     """Full grid sweep; returns (records, summary).
 
     Records are emitted in canonical (m index, h index) order regardless of
-    worker count.  Each worker builds the grid of its own m slice.
+    worker count.  Each worker builds the grid of its own m slice; workers
+    below 1 are refused.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.time()
     ms = ctx.subfield(ctx.t)
     hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()

@@ -26,6 +26,10 @@ coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
 and `gl_search`.  `left_idealizer_grid` tests every pair for the left
 idealizer.  Both cost q^(2n) and are meant for the (3,3) tower.
 
+`codeword_ranks_elimination` row-reduces the F_p-matrix of X + b*f for every
+b, and of f, with `gflinalg.rank_batched`; it is the reference for
+`RankCode.codeword_ranks`, which reads the ranks off the fiber counts.
+
 `closure_all_pairs` adds and multiplies every pair of a set of 2x2
 matrices; it is the reference for `StabilizerSet.closure_flags`.
 
@@ -38,6 +42,7 @@ from itertools import product
 
 import numpy as np
 
+from scatlin import gflinalg
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, nonscattered_witness,
@@ -403,3 +408,20 @@ def left_idealizer_grid(code):
             ok &= ratio == rk
     aa, bb = np.nonzero(ok)
     return sorted(set(zip(aa.tolist(), bb.tolist())))
+
+
+def codeword_ranks_elimination(code):
+    """F_q-ranks of X + b*f for every b, then of f, by Gaussian elimination."""
+    ctx = code.ctx
+    bs = ctx.elements()
+    fx = code.f.eval_vec(ctx.PP)
+    # matrices of x -> x + b*f(x) for every b, one basis column at a time;
+    # digit entries keep the stack at one byte per entry
+    mats = np.empty((ctx.size, ctx.deg, ctx.deg), dtype=np.int8)
+    for j in range(ctx.deg):
+        mats[:, :, j] = ctx.DIGITS[ctx.add_vec(ctx.scale_vec(int(fx[j]), bs), ctx.PP[j])]
+    ranks = gflinalg.rank_batched(mats, ctx.p)
+    ranks = np.append(ranks, gflinalg.rank(code.f.matrix(), ctx.p))
+    if (ranks % ctx.e).any():
+        raise RuntimeError("a codeword's F_p-rank is not a multiple of e")
+    return ranks // ctx.e

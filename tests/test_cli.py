@@ -82,6 +82,31 @@ def test_out_of_range_delta_is_refused():
             main(["intn", "--q", "3", "--t", "3", "--family", "lp", "--delta", delta])
 
 
+@pytest.mark.parametrize("family, extra, match", [
+    ("quadrinomial", ["--m", "1"], "go together"),
+    ("psi", ["--h", "1"], "go together"),
+    ("pseudoregulus", ["--m", "1", "--h", "1"], "quadrinomial member"),
+    ("lp", ["--h", "1"], "quadrinomial member"),
+    ("pseudoregulus", ["--delta", "5"], "lp coefficient"),
+    ("quadrinomial", ["--delta", "5"], "lp coefficient"),
+])
+def test_intn_refuses_flags_its_family_ignores(family, extra, match):
+    with pytest.raises(ValueError, match=match):
+        main(["intn", "--q", "3", "--t", "3", "--family", family, *extra])
+
+
+def test_classify_refuses_workers_below_one(tmp_path):
+    argv = ["classify", "--q", "3", "--t", "3", "--h-dedup", "--no-witness",
+            "--out", str(tmp_path / "x.jsonl")]
+    for workers in ("0", "-1"):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            main(argv + ["--workers", workers])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 0}))
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        main(["--config", str(cfg)] + argv)
+
+
 def test_workers_is_a_classify_flag():
     with pytest.raises(SystemExit):
         main(["witness", "--q", "3", "--t", "3", "--m", "1", "--h", "1", "--workers", "7"])

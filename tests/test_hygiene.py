@@ -1,12 +1,15 @@
 """Source hygiene of the library: no runtime invariant rests on `assert`,
-which `python -O` strips; invariants raise RuntimeError instead."""
+which `python -O` strips; invariants raise RuntimeError instead.  Every
+library name the benchmark in perfbench/ binds still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "scatlin").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "scatlin").glob("*.py"))
 
 
 def _offences(tree):
@@ -33,3 +36,27 @@ def test_the_check_sees_both_forms():
     tree = ast.parse("assert x\nraise AssertionError('y')\nraise AssertionError\n"
                      "raise RuntimeError('z')\n")
     assert [line for line, _ in _offences(tree)] == [1, 2, 3]
+
+
+def _benchmark_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.LAYERS
+
+
+# names the benchmark's workloads clear between runs
+BENCHMARK_CACHES = (
+    ("quadrinomial", "_POWER_SET_CACHE.clear"),
+    ("sweep", "_FIBER_CACHE.clear"),
+    ("fieldcore", "make_field.cache_clear"),
+)
+
+
+@pytest.mark.parametrize("module, path",
+                         [(m, a) for _, m, a in _benchmark_layers()] + list(BENCHMARK_CACHES))
+def test_benchmark_bindings_resolve(module, path):
+    owner = importlib.import_module(f"scatlin.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

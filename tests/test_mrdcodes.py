@@ -18,7 +18,8 @@ from scatlin.mrdcodes import (
 from scatlin.sweep import condition_pairs
 
 from reference import (
-    canonical_witness, closure_all_pairs, graph_maps_grid, invertible, left_idealizer_grid,
+    canonical_witness, closure_all_pairs, codeword_ranks_elimination, graph_maps_grid,
+    invertible, left_idealizer_grid,
 )
 
 
@@ -80,6 +81,26 @@ def test_mrd_iff_scattered_on_random_quadrinomials(f33):
         code = RankCode(f)
         assert code.is_mrd() == is_scattered_fiber(f)
         assert (code.min_distance() == 5) == code.is_mrd()
+        # the ranks come from the fiber counts, so elimination is the independent opinion
+        assert code.min_distance() == int(codeword_ranks_elimination(code).min())
+
+
+def test_codeword_ranks_match_elimination_at_larger_towers(f33, f34, f53):
+    """Seeded members at (3,4) and (5,3), X^(q^t) (f o f = X) and
+    polynomials with a nontrivial kernel: X^(q^t) - X and X^q - X."""
+    rng = np.random.default_rng(9)
+    for ctx in (f33, f34, f53):
+        fs = [LinPoly.monomial(ctx, 1, ctx.t)]
+        fs += [LinPoly.from_terms(ctx, 1, {k: 1, 0: ctx.neg_one}) for k in (1, ctx.t)]
+        if ctx is not f33:
+            mids = ctx.subfield(ctx.t)
+            fs += [build_quadrinomial(QuadParams(ctx, s, int(mids[rng.integers(0, mids.size)]),
+                                                 int(rng.integers(1, ctx.size))))
+                   for s in (1, ctx.n - 1) for _ in range(2)]
+            fs += [condition_member(ctx, k=k) for k in (0, 1)]
+        for f in fs:
+            code = RankCode(f)
+            assert np.array_equal(code.codeword_ranks(), codeword_ranks_elimination(code))
 
 
 # -- idealizers -----------------------------------------------------------------
@@ -287,6 +308,13 @@ _members = st.sampled_from(condition_pairs(F33, 1)).map(
     lambda mh: build_quadrinomial(QuadParams(F33, 1, *mh)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_polys, _members))
+def test_codeword_ranks_match_elimination(f):
+    code = RankCode(f)
+    assert np.array_equal(code.codeword_ranks(), codeword_ranks_elimination(code))
+
+
 @st.composite
 def _graph_pairs(draw):
     """(f, g): f random or a family member; g = f, random, or a GL image of f."""
@@ -364,6 +392,13 @@ def test_standard_form_triangle(f33, f34):
 
 
 def test_left_idealizer_grid_matches_linear(f33):
-    for f in (LinPoly.monomial(f33, 1, 1), condition_member(f33)):
+    # X^(q^t) o X^(q^t) = X, so its left idealizer is all of F x F
+    fs = (LinPoly.monomial(f33, 1, 1), condition_member(f33), LinPoly.monomial(f33, 1, f33.t),
+          lp_binomial(f33))
+    sizes = []
+    for f in fs:
         code = RankCode(f)
-        assert left_idealizer_grid(code) == left_idealizer(code)
+        pairs = left_idealizer(code)
+        assert left_idealizer_grid(code) == pairs
+        sizes.append(len(pairs))
+    assert sizes == [729, 729, 729 ** 2, 729]

@@ -69,6 +69,12 @@ def test_classify_sweep_parallel_merge_is_canonical(f33):
     assert seq == par
 
 
+def test_classify_sweep_refuses_workers_below_one(f33):
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            classify_sweep(f33, 1, h_dedup=True, with_witness=False, workers=workers)
+
+
 def test_sufficiency_sweep_all_steps(f33):
     for s in (1, 5, 7, 11):
         rep = sufficiency_sweep(f33, s)
