@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import sys
+import time
 from math import gcd
 
 from .fieldcore import _factorize, make_field
@@ -54,15 +55,20 @@ def _emit_lines(header, records, summary, out_path):
             fh.write(json.dumps(obj) + "\n")
 
 
-def _report_cost(s, elapsed, stats):
-    """Wall time and kernel calls per polynomial on stderr, not in the report."""
-    print(f"s={s}: {elapsed}s, {stats['profiles']}/{stats['polynomials']} profiles",
-          file=sys.stderr)
+def _timed_sweep(sweep, ctx, s, **kwargs):
+    """Run one sweep; its wall time and kernel calls per polynomial go to
+    stderr, not into the report."""
+    stats = {}
+    t0 = time.perf_counter()
+    out = sweep(ctx, s, stats=stats, **kwargs)
+    print(f"s={s}: {round(time.perf_counter() - t0, 3)}s, "
+          f"{stats['profiles']}/{stats['polynomials']} profiles", file=sys.stderr)
+    return out
 
 
 def _add_budget_arg(sp):
-    sp.add_argument("--budget", type=int, default=None,
-                    help="largest admissible field size (default 5^6, or the --config preset)")
+    sp.add_argument("--budget", type=int, default=5 ** 6,
+                    help="largest admissible field size (default 5^6)")
 
 
 def cmd_classify(args) -> int:
@@ -73,13 +79,8 @@ def cmd_classify(args) -> int:
         return 2
     bad = 0
     for s in svals:
-        stats = {}
-        records, summary = classify_sweep(
-            ctx, s, h_dedup=args.h_dedup, with_witness=not args.no_witness,
-            workers=args.workers, stats=stats,
-        )
-        # wall-clock noise would break byte-identical reports
-        _report_cost(s, summary.pop("elapsed_s"), stats)
+        records, summary = _timed_sweep(classify_sweep, ctx, s, h_dedup=args.h_dedup,
+                                        with_witness=not args.no_witness)
         header = {
             "schema_version": SCHEMA_VERSION,
             "kind": "classify",
@@ -112,9 +113,7 @@ def cmd_conjecture(args) -> int:
     if ctx.size > args.budget:
         print(f"refused: field size {ctx.size} above budget {args.budget}", file=sys.stderr)
         return 2
-    stats = {}
-    rep = conjecture_scan(ctx, args.s, h_dedup=not args.no_h_dedup, stats=stats)
-    _report_cost(args.s, rep.pop("elapsed_s"), stats)
+    rep = _timed_sweep(conjecture_scan, ctx, args.s, h_dedup=not args.no_h_dedup)
     rep["kind"] = "conjecture"
     _emit(rep, args.out)
     return 0  # mismatches are data, not assertion failures
@@ -188,6 +187,7 @@ def cmd_intn(args) -> int:
         raise ValueError(f"--m and --h select a quadrinomial member, not the {fam} family")
     if fam != "lp" and args.delta is not None:
         raise ValueError(f"--delta is the lp coefficient, not a parameter of the {fam} family")
+    member = {}
     if fam == "quadrinomial":
         m, h = args.m, args.h
         if (m is None) != (h is None):
@@ -195,6 +195,7 @@ def cmd_intn(args) -> int:
         if m is None:
             m, h = condition_pairs(ctx, args.s)[0]
         f = build_quadrinomial(QuadParams(ctx, args.s, m, h))
+        member = {"m": m, "h": h}
     elif fam == "pseudoregulus":
         f = LinPoly.monomial(ctx, args.s, 1)
     elif fam == "lp":
@@ -205,7 +206,7 @@ def cmd_intn(args) -> int:
     gamma = polynomial_vertex(ctx, args.s, f)
     val = intersection_number(gamma)
     rep = {"schema_version": SCHEMA_VERSION, "kind": "intn", "q": ctx.q, "t": ctx.t,
-           "s": args.s, "family": fam, "vertex_dim": gamma.dim,
+           "s": args.s, "family": fam, **member, "vertex_dim": gamma.dim,
            "intersection_number": val}
     _emit(rep, args.out)
     return 0
@@ -248,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scatlin",
         description="Scattered linearized polynomial verification suites",
     )
-    ap.add_argument("--config", type=str, default=None,
-                    help="JSON file with preset budget/workers")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("classify", help="full (m, h) sweep with oracle verdicts")
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one h per base-field-scalar orbit")
     sp.add_argument("--no-witness", action="store_true")
     sp.add_argument("--csv", type=str, default=None, help="also write a CSV projection")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="processes to shard the sweep across (default 1)")
     _add_budget_arg(sp)
     sp.set_defaults(func=cmd_classify)
 
@@ -319,17 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    presets = {}
-    if args.config:
-        with open(args.config) as fh:
-            presets = json.load(fh)
-    # flags override config presets, which override the built-in defaults
-    if args.command == "classify" and args.workers is None:
-        args.workers = presets.get("workers", 1)
-    if args.command in ("classify", "conjecture") and args.budget is None:
-        args.budget = presets.get("budget", 5 ** 6)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -155,8 +155,8 @@ def _factorize(n: int):
 class FieldCtx:
     """Immutable tower context with precomputed tables.
 
-    Pure value object: safe to share across worker processes (each process
-    rebuilds its own copy through make_field's cache).
+    Pure value object: make_field's cache builds one per (p, e, t), and
+    every caller in the process shares it.
     """
 
     def __init__(self, p: int, e: int, t: int):

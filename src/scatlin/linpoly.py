@@ -161,13 +161,6 @@ class LinPoly:
         cols = [self.eval(int(ctx.PP[j])) for j in range(ctx.deg)]
         return ctx.DIGITS[cols].T.copy()
 
-    def rank(self) -> int:
-        """Rank as an F_q-linear map (F_p-rank divided by e)."""
-        r = gflinalg.rank(self.matrix(), self.ctx.p)
-        if r % self.ctx.e:
-            raise RuntimeError(f"F_p-rank {r} of an F_q-linear map is not a multiple of e")
-        return r // self.ctx.e
-
     def kernel_basis(self):
         """An F_p-basis of the kernel, as a list of element indices."""
         ns = gflinalg.nullspace(self.matrix(), self.ctx.p)

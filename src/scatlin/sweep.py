@@ -12,19 +12,19 @@ The classification sweep reports every disagreement between "conditions
 apply" and "scattered" as a datum (a scattered pair outside the conditions
 would refute the only-if direction of the expected characterization).  A
 sweep given a `stats` dict writes its kernel calls (`profiles`) and
-polynomials (`polynomials`) there, outside its report.  Polynomials depend
+polynomials (`polynomials`) there, outside its report.  Reports read no
+clock, so a repeated call returns the same report; callers time a sweep
+themselves.  Every sweep builds one grid in one process.  Polynomials depend
 on h only through two power ratios, so h and lambda*h give one member for
 every base-field scalar lambda; the sweeps can deduplicate h by these orbits.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
 from collections import namedtuple
 import numpy as np
 
-from .fieldcore import make_field, FieldCtx
+from .fieldcore import FieldCtx
 from .quadrinomial import (CASES, PRIORS, QuadParams, build_quadrinomial, condition_rows,
                            condition_tags, family_slots, nonscattered_witness, prior_family_tag,
                            scattered_conditions, trace_zero_power_set, witness_range)
@@ -137,35 +137,13 @@ def _head(ctx: FieldCtx, s: int, stats, grid: Grid) -> dict:
     return {"schema_version": SCHEMA_VERSION, "p": ctx.p, "e": ctx.e, "t": ctx.t, "s": s}
 
 
-def _classify_shard(args):
-    p, e, t, s, ms, hs = args
-    M, H = _product(ms, hs)
-    return M, H, pair_grid(make_field(p, e, t), s, M, H)
-
-
 def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: bool = True,
-                   workers: int = 1, stats: dict | None = None) -> tuple:
-    """Full grid sweep; returns (records, summary).
-
-    Records are emitted in canonical (m index, h index) order regardless of
-    worker count.  Each worker builds the grid of its own m slice; workers
-    below 1 are refused.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    t0 = time.time()
-    ms = ctx.subfield(ctx.t)
+                   stats: dict | None = None) -> tuple:
+    """Full grid sweep; returns (records, summary), records in canonical
+    (m index, h index) order."""
     hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
-    # contiguous m slices concatenate in canonical order
-    shards = [(ctx.p, ctx.e, ctx.t, s, part, hs) for part in np.array_split(ms, workers)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_classify_shard, shards))
-    else:
-        chunks = [_classify_shard(shards[0])]
-    M, H = (np.concatenate([c[k] for c in chunks]) for k in (0, 1))
-    grid = Grid(*(np.concatenate([c[2][k] for c in chunks], axis=-1) for k in range(5)),
-                sum(c[2].calls for c in chunks))
+    M, H = _product(ctx.subfield(ctx.t), hs)
+    grid = pair_grid(ctx, s, M, H)
     scattered = grid.scattered[0]
     records = [
         {"m": m, "h": h, "norm_h": nh, "case_tag": CASES[c], "prior_tag": PRIORS[pr],
@@ -189,7 +167,6 @@ def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: b
         "prior_counts": _counts(PRIORS, grid.prior),
         "violations_applies_not_scattered": _pairs_where(M, H, applies & ~scattered),
         "conjecture_data_scattered_not_applies": _pairs_where(M, H, ~applies & scattered),
-        "elapsed_s": round(time.time() - t0, 3),
     }
 
 
@@ -213,7 +190,6 @@ def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 
     roots oracle on a seeded sample, cross-checked against a fresh fiber
     count.  Returns counts and any violations.
     """
-    t0 = time.time()
     pairs = condition_pairs(ctx, s)
     M, H = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     grid = pair_grid(ctx, s, M, H)
@@ -231,14 +207,12 @@ def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 
         "roots_oracle_checked": len(members),
         "roots_oracle_disagreements": [mh for mh, f in members
                                        if is_scattered_fiber(f) != is_scattered_roots(f)],
-        "elapsed_s": round(time.time() - t0, 3),
     }
 
 
 def bad_power_set_sweep(ctx: FieldCtx, s: int, stats: dict | None = None) -> dict:
     """Every m in the minus power set with h in the witness range must fail
     scatteredness, with a verified constructive witness where one exists."""
-    t0 = time.time()
     mid = ctx.subfield(ctx.t)
     M, H = _product(trace_zero_power_set(ctx, s, -1), mid[witness_range(ctx, mid)])
     grid = pair_grid(ctx, s, M, H)
@@ -248,13 +222,11 @@ def bad_power_set_sweep(ctx: FieldCtx, s: int, stats: dict | None = None) -> dic
             failures.append((m, h, "scattered"))
         elif nonscattered_witness(QuadParams(ctx, s, m, h)) is None:
             failures.append((m, h, "no witness"))
-    _head(ctx, s, stats, grid)
     return {
-        "schema_version": SCHEMA_VERSION,
+        **_head(ctx, s, stats, grid),
         "pairs_checked": int(M.size),
         "witnesses_verified": int(M.size) - len(failures),
         "failures": failures,
-        "elapsed_s": round(time.time() - t0, 3),
     }
 
 
@@ -266,7 +238,6 @@ def conjecture_scan(ctx: FieldCtx, s: int, h_dedup: bool = True,
     the scan reports mismatch lists for each form so either reading of the
     expected characterization can be examined from the same artifact.
     """
-    t0 = time.time()
     hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
     M, H = _product(ctx.subfield(ctx.t), hs)
     grid = pair_grid(ctx, s, M, H, forms=(False, True))
@@ -287,5 +258,4 @@ def conjecture_scan(ctx: FieldCtx, s: int, h_dedup: bool = True,
         # nonzero-m splits isolate the family proper
         "nonzero_m_mismatches_main": sum(1 for r in main if r[0] != 0),
         "nonzero_m_mismatches_swapped": sum(1 for r in swapped if r[0] != 0),
-        "elapsed_s": round(time.time() - t0, 3),
     }

@@ -16,8 +16,8 @@ witness range h in F_{q^t}, h^4 = 1.  `classify_sweep_pairs`,
 `conjecture_scan_pairs`, `sufficiency_sweep_pairs` and
 `bad_power_set_sweep_pairs` walk the (m, h) grid pair by pair with these;
 they are the references for the sweeps of `scatlin.sweep`, whose reports
-they reproduce without `elapsed_s`.  `condition_pairs_grid` filters the
-whole grid with `scattered_conditions_branches`; it is the reference for
+they reproduce key for key.  `condition_pairs_grid` filters the whole grid
+with `scattered_conditions_branches`; it is the reference for
 `sweep.condition_pairs`.
 
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
@@ -264,7 +264,7 @@ def bad_power_set_sweep_pairs(ctx, s):
                 failures.append((m, h, "no witness"))
             else:
                 witnesses += 1
-    return {"schema_version": SCHEMA_VERSION,
+    return {**_head(ctx, s),
             "pairs_checked": len(hs) * trace_zero_power_set(ctx, s, -1).size,
             "witnesses_verified": witnesses, "failures": failures}
 

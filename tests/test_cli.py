@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from scatlin.cli import build_parser, main
+from scatlin.cli import main
 from scatlin.sweep import condition_pairs
 from scatlin.fieldcore import make_field
 
@@ -39,11 +39,23 @@ def test_classify_writes_jsonl_and_csv(tmp_path):
 
 
 def test_classify_budget_refusal(tmp_path, capsys):
-    rc = main(
-        ["classify", "--q", "3", "--t", "3", "--s", "1", "--budget", "10",
-         "--out", str(tmp_path / "x.jsonl")]
-    )
-    assert rc == 2
+    for command, out in (("classify", "x.jsonl"), ("conjecture", "c.json")):
+        rc = main([command, "--q", "3", "--t", "3", "--s", "1", "--budget", "10",
+                   "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert not (tmp_path / out).exists()
+
+
+def test_removed_options_are_refused(tmp_path):
+    """The sweeps run in one process and take no preset file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 10}))
+    argv = ["classify", "--q", "3", "--t", "3", "--h-dedup", "--no-witness",
+            "--out", str(tmp_path / "x.jsonl")]
+    for bad in (argv + ["--workers", "2"], ["--config", str(cfg)] + argv):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
 
 
 def test_props_command(tmp_path, capsys):
@@ -93,25 +105,6 @@ def test_out_of_range_delta_is_refused():
 def test_intn_refuses_flags_its_family_ignores(family, extra, match):
     with pytest.raises(ValueError, match=match):
         main(["intn", "--q", "3", "--t", "3", "--family", family, *extra])
-
-
-def test_classify_refuses_workers_below_one(tmp_path):
-    argv = ["classify", "--q", "3", "--t", "3", "--h-dedup", "--no-witness",
-            "--out", str(tmp_path / "x.jsonl")]
-    for workers in ("0", "-1"):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            main(argv + ["--workers", workers])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"workers": 0}))
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        main(["--config", str(cfg)] + argv)
-
-
-def test_workers_is_a_classify_flag():
-    with pytest.raises(SystemExit):
-        main(["witness", "--q", "3", "--t", "3", "--m", "1", "--h", "1", "--workers", "7"])
-    args = build_parser().parse_args(["classify", "--q", "3", "--t", "3", "--workers", "2"])
-    assert args.workers == 2
 
 
 def test_idealizer_command(tmp_path):
@@ -169,6 +162,14 @@ def test_intn_command_families(tmp_path):
         if fam != "psi":
             assert rep["intersection_number"] == expect
         assert rep["vertex_dim"] == 3
+        # the report names the member it measured only for the quadrinomial family
+        assert ("m" in rep, "h" in rep) == (fam == "psi",) * 2
+    ctx = make_field(3, 1, 3)
+    assert (rep["m"], rep["h"]) == condition_pairs(ctx, 1)[0]
+    m, h = condition_pairs(ctx, 1)[-1]
+    assert main(["intn", "--q", "3", "--t", "3", "--s", "1", "--family", "quadrinomial",
+                 "--m", str(m), "--h", str(h), "--out", str(out)]) == 0
+    assert (read_json(out)["m"], read_json(out)["h"]) == (m, h)
 
 
 def test_witness_command(tmp_path):
@@ -205,30 +206,6 @@ def test_conjecture_command(tmp_path):
     rep = read_json(out)
     assert rep["nonzero_m_mismatches_main"] == 0
     assert rep["nonzero_m_mismatches_swapped"] > 0
-
-
-def test_config_file_presets(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"budget": 10}))
-    rc = main(
-        ["--config", str(cfg), "classify", "--q", "3", "--t", "3", "--s", "1",
-         "--out", str(tmp_path / "x.jsonl")]
-    )
-    assert rc == 2  # preset budget forces the refusal
-    rc = main(["--config", str(cfg), "conjecture", "--q", "3", "--t", "3", "--s", "1",
-               "--out", str(tmp_path / "c.json")])
-    assert rc == 2
-    # the other subcommands take no budget, so the preset leaves them alone
-    rc = main(["--config", str(cfg), "witness", "--q", "3", "--t", "3", "--s", "1",
-               "--m", "0", "--h", "1", "--out", str(tmp_path / "w.json")])
-    assert rc == 0
-    # explicit flag overrides the preset
-    rc = main(
-        ["--config", str(cfg), "classify", "--q", "3", "--t", "3", "--s", "1",
-         "--h-dedup", "--no-witness", "--budget", "1000",
-         "--out", str(tmp_path / "y.jsonl")]
-    )
-    assert rc == 0
 
 
 def test_bad_q_rejected():

@@ -1,5 +1,6 @@
 """Source hygiene of the library: no runtime invariant rests on `assert`,
-which `python -O` strips; invariants raise RuntimeError instead.  Every
+which `python -O` strips; invariants raise RuntimeError instead.  Only the
+CLI imports `time`, so no library report can carry a wall clock.  Every
 library name the benchmark in perfbench/ binds still exists."""
 
 import ast
@@ -36,6 +37,28 @@ def test_the_check_sees_both_forms():
     tree = ast.parse("assert x\nraise AssertionError('y')\nraise AssertionError\n"
                      "raise RuntimeError('z')\n")
     assert [line for line, _ in _offences(tree)] == [1, 2, 3]
+
+
+def _time_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "time" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "time" and not node.level:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_no_clock_in_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{line}: imports time" for line in _time_imports(tree)] == []
+
+
+def test_the_clock_check_sees_every_form():
+    tree = ast.parse("import time\nimport os, time as t\nfrom time import perf_counter\n"
+                     "import timeit\nfrom .time import x\n")
+    assert list(_time_imports(tree)) == [1, 2, 3]
 
 
 def _benchmark_layers():
