@@ -22,17 +22,15 @@ from .linpoly import LinPoly
 from .quadrinomial import (
     QuadParams,
     build_quadrinomial,
+    in_minus_power_set,
     nonscattered_witness,
     run_property_suite,
-    trace_zero_power_set,
 )
 from .scattered import is_scattered_fiber
 from .mrdcodes import RankCode, right_idealizer, left_idealizer, stabilizer
 from .equivalence import pair_report
 from .projgeom import polynomial_vertex, intersection_number
 from .sweep import SCHEMA_VERSION, classify_sweep, condition_pairs, conjecture_scan
-
-import numpy as np
 
 
 def _ctx_from_args(args):
@@ -222,10 +220,9 @@ def _lp_delta(ctx) -> int:
 def cmd_witness(args) -> int:
     ctx = _ctx_from_args(args)
     params = QuadParams(ctx, args.s, args.m, args.h)
-    minus = trace_zero_power_set(ctx, args.s, -1)
     rep = {"schema_version": SCHEMA_VERSION, "kind": "witness", "q": ctx.q,
            "t": ctx.t, "s": args.s, "m": args.m, "h": args.h,
-           "m_in_minus_power_set": bool(np.isin(args.m, minus))}
+           "m_in_minus_power_set": bool(in_minus_power_set(ctx, args.s, args.m))}
     if not rep["m_in_minus_power_set"]:
         rep["witness"] = None
         _emit(rep, args.out)

@@ -20,9 +20,12 @@ the multiplication matrix a(C) decides the order of a, and the exp table is
 filled in blocks G^(iB) [g^0 ... g^(B-1)] with G = g(C).  The Frobenius
 index maps are gathers from the finished tables, x^q = exp[q*log x].
 
-Zech-free arithmetic: multiplication runs through exp/log tables, addition
-through digit vectors, Frobenius through precomputed index maps.  All bulk
-operations accept numpy arrays of indices.
+Arithmetic stays in the log domain: multiplication runs through the exp/log
+tables, addition through the Zech logarithms ZECH[k] = log(1 + g^k) as
+a + b = a*(1 + b/a), and Frobenius through precomputed index maps.  The
+base-p digit table DIGITS is kept for F_p coordinates: matrices, linear
+solves, relative traces and composition.  All bulk operations accept numpy
+arrays of indices.
 """
 
 from __future__ import annotations
@@ -188,10 +191,14 @@ class FieldCtx:
     def _build_tables(self):
         p, d, size = self.p, self.deg, self.size
         idx = np.arange(size, dtype=np.int64)
+        # int8 F_p coordinates; the digit sums of `compose` and `trace_rel`
+        # (<= 2t terms) stay far below 127.  In the C-order view with one axis
+        # per digit, digit j runs along axis d-1-j.
         digits = np.empty((size, d), dtype=np.int8)
+        grid = digits.reshape((p,) * d + (d,))
         for j in range(d):
-            digits[:, j] = (idx // p ** j) % p
-        self.DIGITS = digits  # int8: digit sums of <= 2t terms stay far below 127
+            grid[..., j] = np.arange(p, dtype=np.int8).reshape((p,) + (1,) * j)
+        self.DIGITS = digits
         self.PP = p ** np.arange(d, dtype=np.int64)
 
         comp = _companion(self.modulus, p)
@@ -218,8 +225,23 @@ class FieldCtx:
         log[exp[: self.order]] = np.arange(self.order, dtype=np.int64)
         self.LOG = log  # LOG[0] is a filler; every user masks zeros
 
-        self.NEG = ((p - digits) % p) @ self.PP
-        self.neg_one = int(self.NEG[1])
+        # -1 = g^(order/2), so -x = g^(log x + order/2)
+        half = self.order // 2
+        neg = exp[half:][log]
+        neg[0] = 0
+        self.NEG = neg
+        self.neg_one = int(neg[1])
+
+        # Zech logarithms ZECH[k] = log(1 + g^k), with the mark -1 at k = order/2
+        # where 1 + g^k = 0.  Adding 1 changes only the lowest base-p digit, a
+        # cyclic shift inside each block of p consecutive indices.  Before the
+        # mark, slot order/2 holds the filler LOG[0] = 0, and k -> log(1 + g^k)
+        # must be a bijection from the other k onto the nonzero logs.
+        zech = np.roll(log.reshape(-1, p), -1, axis=1).ravel()[exp[: self.order]]
+        if zech[half] != 0 or (np.bincount(zech, minlength=self.order) != 1).any():
+            raise FieldConstructionError("Zech logarithms do not cover the nonzero logs once")
+        zech[half] = -1
+        self.ZECH = zech
 
         # q-Frobenius index maps, one per tower step 0..n-1; x^q = g^(q log x)
         qf = exp[log * self.q % self.order]
@@ -235,7 +257,12 @@ class FieldCtx:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return int(((self.DIGITS[a] + self.DIGITS[b]) % self.p) @ self.PP)
+        """a + b = a*(1 + b/a) through one Zech logarithm."""
+        if a == 0 or b == 0:
+            return int(a) + int(b)
+        la = int(self.LOG[a])
+        z = int(self.ZECH[self.LOG[b] - la])
+        return 0 if z < 0 else int(self.EXP[la + z])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, int(self.NEG[b]))
@@ -271,7 +298,13 @@ class FieldCtx:
     # -- vector arithmetic (numpy arrays of indices) --------------------------
 
     def add_vec(self, a, b):
-        return ((self.DIGITS[a] + self.DIGITS[b]) % self.p) @ self.PP
+        """a + b = a*(1 + b/a) elementwise; a cancelled sum hits the mark -1."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        la = self.LOG[a]
+        z = self.ZECH[self.LOG[b] - la]
+        out = np.where(z < 0, 0, self.EXP[la + z])
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def mul_vec(self, a, b):
         a = np.asarray(a)

@@ -90,13 +90,37 @@ class LinPoly:
         return acc
 
     def eval_vec(self, xs) -> np.ndarray:
+        """Values at the flattened xs, summed in the log domain.
+
+        The partial sum acc takes each term lt through one Zech logarithm,
+        acc + log(1 + g^(lt - acc)); a negative difference wraps, because
+        ZECH has period order.  Where a partial sum cancelled (the mark -1),
+        the next term replaces it.  Every term vanishes exactly at x = 0.
+        """
         ctx = self.ctx
-        xs = np.asarray(xs)
-        acc = np.zeros((xs.size, ctx.deg), dtype=np.int16)
+        xs = np.asarray(xs).ravel()
+        acc = zero = None
         for i in self.support():
-            term = ctx.scale_vec(int(self.coeffs[i]), ctx.frob_vec(xs, self.s * i))
-            acc += ctx.DIGITS[term]
-        return (acc % ctx.p).astype(np.int64) @ ctx.PP
+            lt = ctx.LOG[ctx.scale_vec(int(self.coeffs[i]), ctx.frob_vec(xs, self.s * i))]
+            if acc is None:
+                acc = lt
+                continue
+            z = ctx.ZECH[lt - acc]
+            acc += z
+            acc %= ctx.order
+            if zero is not None:
+                acc[zero] = lt[zero]
+                z[zero] = 0
+            zero = z < 0
+            if not zero.any():
+                zero = None
+        if acc is None:
+            return np.zeros(xs.size, dtype=np.int64)
+        out = ctx.EXP[acc]
+        if zero is not None:
+            out[zero] = 0
+        out[xs == 0] = 0
+        return out
 
     def eval_field(self) -> np.ndarray:
         """Values on every element, indexed by element index."""

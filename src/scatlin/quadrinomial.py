@@ -168,6 +168,12 @@ def _m_bits(ctx: FieldCtx, s: int, M):
     return table[M]
 
 
+def in_minus_power_set(ctx: FieldCtx, s: int, M):
+    """Mask of m (a scalar or an index array in F_{q^t}) in the minus power
+    set {w^(q^s - 1) : w in ker Tr}, read off the class bits of m."""
+    return (_m_bits(ctx, s, M) & _MINUS) != 0
+
+
 def _h_bits(ctx: FieldCtx, H):
     """(class bits, norm onto F_{q^t}) of nonzero h, a scalar or an index array."""
     logs = ctx.LOG[H]
@@ -496,7 +502,7 @@ def nonscattered_witness(params: QuadParams):
     t, n, q = ctx.t, ctx.n, ctx.q
     if not witness_range(ctx, h):
         raise ValueError("witness requires h in the middle field with h^4 = 1")
-    if not _m_bits(ctx, s, m) & _MINUS:
+    if not in_minus_power_set(ctx, s, m):
         return None
     f = build_quadrinomial(params)
 

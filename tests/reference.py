@@ -2,7 +2,8 @@
 
 `fiber_profile_sorted` keys every f(x)/x with the F_q-line of x and compares
 distinct keys with distinct values by sorting; it is the reference for
-`scattered.fiber_profile`, which counts the values instead.
+`scattered.fiber_profile`, which counts the values instead.  It evaluates f
+with `eval_vec_digits`, so it shares no addition with the library kernel.
 
 `scaling_class` normalizes f under every nonzero lambda and picks the
 smallest result; it is the reference for `scattered.profile_key`.
@@ -36,6 +37,10 @@ matrices; it is the reference for `StabilizerSet.closure_flags`.
 `is_irreducible_trial` divides by every monic polynomial of degree at most
 d/2; it is the reference for the companion-matrix test
 `fieldcore._is_irreducible`.
+
+`add_vec_digits` and `eval_vec_digits` add base-p digit vectors and reduce
+mod p; they are the references for `FieldCtx.add_vec`, `FieldCtx.add` and
+`LinPoly.eval_vec`, which add through Zech logarithms.
 """
 
 from itertools import product
@@ -57,7 +62,7 @@ GRID_BOUND = 3 ** 12
 def fiber_profile_sorted(f):
     """(linear set size, scattered): every value of f(x)/x on one F_q-line."""
     ctx = f.ctx
-    vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
+    vals = eval_vec_digits(f, ctx.elements())[1:]   # f(x), x = 1 .. size-1
     xs = np.arange(1, ctx.size, dtype=np.int64)
     logs_x = ctx.LOG[xs]
     # ratio f(x)/x in log form; kernel elements get the sentinel ctx.order
@@ -425,3 +430,19 @@ def codeword_ranks_elimination(code):
     if (ranks % ctx.e).any():
         raise RuntimeError("a codeword's F_p-rank is not a multiple of e")
     return ranks // ctx.e
+
+
+def add_vec_digits(ctx, a, b):
+    """a + b elementwise: digit vectors added mod p."""
+    return ((ctx.DIGITS[a] + ctx.DIGITS[b]) % ctx.p) @ ctx.PP
+
+
+def eval_vec_digits(f, xs):
+    """f at the flattened xs: the terms' digit vectors summed, then reduced mod p."""
+    ctx = f.ctx
+    xs = np.asarray(xs).ravel()
+    acc = np.zeros((xs.size, ctx.deg), dtype=np.int16)
+    for i in f.support():
+        term = ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, f.s * i))
+        acc += ctx.DIGITS[term]
+    return (acc % ctx.p).astype(np.int64) @ ctx.PP

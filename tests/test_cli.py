@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -197,6 +198,25 @@ def test_witness_command(tmp_path):
     )
     assert rc == 0
     assert read_json(out)["witness"] is None
+
+
+# SHA-256 of the `witness` reports (exit code, then file bytes) for every m in
+# F_{q^t}, both steps and both h of the witness range at (3,3), recorded
+# before the minus-set membership was read from the condition calculus
+WITNESS_33_DIGEST = "0db692797d84a1a154a77cb18c5f7dcf5c8841c440749b369f627faf1a99e0a0"
+
+
+def test_witness_reports_are_pinned_for_every_m(tmp_path):
+    ctx = make_field(3, 1, 3)
+    out = tmp_path / "wit.json"
+    digest = hashlib.sha256()
+    for s in (1, 5):
+        for h in (1, ctx.neg_one):
+            for m in ctx.subfield(ctx.t).tolist():
+                rc = main(["witness", "--q", "3", "--t", "3", "--s", str(s), "--m", str(m),
+                           "--h", str(h), "--out", str(out)])
+                digest.update(bytes([rc]) + out.read_bytes())
+    assert digest.hexdigest() == WITNESS_33_DIGEST
 
 
 def test_conjecture_command(tmp_path):

@@ -14,7 +14,7 @@ from scatlin.fieldcore import (
     smallest_irreducible,
     _is_irreducible,
 )
-from reference import is_irreducible_trial
+from reference import add_vec_digits, is_irreducible_trial
 
 # (modulus, generator) of every admitted tower (p, e, t), field size <= 2^24
 ADMITTED_TOWERS = {
@@ -120,6 +120,8 @@ def test_exp_table_fault_check(monkeypatch):
 def test_tables_are_pinned(p, e, t):
     ctx = make_field(p, e, t)
     assert ctx.DIGITS.dtype == np.int8
+    assert ((ctx.DIGITS >= 0) & (ctx.DIGITS < p)).all()
+    assert np.array_equal(ctx.DIGITS @ ctx.PP, ctx.elements())
     digest = hashlib.sha256()
     for name in ("EXP", "LOG", "NEG", "FROB"):
         table = getattr(ctx, name)
@@ -296,6 +298,39 @@ def test_vector_ops_match_scalar(f33):
         assert add[i] == f33.add(int(a[i]), int(b[i]))
         assert mul[i] == f33.mul(int(a[i]), int(b[i]))
     assert (f33.pow_vec(a, 5) == [f33.pow(int(x), 5) for x in a]).all()
+
+
+@pytest.mark.parametrize("p,e,t", [(3, 1, 3), (3, 1, 4), (5, 1, 3), (3, 1, 5)])
+def test_zech_table_is_a_bijection_onto_nonzero_logs(p, e, t):
+    ctx = make_field(p, e, t)
+    zech, half = ctx.ZECH, ctx.order // 2
+    assert zech.dtype == np.int64 and zech.shape == (ctx.order,)
+    assert zech[half] == -1
+    rest = np.delete(zech, half)
+    assert np.array_equal(np.sort(rest), np.arange(1, ctx.order))
+    ones = add_vec_digits(ctx, 1, ctx.EXP[: ctx.order])
+    assert ones[half] == 0
+    assert np.array_equal(rest, np.delete(ctx.LOG[ones], half))
+
+
+_elements = st.integers(0, 3 ** 8 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.lists(st.tuples(_elements, _elements),
+       max_size=40), st.integers(0, 3))
+def test_add_matches_digit_reference(tower, pairs, how):
+    ctx = make_field(*tower)
+    a = np.array([x % ctx.size for x, _ in pairs], dtype=np.int64)
+    b = np.array([y % ctx.size for _, y in pairs], dtype=np.int64)
+    # cancelling pairs, zero operands, and operands in F_p
+    b = (b, ctx.NEG[a], np.zeros_like(a), b % ctx.p)[how]
+    want = add_vec_digits(ctx, a, b)
+    got = ctx.add_vec(a, b)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert [ctx.add(int(x), int(y)) for x, y in zip(a, b)] == want.tolist()
+    if a.size:
+        assert ctx.add_vec(a[0], b).tolist() == add_vec_digits(ctx, a[0], b).tolist()
 
 
 @settings(max_examples=120, deadline=None)

@@ -1,10 +1,15 @@
 import json
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import eval_vec_digits, fiber_profile_sorted
+from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
-from scatlin.scattered import fiber_counts
+from scatlin.quadrinomial import QuadParams, build_quadrinomial
+from scatlin.scattered import fiber_counts, fiber_profile, is_scattered_roots
 
 
 def rand_poly(ctx, rng, s=1, terms=4):
@@ -178,3 +183,70 @@ def test_scale_and_negate(f33, f34):
                 twisted = [ctx.pow(c, ctx.p) for c in twisted]
             assert g.frobenius_twist(j).coeffs.tolist() == twisted
         assert g.frobenius_twist(ctx.e * ctx.n + 1) == g.frobenius_twist(1)
+
+
+def _xs_shapes(ctx, rng):
+    """Inputs of every shape eval_vec takes: the whole field, a sample with
+    zeros, nothing, a scalar and a 2-D block."""
+    sample = rng.integers(0, ctx.size, 60)
+    sample[::7] = 0
+    return [ctx.elements(), sample, np.zeros(0, dtype=np.int64), int(sample[1]),
+            sample.reshape(6, 10)]
+
+
+def _assert_eval_matches_digits(f, rng):
+    for xs in _xs_shapes(f.ctx, rng):
+        got = f.eval_vec(xs)
+        assert got.dtype == np.int64 and got.shape == (np.asarray(xs).size,)
+        assert np.array_equal(got, eval_vec_digits(f, xs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["field", "base", "zero"]), st.integers(0, 8))
+def test_eval_vec_matches_digit_reference(tower, seed, kind, terms):
+    """Random coefficients, coefficients in F_p (their partial sums cancel
+    often) and the zero polynomial, on every shape of input."""
+    ctx = make_field(*tower)
+    rng = np.random.default_rng(seed)
+    steps = [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]
+    terms = 0 if kind == "zero" else min(terms, ctx.n)
+    slots = rng.choice(ctx.n, size=terms, replace=False)
+    high = ctx.size if kind == "field" else ctx.p
+    c = {int(i): int(rng.integers(1, high)) for i in slots}
+    f = LinPoly.from_terms(ctx, int(rng.choice(steps)), c)
+    _assert_eval_matches_digits(f, rng)
+
+
+@pytest.mark.parametrize("p,e,t", [(5, 1, 3), (7, 1, 3), (3, 2, 3)])
+def test_eval_vec_matches_digit_reference_on_larger_towers(p, e, t):
+    ctx = make_field(p, e, t)
+    rng = np.random.default_rng(11)
+    polys = [rand_poly(ctx, rng, s=ctx.n - 1, terms=ctx.n),
+             LinPoly.from_terms(ctx, 1, {i: int(rng.integers(1, p)) for i in range(ctx.n)})]
+    mid = ctx.subfield(ctx.t)
+    h = int(rng.integers(1, ctx.size))
+    polys.append(build_quadrinomial(QuadParams(ctx, 1, int(mid[5]), h)))
+    for f in polys:
+        _assert_eval_matches_digits(f, rng)
+
+
+@pytest.mark.parametrize("tower,members", [
+    ((3, 1, 3), [(0, 1), (4, 2), (1, 11), (11, 326)]),
+    ((3, 1, 4), [(7, 2), (37, 1)]),
+])
+def test_fiber_verdict_has_three_agreeing_opinions(tower, members):
+    """The fiber kernel on the Zech path, the sorted fiber profile on the
+    digit-sum values and the roots oracle, on scattered and non-scattered
+    members (m given by its rank in the middle field)."""
+    ctx = make_field(*tower)
+    mid = ctx.subfield(ctx.t)
+    verdicts = set()
+    for mi, h in members:
+        f = build_quadrinomial(QuadParams(ctx, 1, int(mid[mi]), h))
+        assert np.array_equal(f.eval_field(), eval_vec_digits(f, ctx.elements()))
+        size, scattered = fiber_profile(f)
+        assert fiber_profile_sorted(f) == (size, scattered)
+        assert is_scattered_roots(f) == scattered
+        verdicts.add(scattered)
+    assert verdicts == {False, True}

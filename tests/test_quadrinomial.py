@@ -24,6 +24,7 @@ from scatlin.quadrinomial import (
     multiplier_equivalences,
     ratio_in_trace_kernel,
     h_power_report,
+    in_minus_power_set,
     nonscattered_witness,
     run_property_suite,
     admissible_h,
@@ -453,6 +454,16 @@ def test_witness_for_minus_power_set(f33):
                 x, y = w["x"], w["y"]
                 assert f33.mul(f.eval(x), y) == f33.mul(f.eval(y), x)
                 assert not f33.in_subfield(f33.div(x, y), 1)
+
+
+@pytest.mark.parametrize("fixture", ["f33", "f34", "f53"])
+def test_minus_set_reader_matches_the_power_set(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    mid = ctx.subfield(ctx.t)
+    for s in (s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1):
+        want = np.isin(mid, trace_zero_power_set(ctx, s, -1))
+        assert np.array_equal(in_minus_power_set(ctx, s, mid), want)
+        assert [bool(in_minus_power_set(ctx, s, int(m))) for m in mid[:5]] == want[:5].tolist()
 
 
 def test_witness_none_outside_minus_set(f33):
