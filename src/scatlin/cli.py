@@ -20,6 +20,8 @@ from math import gcd
 from .fieldcore import _factorize, make_field
 from .linpoly import LinPoly
 from .quadrinomial import (
+    CASES,
+    PRIORS,
     QuadParams,
     build_quadrinomial,
     in_minus_power_set,
@@ -33,12 +35,26 @@ from .projgeom import polynomial_vertex, intersection_number
 from .sweep import SCHEMA_VERSION, classify_sweep, condition_pairs, conjecture_scan
 
 
-def _ctx_from_args(args):
-    factors = _factorize(args.q)
+def _prime_power(q):
+    factors = _factorize(q)
     if len(factors) != 1:
-        raise ValueError(f"q={args.q} is not a prime power")
+        raise ValueError(f"q={q} is not a prime power")
     (p, e), = factors.items()
-    return make_field(p, e, args.t)
+    return p, e
+
+
+def _ctx_from_args(args):
+    return make_field(*_prime_power(args.q), args.t)
+
+
+def _over_budget(args) -> bool:
+    """Refuse a tower of more than `--budget` elements before building it."""
+    _prime_power(args.q)
+    size = args.q ** (2 * args.t)
+    if size > args.budget:
+        print(f"refused: field size {size} above budget {args.budget}", file=sys.stderr)
+        return True
+    return False
 
 
 def _emit(obj, out_path):
@@ -46,11 +62,51 @@ def _emit(obj, out_path):
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
+_RECORD_LINE = ('{"m": %d, "h": %d, "norm_h": %d, "case_tag": %s, "prior_tag": %s, '
+                '"scattered": %s, "linear_set_size": %d%s}\n').__mod__
+_CASE_JSON = [json.dumps(name) for name in CASES].__getitem__
+_PRIOR_JSON = [json.dumps(name) for name in PRIORS].__getitem__
+_VERDICT_JSON = ("false", "true").__getitem__
+
+
+def _record_lines(records):
+    """The JSON line of every row of a `sweep.Records`, in row order.
+
+    Each line is `json.dumps` of the record dict (same keys, order and
+    separators) filled into one template: the tag names are encoded once,
+    the verdict is the literal true/false, and only witnesses go through
+    `json.dumps`.  Without witnesses the "witness" key is left out.
+    """
+    if records.witness is None:
+        tail, default = {}, ""
+    else:
+        tail = {i: ', "witness": ' + json.dumps(w) for i, w in records.witness.items()}
+        default = ', "witness": null'
+    m, h, norm, case, prior, scattered, size = (col.tolist() for col in records[:7])
+    tails = map(tail.get, range(len(m)), itertools.repeat(default))
+    return map(_RECORD_LINE, zip(m, h, norm, map(_CASE_JSON, case), map(_PRIOR_JSON, prior),
+                                 map(_VERDICT_JSON, scattered), size, tails))
+
+
 def _emit_lines(header, records, summary, out_path):
-    """JSON lines, written one at a time: the artifact is never joined in memory."""
+    """JSON lines: the header, one line per row of the columnar `records`
+    (`_record_lines`), the summary.  Lines are written one at a time, so the
+    artifact is never joined in memory."""
     with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        for obj in itertools.chain([header], records, [summary]):
-            fh.write(json.dumps(obj) + "\n")
+        fh.write(json.dumps(header) + "\n")
+        fh.writelines(_record_lines(records))
+        fh.write(json.dumps(summary) + "\n")
+
+
+def _emit_csv(records, path):
+    """The CSV projection of the columnar records, without witnesses."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(["m", "h", "norm_h", "case_tag", "prior_tag", "scattered",
+                     "linear_set_size"])
+        m, h, norm, case, prior, scattered, size = (col.tolist() for col in records[:7])
+        wr.writerows(zip(m, h, norm, map(CASES.__getitem__, case),
+                         map(PRIORS.__getitem__, prior), scattered, size))
 
 
 def _timed_sweep(sweep, ctx, s, **kwargs):
@@ -70,11 +126,10 @@ def _add_budget_arg(sp):
 
 
 def cmd_classify(args) -> int:
+    if _over_budget(args):
+        return 2
     ctx = _ctx_from_args(args)
     svals = [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1] if args.all_s else [args.s]
-    if ctx.size > args.budget:
-        print(f"refused: field size {ctx.size} above budget {args.budget}", file=sys.stderr)
-        return 2
     bad = 0
     for s in svals:
         records, summary = _timed_sweep(classify_sweep, ctx, s, h_dedup=args.h_dedup,
@@ -92,25 +147,15 @@ def cmd_classify(args) -> int:
             out = f"{out}.s{s}"
         _emit_lines(header, records, summary, out)
         if args.csv:
-            path = args.csv if len(svals) == 1 else f"{args.csv}.s{s}"
-            with open(path, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(
-                    ["m", "h", "norm_h", "case_tag", "prior_tag", "scattered",
-                     "linear_set_size"]
-                )
-                for r in records:
-                    wr.writerow([r["m"], r["h"], r["norm_h"], r["case_tag"],
-                                 r["prior_tag"], r["scattered"], r["linear_set_size"]])
+            _emit_csv(records, args.csv if len(svals) == 1 else f"{args.csv}.s{s}")
         bad += len(summary["violations_applies_not_scattered"])
     return 0 if bad == 0 else 1
 
 
 def cmd_conjecture(args) -> int:
-    ctx = _ctx_from_args(args)
-    if ctx.size > args.budget:
-        print(f"refused: field size {ctx.size} above budget {args.budget}", file=sys.stderr)
+    if _over_budget(args):
         return 2
+    ctx = _ctx_from_args(args)
     rep = _timed_sweep(conjecture_scan, ctx, args.s, h_dedup=not args.no_h_dedup)
     rep["kind"] = "conjecture"
     _emit(rep, args.out)

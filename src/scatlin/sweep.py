@@ -6,7 +6,10 @@ pair arrays (M, H).  Tags: the case and prior codes are those of
 `condition_pairs` reads one row of it per class of m.  Profiles: the profile is
 shared by every scaling mu*f(lambda*X) and p-power twist of f, so
 `fiber_profile` runs once per `scattered.orbit_codes` code and support.
-`classify_record` builds the same record for one pair.
+`classify_sweep` returns its records as columns (`Records`): the grid's
+arrays in canonical (m, h) order and a sparse map of witnesses, with no
+per-pair object; `cli._emit_lines` writes the JSON lines from them.
+`classify_record` builds the same record as a dict for one pair.
 
 The classification sweep reports every disagreement between "conditions
 apply" and "scattered" as a datum (a scattered pair outside the conditions
@@ -137,30 +140,38 @@ def _head(ctx: FieldCtx, s: int, stats, grid: Grid) -> dict:
     return {"schema_version": SCHEMA_VERSION, "p": ctx.p, "e": ctx.e, "t": ctx.t, "s": s}
 
 
+# columns of the classification records, one row per pair; `witness` maps
+# a row in the witness range to its witness (rows outside it have none), or
+# is None when no witnesses were asked for
+Records = namedtuple("Records", "m h norm_h case prior scattered linear_set_size witness",
+                     defaults=(None,))
+
+
 def classify_sweep(ctx: FieldCtx, s: int, h_dedup: bool = False, with_witness: bool = True,
                    stats: dict | None = None) -> tuple:
-    """Full grid sweep; returns (records, summary), records in canonical
-    (m index, h index) order."""
+    """Full grid sweep; returns (records, summary).
+
+    `records` is a `Records` of columns in canonical (m index, h index)
+    order: the grid's own arrays, with case and prior as codes into `CASES`
+    and `PRIORS`, and witnesses computed only for the rows in
+    `witness_range`.  No per-pair object is built; `cli._emit_lines` writes
+    the JSON lines from the columns, and the summary reads the same arrays.
+    """
     hs = h_class_reps(ctx) if h_dedup else ctx.nonzero_elements()
     M, H = _product(ctx.subfield(ctx.t), hs)
     grid = pair_grid(ctx, s, M, H)
     scattered = grid.scattered[0]
-    records = [
-        {"m": m, "h": h, "norm_h": nh, "case_tag": CASES[c], "prior_tag": PRIORS[pr],
-         "scattered": sc, "linear_set_size": sz}
-        for m, h, nh, c, pr, sc, sz in zip(M.tolist(), H.tolist(), grid.norm_h.tolist(),
-                                           grid.case.tolist(), grid.prior.tolist(),
-                                           scattered.tolist(), grid.size[0].tolist())
-    ]
+    witness = None
     if with_witness:
-        for rec, in_range in zip(records, witness_range(ctx, H).tolist()):
-            rec["witness"] = (nonscattered_witness(QuadParams(ctx, s, rec["m"], rec["h"]))
-                              if in_range else None)
+        witness = {i: nonscattered_witness(QuadParams(ctx, s, int(M[i]), int(H[i])))
+                   for i in np.flatnonzero(witness_range(ctx, H)).tolist()}
+    records = Records(M, H, grid.norm_h, grid.case, grid.prior, scattered, grid.size[0],
+                      witness)
     applies = grid.case != 0
     return records, {
         **_head(ctx, s, stats, grid),
         "h_dedup": h_dedup,
-        "pairs": len(records),
+        "pairs": int(M.size),
         "scattered": int(scattered.sum()),
         "condition_applies": int(applies.sum()),
         "case_counts": _counts(CASES, grid.case),

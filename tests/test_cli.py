@@ -2,10 +2,14 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from scatlin import cli
 from scatlin.cli import main
-from scatlin.sweep import condition_pairs
+from scatlin.quadrinomial import CASES, PRIORS
+from scatlin.sweep import Records, condition_pairs
 from scatlin.fieldcore import make_field
 
 
@@ -45,6 +49,80 @@ def test_classify_budget_refusal(tmp_path, capsys):
                    "--out", str(tmp_path / out)])
         assert rc == 2
         assert not (tmp_path / out).exists()
+
+
+def test_budget_refusal_builds_no_tower(tmp_path, capsys):
+    """A tower above --budget is refused before it is built: make_field is
+    not called, and the refusal names the size q^(2t)."""
+    before = make_field.cache_info()
+    for command in ("classify", "conjecture"):
+        assert main([command, "--q", "3", "--t", "6", "--out", str(tmp_path / "x")]) == 2
+        assert "field size 531441 above budget 15625" in capsys.readouterr().err
+    assert make_field.cache_info() == before
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ValueError, match="prime power"):
+        main(["classify", "--q", "6", "--t", "6"])
+
+
+# SHA-256 of the `classify --q 3 --t 3` artifacts (JSON lines, CSV projection)
+# per (step, --h-dedup, --no-witness), recorded before the records became
+# columns; the two witness settings write the same CSV
+CLASSIFY_33_DIGESTS = {
+    (1, True, False): ("c543f60ecde9d9be15caee5c73ecd133315aac54752fd015d19faf69077e2a00",
+                       "1e70244dc526c745f1d9737d59c80219eeabae85d7d35cf594facde1c44d36a4"),
+    (1, True, True): ("0a6009bd0f0a223fdc325872fb9f13aa3036ee3f6d399c092006c08c3a173aed",
+                      "1e70244dc526c745f1d9737d59c80219eeabae85d7d35cf594facde1c44d36a4"),
+    (5, True, False): ("fb7a036c9dfa1dc4f2bd4bbba9f54f9d292441917fa49641a507aee7d77da640",
+                       "654268999a654325254c6d9c38815e9c5a124ae40b702eee797a852922a44536"),
+    (5, True, True): ("532cbf0ac7d500eb3008cebbc43dcd77da504663e7fa9089fb1b1eea932b2d2c",
+                      "654268999a654325254c6d9c38815e9c5a124ae40b702eee797a852922a44536"),
+    (1, False, False): ("aa21cb7b2eeb8aed00b49d0d532de72d0ab1a8fdc2e6c8a306230584c993e10c",
+                        "f2df6d4c7e56d8e2481c1604457e8ff2e813cf59792fe1ef162c78962d766934"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CLASSIFY_33_DIGESTS),
+                         ids=lambda k: f"s{k[0]}{'-dedup' * k[1]}{'-nowitness' * k[2]}")
+def test_classify_artifacts_are_pinned(tmp_path, key):
+    s, h_dedup, no_witness = key
+    out, csv_out = tmp_path / "c.jsonl", tmp_path / "c.csv"
+    argv = ["classify", "--q", "3", "--t", "3", "--s", str(s), "--out", str(out),
+            "--csv", str(csv_out)]
+    argv += ["--h-dedup"] * h_dedup + ["--no-witness"] * no_witness
+    assert main(argv) == 0
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (out, csv_out)) == CLASSIFY_33_DIGESTS[key]
+
+
+_indices = st.integers(0, 2 ** 62)
+_witnesses = st.fixed_dictionaries({
+    "x": _indices, "y": _indices, "gamma": st.none() | _indices, "x0": st.none() | _indices,
+    "xi": st.none() | _indices, "kind": st.sampled_from(["kernel", "ratio"])})
+_rows = st.tuples(_indices, _indices, _indices, st.integers(0, len(CASES) - 1),
+                  st.integers(0, len(PRIORS) - 1), st.booleans(), _indices,
+                  st.sampled_from(["outside", "none"]) | _witnesses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_rows, min_size=1, max_size=12), with_witness=st.booleans())
+def test_record_lines_are_json_dumps_of_the_record(rows, with_witness):
+    """The template line of every row is json.dumps of its record dict;
+    "outside" rows are missing from the witness map and "none" rows map to
+    None, and both read null."""
+    m, h, norm, case, prior, scattered, size, wit = zip(*rows)
+    witness = None
+    if with_witness:
+        witness = {i: (None if w == "none" else w) for i, w in enumerate(wit) if w != "outside"}
+    records = Records(*(np.array(col, dtype=np.int64) for col in (m, h, norm, case, prior)),
+                      np.array(scattered, dtype=bool), np.array(size, dtype=np.int64), witness)
+    expected = []
+    for m, h, norm, case, prior, scattered, size, w in rows:
+        rec = {"m": m, "h": h, "norm_h": norm, "case_tag": CASES[case],
+               "prior_tag": PRIORS[prior], "scattered": scattered, "linear_set_size": size}
+        if with_witness:
+            rec["witness"] = w if isinstance(w, dict) else None
+        expected.append(json.dumps(rec) + "\n")
+    assert list(cli._record_lines(records)) == expected
 
 
 def test_removed_options_are_refused(tmp_path):
@@ -189,8 +267,6 @@ def test_witness_command(tmp_path):
     assert rep["m_in_minus_power_set"] and rep["witness"] is not None
     assert rep["scattered"] is False
     # outside the minus power set: no witness expected, still exit 0
-    import numpy as np
-
     outside = int(np.setdiff1d(ctx.subfield(3), minus)[1])
     rc = main(
         ["witness", "--q", "3", "--t", "3", "--s", "1", "--m", str(outside),

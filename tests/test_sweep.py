@@ -5,6 +5,7 @@ import pytest
 
 import reference
 from scatlin import quadrinomial, sweep
+from scatlin.cli import _record_lines
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.scattered import fiber_profile, orbit_codes, profile_key
@@ -42,6 +43,11 @@ def test_condition_pairs_match_predicate(f33, f53):
                 assert ((int(m), h) in pairs) == (case != "none")
 
 
+def _lines(records, summary):
+    """The record and summary lines of a classify artifact."""
+    return [*_record_lines(records), json.dumps(summary) + "\n"]
+
+
 def test_record_schema_roundtrips(f33):
     rec = classify_record(QuadParams(f33, 1, 0, 5))
     again = json.loads(json.dumps(rec))
@@ -60,7 +66,24 @@ def test_classify_sweep_summary(f33):
     assert summary["case_counts"].get("IIa", 0) == 182
     # scattered pairs outside the conditions all sit at m = 0
     assert all(m == 0 for m, _ in summary["conjecture_data_scattered_not_applies"])
-    assert records == sorted(records, key=lambda r: (r["m"], r["h"]))
+    assert records.m.size == summary["pairs"]
+    order = np.lexsort((records.h, records.m))
+    assert (order == np.arange(summary["pairs"])).all()
+
+
+@pytest.mark.parametrize("s", [1, 5])
+def test_classify_record_matches_the_sweep_line(f33, s):
+    """`classify_record` of a pair is the line the sweep writes for it: every
+    row in the witness range and a seeded sample of the others."""
+    records, _ = classify_sweep(f33, s, h_dedup=True)
+    lines = list(_record_lines(records))
+    rng = np.random.default_rng(s)
+    rows = sorted(set(records.witness) | set(rng.choice(len(lines), 60, replace=False).tolist()))
+    # h = 1 is the one h-deduped representative of {h in F_27 : h^4 = 1} = {1, -1}
+    assert len(records.witness) == 27
+    for i in rows:
+        rec = classify_record(QuadParams(f33, s, int(records.m[i]), int(records.h[i])))
+        assert json.dumps(rec) + "\n" == lines[i]
 
 
 def test_sufficiency_sweep_all_steps(f33):
@@ -102,7 +125,9 @@ def test_sweeps_match_per_pair_reference(f33, s):
         reference.sufficiency_sweep_pairs(f33, s, roots_sample=2, seed=s),
         reference.bad_power_set_sweep_pairs(f33, s),
     ]
-    assert [json.dumps(r) for r in fast] == [json.dumps(r) for r in slow]
+    records, summary = slow[0]
+    assert _lines(*fast[0]) == [json.dumps(r) + "\n" for r in records + [summary]]
+    assert [json.dumps(r) for r in fast[1:]] == [json.dumps(r) for r in slow[1:]]
     assert stats == [{"profiles": c, "polynomials": n}
                      for c, n in ((139, 9828), (260, 2 * 9828), (3, 364), (2, 28))]
 
@@ -110,7 +135,7 @@ def test_sweeps_match_per_pair_reference(f33, s):
 def test_sweeps_are_identical_across_calls(f33):
     """No sweep report reads the clock: two calls give the same JSON."""
     calls = [
-        lambda: sweep.classify_sweep(f33, 1, h_dedup=True, with_witness=False),
+        lambda: _lines(*sweep.classify_sweep(f33, 1, h_dedup=True, with_witness=False)),
         lambda: sweep.conjecture_scan(f33, 1),
         lambda: sweep.sufficiency_sweep(f33, 1, roots_sample=2),
         lambda: sweep.bad_power_set_sweep(f33, 1),
@@ -136,20 +161,19 @@ def test_conditions_hold_on_every_53_condition_pair(f53):
 
 
 def test_classify_shard_matches_per_pair_reference_on_seeded_34_rows(f34):
-    """A seeded 3-row m slice of the h-deduped (3,4) grid, built on its own."""
+    """A seeded 3-row m slice of the h-deduped (3,4) grid, built on its own:
+    the lines written from its columns are the reference records."""
     rng = np.random.default_rng(34)
     s = int(rng.choice([1, 3, 5, 7]))
     ms = np.sort(rng.choice(f34.subfield(4), 3, replace=False))
     hs = h_class_reps(f34)
     M, H = np.repeat(ms, hs.size), np.tile(hs, ms.size)
     grid = sweep.pair_grid(f34, s, M, H)
-    for i, (m, h) in enumerate(zip(M.tolist(), H.tolist())):
-        rec = reference.record_pairs(QuadParams(f34, s, m, h), with_witness=False)
-        assert rec == {"m": m, "h": h, "norm_h": int(grid.norm_h[i]),
-                       "case_tag": sweep.CASES[grid.case[i]],
-                       "prior_tag": sweep.PRIORS[grid.prior[i]],
-                       "scattered": bool(grid.scattered[0, i]),
-                       "linear_set_size": int(grid.size[0, i])}
+    records = sweep.Records(M, H, grid.norm_h, grid.case, grid.prior, grid.scattered[0],
+                            grid.size[0])
+    assert list(_record_lines(records)) == [
+        json.dumps(reference.record_pairs(QuadParams(f34, s, m, h), with_witness=False)) + "\n"
+        for m, h in zip(M.tolist(), H.tolist())]
 
 
 def test_tags_read_step_s_cases_and_step_1_szz(f33, monkeypatch):
