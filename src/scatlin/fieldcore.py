@@ -14,11 +14,23 @@ Two conventions make results comparable across runs and machines:
 * the generator is the smallest index that has full multiplicative order.
 
 The construction is d x d linear algebra over F_p with the companion matrix
-C of the modulus (multiplication by x on the power basis, d = e*2t): the
-p-power matrix Q decides irreducibility (Q^d = I and rank(Q - I) = d - 1),
-the multiplication matrix a(C) decides the order of a, and the exp table is
-filled in blocks G^(iB) [g^0 ... g^(B-1)] with G = g(C).  The Frobenius
-index maps are gathers from the finished tables, x^q = exp[q*log x].
+C of the modulus (multiplication by x on the power basis, d = e*2t):
+
+* the modulus search skips every candidate of degree >= 2 with a root in
+  F_p, and the p-power matrix Q decides the rest (irreducible iff Q^d = I
+  and rank(Q - I) = d - 1);
+* the generator search tests a = 2, 3, ... in batches of 4, 8, 16, ...:
+  a has full order iff a(C)^(order/r) != I for every prime r | order, and
+  each batch computes these cofactor powers on one stack of matrices;
+* the exp table is filled in blocks G^(iB) [g^0 ... g^(B-1)] with G = g(C).
+
+The matrices are float64, so that their products run through BLAS, and each
+product is reduced mod p as x - p*floor((x + 0.5)/p).  This is exact because
+every value is an integer far below 2^53: a product-sum is at most d(p-1)^2,
+which is below 2^10 on every tower FieldCtx admits, and a digit vector times
+the place values is below the field size, at most TABLE_SIZE_BOUND = 2^24.
+The Frobenius index maps are gathers from the finished tables,
+x^q = exp[q*log x].
 
 Arithmetic stays in the log domain: multiplication runs through the exp/log
 tables, addition through the Zech logarithms ZECH[k] = log(1 + g^k) as
@@ -54,43 +66,79 @@ class DirectSumError(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # F_p-matrices of the residue algebra F_p[x]/(m) on the power basis 1, x, ...,
-# x^(d-1); a column holds the base-p digits of an element index.
+# x^(d-1); a column holds the base-p digits of an element index.  They are
+# float64 with entries in [0, p-1] (see the module docstring for why that is
+# exact); the searches refuse any (p, d) where d(p-1)^2 reaches 2^50.
 
 
-def _digits(idx: int, p: int, d: int) -> np.ndarray:
-    return np.array([(idx // p ** j) % p for j in range(d)], dtype=np.int64)
+def _digits(idx, p: int, d: int) -> np.ndarray:
+    """Base-p digits of one index or of an array of indices, on the last axis."""
+    return (np.asarray(idx, dtype=np.int64)[..., None] // p ** np.arange(d) % p).astype(float)
 
 
-def _matpow(mat: np.ndarray, k: int, p: int) -> np.ndarray:
-    """mat**k mod p, by square and multiply."""
-    out = np.eye(len(mat), dtype=np.int64)
-    while k:
-        if k & 1:
-            out = out @ mat % p
-        mat = mat @ mat % p
-        k >>= 1
-    return out
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, stacked like np.matmul.
+
+    x - p*floor((x + 0.5)/p) is exact for an integer 0 <= x < 2^50: x + 0.5
+    is exact, and (x + 0.5)/p lies at least 0.5/p away from an integer, while
+    its rounding error stays below 0.13/p.
+    """
+    x = a @ b
+    q = x + 0.5
+    q /= p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _powmod(mat: np.ndarray, exps, p: int) -> np.ndarray:
+    """mat**k mod p for every k in exps, stacked along a new first axis.
+
+    Square and multiply, with the squarings mat^(2^i) shared by all
+    exponents; mat may itself be a stack of square matrices.
+    """
+    squares = [mat]
+    while 1 << len(squares) <= max(exps):
+        squares.append(_mulmod(squares[-1], squares[-1], p))
+    out = []
+    for k in exps:
+        acc = None
+        for i, sq in enumerate(squares):
+            if k >> i & 1:
+                acc = sq if acc is None else _mulmod(acc, sq, p)
+        out.append(np.broadcast_to(np.eye(mat.shape[-1]), mat.shape) if acc is None else acc)
+    return np.stack(out)
 
 
 def _krylov(mat: np.ndarray, v, p: int) -> np.ndarray:
-    """The d columns v, mat v, ..., mat^(d-1) v; a(C) when mat = C and v = a."""
-    cols = [np.asarray(v, dtype=np.int64)]
+    """The d columns v, mat v, ..., mat^(d-1) v; a(C) when mat = C and v = a.
+
+    A stack of vectors (..., d) gives a stack of matrices (..., d, d).
+    """
+    cols = [v]
+    right = mat.T.copy()  # v @ mat.T is mat v for each vector of the stack
     for _ in range(len(mat) - 1):
-        cols.append(mat @ cols[-1] % p)
-    return np.stack(cols, axis=1)
+        cols.append(_mulmod(cols[-1], right, p))
+    return np.stack(cols, axis=-1)
 
 
 def _companion(m, p: int) -> np.ndarray:
     """Companion matrix C of the monic m: multiplication by x."""
     d = len(m) - 1
-    comp = np.eye(d, k=-1, dtype=np.int64)
-    comp[:, -1] = -np.asarray(m[:d], dtype=np.int64) % p
+    comp = np.eye(d, k=-1)
+    comp[:, -1] = -np.asarray(m[:d]) % p
     return comp
 
 
 def _frobenius_matrix(comp: np.ndarray, p: int) -> np.ndarray:
     """The p-power map: column j is x^(jp) = (C^p)^j e_0."""
-    return _krylov(_matpow(comp, p, p), _digits(1, p, len(comp)), p)
+    return _krylov(_powmod(comp, [p], p)[0], _digits(1, p, len(comp)), p)
+
+
+def _check_exact(p: int, d: int):
+    if d * (p - 1) ** 2 >= 2 ** 50:
+        raise FieldConstructionError(f"F_{p}-matrices of size {d} exceed exact float64 range")
 
 
 def _is_irreducible(m, p):
@@ -102,21 +150,35 @@ def _is_irreducible(m, p):
     """
     d = len(m) - 1
     frob = _frobenius_matrix(_companion(m, p), p)
-    eye = np.eye(d, dtype=np.int64)
-    return np.array_equal(_matpow(frob, d, p), eye) and gflinalg.rank(frob - eye, p) == d - 1
+    eye = np.eye(d)
+    return np.array_equal(_powmod(frob, [d], p)[0], eye) and gflinalg.rank(frob - eye, p) == d - 1
+
+
+def _has_root(m, p: int) -> bool:
+    """Some r in F_p has m(r) = 0 (Horner's rule)."""
+    for r in range(p):
+        v = 0
+        for c in reversed(m):
+            v = (v * r + c) % p
+        if v == 0:
+            return True
+    return False
 
 
 def smallest_irreducible(p: int, d: int) -> list:
     """Lexicographically smallest monic irreducible of degree d over F_p.
 
     Candidates are ordered by the tuple (c_0, c_1, ..., c_{d-1}), constant
-    term first; the returned list is little-endian with the leading 1.
+    term first; the returned list is little-endian with the leading 1.  A
+    candidate of degree d >= 2 with a root r in F_p has the factor x - r, so
+    only the root-free ones reach the matrix test.
     """
+    _check_exact(p, d)
     # k encodes (c_0,...,c_{d-1}) with c_0 the most significant digit; below
     # p^(d-1) every candidate has c_0 = 0 and is divisible by x
     for k in range(p ** (d - 1), p ** d):
         m = [(k // p ** (d - 1 - i)) % p for i in range(d)] + [1]
-        if _is_irreducible(m, p):
+        if (d == 1 or not _has_root(m, p)) and _is_irreducible(m, p):
             return m
     raise FieldConstructionError(f"no irreducible of degree {d} over F_{p}")
 
@@ -125,18 +187,47 @@ def smallest_generator(modulus, p: int) -> int:
     """Smallest index of full multiplicative order modulo the irreducible modulus.
 
     The index a generates iff its multiplication matrix A = a(C) has
-    A^(order/r) != I for every prime r dividing the order.
+    A^(order/r) != I for every prime r dividing the order.  Candidates are
+    tested in batches of 4, 8, 16, ... up to 1024 stacked matrices, and the
+    smallest full-order index of the first batch that holds one wins.
     """
     d = len(modulus) - 1
+    _check_exact(p, d)
     order = p ** d - 1
     comp = _companion(modulus, p)
-    eye = np.eye(d, dtype=np.int64)
     cofactors = [order // r for r in _factorize(order)]
-    for cand in range(2, order + 1):
-        mat = _krylov(comp, _digits(cand, p, d), p)
-        if all(not np.array_equal(_matpow(mat, cf, p), eye) for cf in cofactors):
-            return cand
+    start, batch = 2, 4
+    while start <= order:
+        cands = np.arange(start, min(start + batch, order + 1))
+        powers = _powmod(_krylov(comp, _digits(cands, p, d), p), cofactors, p)
+        full = (powers != np.eye(d)).any(axis=(2, 3)).all(axis=0)
+        if full.any():
+            return int(cands[full.argmax()])
+        start += batch
+        batch = min(2 * batch, 1024)
     raise FieldConstructionError("no generator found")
+
+
+def _fill_powers(comp: np.ndarray, a: int, p: int, out: np.ndarray):
+    """out[r] = the index of a^r for r < len(out), modulo the modulus of comp.
+
+    Blocks of B columns: a^r for r < B by doubling, then A^B times the last
+    block, with A = a(C) the multiplication by a.  B is the power of two
+    2^(floor(bits/2) + 2), about four times the square root of len(out):
+    few enough rounds that their fixed costs stay small, while no temporary
+    holds more than d x B entries.
+    """
+    d = len(comp)
+    place = float(p) ** np.arange(d)
+    step = _krylov(comp, _digits(a, p, d), p)
+    block = 1 << (len(out).bit_length() // 2 + 2)
+    cols = _digits(1, p, d)[:, None]
+    while cols.shape[1] < block:
+        cols = np.hstack([cols, _mulmod(step, cols, p)])
+        step = _mulmod(step, step, p)
+    for start in range(0, len(out), block):
+        out[start:start + block] = place @ cols[:, :len(out) - start]
+        cols = _mulmod(step, cols, p)
 
 
 def _factorize(n: int):
@@ -201,22 +292,9 @@ class FieldCtx:
         self.DIGITS = digits
         self.PP = p ** np.arange(d, dtype=np.int64)
 
-        comp = _companion(self.modulus, p)
         self.generator = smallest_generator(self.modulus, p)
-
-        # exp table in blocks of B columns: g^r for r < B by doubling, then
-        # G^(iB) times that block, with G = g(C) the multiplication by g
-        step = _krylov(comp, _digits(self.generator, p, d), p)
-        block = 1 << (self.order.bit_length() // 2)
-        cols = _digits(1, p, d)[:, None]
-        while cols.shape[1] < block:
-            cols = np.hstack([cols, step @ cols % p])
-            step = step @ step % p
         exp = np.empty(2 * self.order, dtype=np.int64)
-        for start in range(0, self.order, block):
-            n = min(block, self.order - start)
-            exp[start:start + n] = self.PP @ cols[:, :n]
-            cols = step @ cols % p
+        _fill_powers(_companion(self.modulus, p), self.generator, p, exp[: self.order])
         if (np.bincount(exp[: self.order], minlength=size)[1:] != 1).any():
             raise FieldConstructionError("generator powers miss a nonzero element")
         exp[self.order:] = exp[: self.order]

@@ -132,14 +132,18 @@ def axis_line(ctx: FieldCtx, s: int) -> ProjSubspace:
 
 
 def meets_subgeometry(space: ProjSubspace) -> bool:
-    """Does the subspace contain a point of the canonical subgeometry?"""
+    """Does the subspace contain a point of the canonical subgeometry?
+
+    Each equation is evaluated only on the x that satisfy the ones before it.
+    """
     ctx, s = space.ctx, space.s
     xs = ctx.nonzero_elements()
-    ok = np.ones(xs.size, dtype=bool)
     for e in space.equations:
         # equation sum_i e_i X_i at the point (x^(q^(s*i)))_i is a q^s-polynomial in x
-        ok &= LinPoly(ctx, s, e).eval_vec(xs) == 0
-    return bool(ok.any())
+        xs = xs[LinPoly(ctx, s, e).eval_vec(xs) == 0]
+        if xs.size == 0:
+            return False
+    return True
 
 
 def intersection_number(gamma: ProjSubspace, check_position: bool = True) -> int:

@@ -41,6 +41,16 @@ d/2; it is the reference for the companion-matrix test
 `add_vec_digits` and `eval_vec_digits` add base-p digit vectors and reduce
 mod p; they are the references for `FieldCtx.add_vec`, `FieldCtx.add` and
 `LinPoly.eval_vec`, which add through Zech logarithms.
+
+`fill_powers_int64` fills the powers of one element in blocks of int64
+matrix products reduced with `%`, and `smallest_generator_loop` tests one
+candidate at a time with int64 matrix powers; they are the references for
+`fieldcore._fill_powers` and `fieldcore.smallest_generator`, which multiply
+float64 stacks through BLAS.
+
+`meets_subgeometry_all_points` evaluates every equation on every nonzero x;
+it is the reference for `projgeom.meets_subgeometry`, which evaluates each
+equation only on the x that satisfy the ones before it.
 """
 
 from itertools import product
@@ -48,6 +58,7 @@ from itertools import product
 import numpy as np
 
 from scatlin import gflinalg
+from scatlin.fieldcore import _factorize
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, nonscattered_witness,
@@ -446,3 +457,71 @@ def eval_vec_digits(f, xs):
         term = ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, f.s * i))
         acc += ctx.DIGITS[term]
     return (acc % ctx.p).astype(np.int64) @ ctx.PP
+
+
+def _digits_int64(idx, p, d):
+    return np.array([(idx // p ** j) % p for j in range(d)], dtype=np.int64)
+
+
+def _matpow_int64(mat, k, p):
+    out = np.eye(len(mat), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ mat % p
+        mat = mat @ mat % p
+        k >>= 1
+    return out
+
+
+def _mult_matrix_int64(modulus, p, a):
+    """a(C) with C the companion matrix of the monic modulus: column j is a x^j."""
+    d = len(modulus) - 1
+    comp = np.eye(d, k=-1, dtype=np.int64)
+    comp[:, -1] = -np.asarray(modulus[:d], dtype=np.int64) % p
+    cols = [_digits_int64(a, p, d)]
+    for _ in range(d - 1):
+        cols.append(comp @ cols[-1] % p)
+    return np.stack(cols, axis=1)
+
+
+def fill_powers_int64(modulus, p, a, count):
+    """Indices of a^0, ..., a^(count-1) modulo the modulus, in blocks of
+    int64 products: a^r for r < B by doubling, then A^B times the last block."""
+    d = len(modulus) - 1
+    pp = p ** np.arange(d, dtype=np.int64)
+    step = _mult_matrix_int64(modulus, p, a)
+    block = 1 << (count.bit_length() // 2)
+    cols = _digits_int64(1, p, d)[:, None]
+    while cols.shape[1] < block:
+        cols = np.hstack([cols, step @ cols % p])
+        step = step @ step % p
+    out = np.empty(count, dtype=np.int64)
+    for start in range(0, count, block):
+        n = min(block, count - start)
+        out[start:start + n] = pp @ cols[:, :n]
+        cols = step @ cols % p
+    return out
+
+
+def smallest_generator_loop(modulus, p):
+    """The smallest index a with a(C)^(order/r) != I for every prime r | order,
+    candidates one at a time."""
+    d = len(modulus) - 1
+    order = p ** d - 1
+    eye = np.eye(d, dtype=np.int64)
+    cofactors = [order // r for r in _factorize(order)]
+    for cand in range(2, order + 1):
+        mat = _mult_matrix_int64(modulus, p, cand)
+        if all(not np.array_equal(_matpow_int64(mat, cf, p), eye) for cf in cofactors):
+            return cand
+    return None
+
+
+def meets_subgeometry_all_points(space):
+    """Some nonzero x satisfies every equation at the point (x^(q^(s*i)))_i."""
+    ctx = space.ctx
+    xs = ctx.nonzero_elements()
+    ok = np.ones(xs.size, dtype=bool)
+    for e in space.equations:
+        ok &= LinPoly(ctx, space.s, e).eval_vec(xs) == 0
+    return bool(ok.any())

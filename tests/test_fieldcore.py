@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scatlin import fieldcore
 from scatlin.fieldcore import (
@@ -12,9 +12,14 @@ from scatlin.fieldcore import (
     make_field,
     smallest_generator,
     smallest_irreducible,
+    _companion,
+    _fill_powers,
+    _has_root,
     _is_irreducible,
 )
-from reference import add_vec_digits, is_irreducible_trial
+from reference import (
+    add_vec_digits, fill_powers_int64, is_irreducible_trial, smallest_generator_loop,
+)
 
 # (modulus, generator) of every admitted tower (p, e, t), field size <= 2^24
 ADMITTED_TOWERS = {
@@ -41,6 +46,21 @@ TABLE_DIGESTS = {
     (5, 1, 3): "8039ad762718b41ba653ad4a9d0a2e29691ff87815d91faffba15957d685f56f",
     (3, 1, 5): "897355acbbc3573d73a32ac1ebe2f9c30d2580804247a9f63abe77f27b2f6b9e",
 }
+
+# SHA-256 of EXP, LOG, NEG, ZECH, FROB and DIGITS (in that order), recorded
+# with the int64 construction before the float64 one replaced it
+BUILD_DIGESTS = {
+    (3, 1, 3): "3208b3c415e69306c7996cd93e147eb1470b440b77e19581b00eda49ab39ca89",
+    (3, 1, 4): "b45d89fe505af44ec42d9a76d4654a4bac5e3ae514bc39c3d276a3683cd2077b",
+    (5, 1, 3): "072f4414d316cac987ab04963391037eed3867f2b69ed6c9ebf6340e36f38cb2",
+    (3, 1, 5): "01189e5780b57dda3ce09a1ec42bc9380e53f2fd04ff05d3cbdbabbd1489d4f6",
+    (7, 1, 3): "f5adf4637ad653f108e122248615d0d918687d00fcf4c5414565b03aca2e9bfc",
+    (5, 1, 4): "8f6bb4e951245171de2e3d007a08e708d5b1bb50436da945e5c0e99c2890a801",
+}
+
+_polys = st.sampled_from([3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=8))
+)
 
 
 def test_construction_examples(f33, f53):
@@ -102,6 +122,51 @@ def test_linear_polynomials_are_irreducible(p):
     assert all(_is_irreducible([c, 1], p) for c in range(p))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_polys)
+def test_root_filter_keeps_every_irreducible(case):
+    p, low = case
+    m = low + [1]
+    assume(len(m) >= 3)  # every linear polynomial is irreducible and has a root
+    roots = [r for r in range(p) if sum(c * r ** i for i, c in enumerate(m)) % p == 0]
+    assert _has_root(m, p) == bool(roots)
+    if is_irreducible_trial(m, p):
+        assert not _has_root(m, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys)
+def test_generator_search_matches_one_at_a_time_loop(case):
+    p, low = case
+    m = low + [1]
+    assume(len(m) <= 7 and is_irreducible_trial(m, p))
+    assert smallest_generator(m, p) == smallest_generator_loop(m, p)
+
+
+_FILL_TOWERS = [tw for tw in sorted(ADMITTED_TOWERS) if tw[0] ** (2 * tw[1] * tw[2]) <= 3 ** 10]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FILL_TOWERS), st.data())
+def test_power_fill_matches_int64_reference(tower, data):
+    p, e, t = tower
+    modulus = ADMITTED_TOWERS[tower][0]
+    order = p ** (2 * e * t) - 1
+    a = data.draw(st.integers(1, order), label="a")
+    count = data.draw(st.just(order) | st.integers(1, order), label="count")
+    out = np.empty(count, dtype=np.int64)
+    _fill_powers(_companion(modulus, p), a, p, out)
+    assert np.array_equal(out, fill_powers_int64(modulus, p, a, count))
+
+
+def test_searches_refuse_inexact_float_range():
+    big = 2 ** 25 + 1  # (big - 1)^2 = 2^50
+    with pytest.raises(FieldConstructionError, match="exact"):
+        smallest_irreducible(big, 2)
+    with pytest.raises(FieldConstructionError, match="exact"):
+        smallest_generator([1, 1], big)
+
+
 @pytest.mark.parametrize("p,e,t", sorted(ADMITTED_TOWERS))
 def test_admitted_tower_is_pinned(p, e, t):
     modulus, generator = ADMITTED_TOWERS[p, e, t]
@@ -128,6 +193,15 @@ def test_tables_are_pinned(p, e, t):
         assert table.dtype == np.int64
         digest.update(table.tobytes())
     assert digest.hexdigest() == TABLE_DIGESTS[p, e, t]
+
+
+@pytest.mark.parametrize("p,e,t", sorted(BUILD_DIGESTS))
+def test_every_table_is_pinned(p, e, t):
+    ctx = FieldCtx(p, e, t)  # uncached: the (5,4) tables hold 44 MB
+    digest = hashlib.sha256()
+    for name in ("EXP", "LOG", "NEG", "ZECH", "FROB", "DIGITS"):
+        digest.update(getattr(ctx, name).tobytes())
+    assert digest.hexdigest() == BUILD_DIGESTS[p, e, t]
 
 
 def test_construction_is_deterministic():

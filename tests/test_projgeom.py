@@ -1,6 +1,11 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference import meets_subgeometry_all_points
+from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.projgeom import (
@@ -133,3 +138,26 @@ def test_row_echelon_rank(f33):
     rows[2][0] = 2  # dependent on the first row
     _, r = field_row_echelon(f33, rows)
     assert r == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.integers(1, 3), st.booleans(), st.data())
+def test_meets_subgeometry_matches_all_points_reference(tower, k, through_point, data):
+    ctx = make_field(*tower)
+    s = data.draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    elements = st.integers(0, ctx.size - 1)
+    rows = np.array(data.draw(st.lists(st.lists(elements, min_size=ctx.n, max_size=ctx.n),
+                                       min_size=k, max_size=k)), dtype=np.int64)
+    if through_point:
+        # move the first coefficient of every row so that the row vanishes at
+        # the subgeometry point of x
+        pt = subgeometry_point(ctx, s, data.draw(st.integers(1, ctx.size - 1)))
+        for e in rows:
+            dot = 0
+            for term in ctx.mul_vec(e, pt):
+                dot = ctx.add(dot, int(term))
+            e[0] = ctx.sub(int(e[0]), ctx.div(dot, int(pt[0])))
+    space = ProjSubspace(ctx, s, rows)
+    want = meets_subgeometry_all_points(space)
+    assert meets_subgeometry(space) == want
+    assert want or not through_point
