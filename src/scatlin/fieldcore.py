@@ -34,7 +34,9 @@ x^q = exp[q*log x].
 
 Arithmetic stays in the log domain: multiplication runs through the exp/log
 tables, addition through the Zech logarithms ZECH[k] = log(1 + g^k) as
-a + b = a*(1 + b/a), and Frobenius through precomputed index maps.  The
+a + b = a*(1 + b/a), and Frobenius through precomputed index maps.  Arrays
+of logs are reduced mod order by `reduce_logs`, a conditional subtraction
+where their range is known to lie below 2*order.  The
 base-p digit table DIGITS is kept for F_p coordinates: matrices, linear
 solves, relative traces and composition.  All bulk operations accept numpy
 arrays of indices.
@@ -402,6 +404,15 @@ class FieldCtx:
     def pow_vec(self, a, k: int):
         a = np.asarray(a)
         return np.where(a == 0, 0, self.EXP[(self.LOG[a] * (k % self.order)) % self.order])
+
+    def reduce_logs(self, x: np.ndarray) -> None:
+        """x mod order in place, for an int64 array x with entries in [0, 2*order).
+
+        Read as unsigned, x - order wraps above x exactly where x < order, so
+        the smaller of the two is the residue; no division is made.  A
+        negative entry stays negative.
+        """
+        np.minimum(x.view(np.uint64), (x - self.order).view(np.uint64), out=x.view(np.uint64))
 
     # -- tower structure -----------------------------------------------------
 

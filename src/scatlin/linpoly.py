@@ -84,6 +84,8 @@ class LinPoly:
 
     def eval(self, x: int) -> int:
         ctx = self.ctx
+        if not 0 <= x < ctx.size:
+            raise ValueError(f"element index {x} outside [0, {ctx.size})")
         acc = 0
         for i in self.support():
             acc = ctx.add(acc, ctx.mul(int(self.coeffs[i]), ctx.frob(x, self.s * i)))
@@ -92,35 +94,53 @@ class LinPoly:
     def eval_vec(self, xs) -> np.ndarray:
         """Values at the flattened xs, summed in the log domain.
 
-        The partial sum acc takes each term lt through one Zech logarithm,
-        acc + log(1 + g^(lt - acc)); a negative difference wraps, because
-        ZECH has period order.  Where a partial sum cancelled (the mark -1),
+        With c0 the first coefficient of the support and d_i = c_i/c0,
+        f(x) = c0 * sum d_i x^(q^(s*i)).  A term's log lt is LOG[x^(q^(s*i))]
+        plus the scalar log d_i, and the partial sum acc takes each term
+        through one Zech logarithm, acc + ZECH[lt - acc].  `EXP` converts
+        the sum back once, and one `scale_vec` by c0 restores the factor.
+
+        No log is reduced by a division: each lies in a known range below
+        2*order, and `reduce_logs` brings it into [0, order) by one
+        conditional subtraction.  lt lies in [0, 2*order) before it is
+        reduced, so lt - acc lies in (-order, order), which ZECH (period
+        order) takes with a negative index wrapping; acc + ZECH[lt - acc]
+        lies in [-1, 2*order - 1).  Where a partial sum cancels (the mark
+        -1), acc is reset to 0 so that the next index stays in range, and
         the next term replaces it.  Every term vanishes exactly at x = 0.
+        Indices outside [0, size) are refused with ValueError.
         """
         ctx = self.ctx
         xs = np.asarray(xs).ravel()
-        acc = zero = None
-        for i in self.support():
-            lt = ctx.LOG[ctx.scale_vec(int(self.coeffs[i]), ctx.frob_vec(xs, self.s * i))]
-            if acc is None:
-                acc = lt
-                continue
+        if xs.size and not (0 <= xs.min() and xs.max() < ctx.size):
+            raise ValueError(f"element indices must lie in [0, {ctx.size})")
+        support = self.support()
+        if not support:
+            return np.zeros(xs.size, dtype=np.int64)
+        c0 = int(self.coeffs[support[0]])
+        l0 = int(ctx.LOG[c0])
+        acc = ctx.LOG[ctx.frob_vec(xs, self.s * support[0])]
+        zero = None
+        for i in support[1:]:
+            lt = ctx.LOG[ctx.frob_vec(xs, self.s * i)]
+            lt += (int(ctx.LOG[self.coeffs[i]]) - l0) % ctx.order
+            ctx.reduce_logs(lt)
             z = ctx.ZECH[lt - acc]
             acc += z
-            acc %= ctx.order
+            ctx.reduce_logs(acc)
             if zero is not None:
                 acc[zero] = lt[zero]
                 z[zero] = 0
             zero = z < 0
-            if not zero.any():
+            if zero.any():
+                acc[zero] = 0
+            else:
                 zero = None
-        if acc is None:
-            return np.zeros(xs.size, dtype=np.int64)
         out = ctx.EXP[acc]
         if zero is not None:
             out[zero] = 0
         out[xs == 0] = 0
-        return out
+        return ctx.scale_vec(c0, out)
 
     def eval_field(self) -> np.ndarray:
         """Values on every element, indexed by element index."""

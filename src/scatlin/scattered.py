@@ -28,11 +28,15 @@ def fiber_counts(f: LinPoly) -> np.ndarray:
 
     Kernel elements get the slot ctx.order.  The fiber of c, with 0 added,
     is the kernel of f - c*X (of f for ctx.order), an F_q-subspace, so every
-    count is q^k - 1.
+    count is q^k - 1.  The log of the ratio, LOG[f(x)] - LOG[x] + order, lies
+    in (0, 2*order) and is reduced by one conditional subtraction.
     """
     ctx = f.ctx
     vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
-    ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - ctx.LOG[1:]) % ctx.order)
+    ratio = ctx.LOG[vals] - ctx.LOG[1:]
+    ratio += ctx.order
+    ctx.reduce_logs(ratio)
+    ratio[vals == 0] = ctx.order
     return np.bincount(ratio, minlength=ctx.order + 1)
 
 

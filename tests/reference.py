@@ -42,6 +42,12 @@ d/2; it is the reference for the companion-matrix test
 mod p; they are the references for `FieldCtx.add_vec`, `FieldCtx.add` and
 `LinPoly.eval_vec`, which add through Zech logarithms.
 
+`eval_vec_zech` sums the terms through Zech logarithms with one `scale_vec`
+per term and reduces every partial sum with `%`, and `fiber_counts_mod`
+reduces the log of f(x)/x with `%` on its values; they are the references
+for `LinPoly.eval_vec`, which factors out the first coefficient and reduces
+by conditional subtraction, and for `scattered.fiber_counts`.
+
 `fill_powers_int64` fills the powers of one element in blocks of int64
 matrix products reduced with `%`, and `smallest_generator_loop` tests one
 candidate at a time with int64 matrix powers; they are the references for
@@ -457,6 +463,44 @@ def eval_vec_digits(f, xs):
         term = ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, f.s * i))
         acc += ctx.DIGITS[term]
     return (acc % ctx.p).astype(np.int64) @ ctx.PP
+
+
+def eval_vec_zech(f, xs):
+    """f at the flattened xs: each term scaled by its coefficient, summed in
+    the log domain and reduced mod order."""
+    ctx = f.ctx
+    xs = np.asarray(xs).ravel()
+    acc = zero = None
+    for i in f.support():
+        lt = ctx.LOG[ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, f.s * i))]
+        if acc is None:
+            acc = lt
+            continue
+        z = ctx.ZECH[lt - acc]
+        acc += z
+        acc %= ctx.order
+        if zero is not None:
+            acc[zero] = lt[zero]
+            z[zero] = 0
+        zero = z < 0
+        if not zero.any():
+            zero = None
+    if acc is None:
+        return np.zeros(xs.size, dtype=np.int64)
+    out = ctx.EXP[acc]
+    if zero is not None:
+        out[zero] = 0
+    out[xs == 0] = 0
+    return out
+
+
+def fiber_counts_mod(f):
+    """The fiber counts of f(x)/x from `eval_vec_zech`, the log of each
+    ratio reduced with %."""
+    ctx = f.ctx
+    vals = eval_vec_zech(f, ctx.elements())[1:]
+    ratio = np.where(vals == 0, ctx.order, (ctx.LOG[vals] - ctx.LOG[1:]) % ctx.order)
+    return np.bincount(ratio, minlength=ctx.order + 1)
 
 
 def _digits_int64(idx, p, d):

@@ -374,6 +374,15 @@ def test_vector_ops_match_scalar(f33):
     assert (f33.pow_vec(a, 5) == [f33.pow(int(x), 5) for x in a]).all()
 
 
+def test_reduce_logs_is_mod_order_below_twice_the_order(f33):
+    x = np.arange(2 * f33.order, dtype=np.int64)
+    f33.reduce_logs(x)
+    assert np.array_equal(x, np.arange(2 * f33.order) % f33.order)
+    marks = np.array([-1], dtype=np.int64)
+    f33.reduce_logs(marks)
+    assert marks[0] < 0
+
+
 @pytest.mark.parametrize("p,e,t", [(3, 1, 3), (3, 1, 4), (5, 1, 3), (3, 1, 5)])
 def test_zech_table_is_a_bijection_onto_nonzero_logs(p, e, t):
     ctx = make_field(p, e, t)

@@ -3,9 +3,9 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from reference import eval_vec_digits, fiber_profile_sorted
+from reference import eval_vec_digits, eval_vec_zech, fiber_counts_mod, fiber_profile_sorted
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
@@ -154,6 +154,16 @@ def test_validation_errors(f33, f53):
         with pytest.raises(ValueError, match="element indices"):
             LinPoly.from_terms(f33, 1, {1: 1, 5: bad})
     assert LinPoly(f33, 1, [728, 0, 0, 0, 0, 0]).coeffs[0] == 728
+    # element indices are refused, not wrapped: -1 would read f(728)
+    f = LinPoly.from_terms(f33, 1, {0: 5, 1: 7})
+    for bad in (-1, 729):
+        with pytest.raises(ValueError, match="element ind"):
+            f.eval(bad)
+        with pytest.raises(ValueError, match="element ind"):
+            f.eval_vec([3, bad])
+        with pytest.raises(ValueError, match="element ind"):
+            LinPoly.zero(f33, 1).eval_vec(np.array([[bad]]))
+    assert f.eval(728) == f.eval_vec([728])[0] == 708
 
 
 def test_serialization_and_str(f33):
@@ -187,34 +197,45 @@ def test_scale_and_negate(f33, f34):
 
 def _xs_shapes(ctx, rng):
     """Inputs of every shape eval_vec takes: the whole field, a sample with
-    zeros, nothing, a scalar and a 2-D block."""
+    zeros, a sample of repeated indices, nothing, a scalar and a 2-D block."""
     sample = rng.integers(0, ctx.size, 60)
     sample[::7] = 0
-    return [ctx.elements(), sample, np.zeros(0, dtype=np.int64), int(sample[1]),
-            sample.reshape(6, 10)]
+    return [ctx.elements(), sample, np.repeat(sample[:8], 5), np.zeros(0, dtype=np.int64),
+            int(sample[1]), sample.reshape(6, 10)]
 
 
 def _assert_eval_matches_digits(f, rng):
+    """eval_vec against the digit sums and the per-term Zech sums reduced with %."""
     for xs in _xs_shapes(f.ctx, rng):
         got = f.eval_vec(xs)
         assert got.dtype == np.int64 and got.shape == (np.asarray(xs).size,)
         assert np.array_equal(got, eval_vec_digits(f, xs))
+        assert np.array_equal(got, eval_vec_zech(f, xs))
 
 
+@example((3, 1, 3), 0, "zero", 0)
+@example((3, 1, 3), 1, "field", 1)
+@example((3, 1, 4), 2, "base", 1)
+@example((3, 1, 3), 3, "frobenius", 0)
+@example((3, 1, 4), 4, "frobenius", 0)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["field", "base", "zero"]), st.integers(0, 8))
+       st.sampled_from(["field", "base", "zero", "frobenius"]), st.integers(0, 8))
 def test_eval_vec_matches_digit_reference(tower, seed, kind, terms):
     """Random coefficients, coefficients in F_p (their partial sums cancel
-    often) and the zero polynomial, on every shape of input."""
+    often), the zero polynomial, one-term polynomials and X^q - X (which
+    vanishes on F_q), at every coprime step and on every shape of input."""
     ctx = make_field(*tower)
     rng = np.random.default_rng(seed)
     steps = [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]
-    terms = 0 if kind == "zero" else min(terms, ctx.n)
-    slots = rng.choice(ctx.n, size=terms, replace=False)
-    high = ctx.size if kind == "field" else ctx.p
-    c = {int(i): int(rng.integers(1, high)) for i in slots}
-    f = LinPoly.from_terms(ctx, int(rng.choice(steps)), c)
+    s = int(rng.choice(steps))
+    if kind == "frobenius":
+        f = LinPoly.from_q_view(ctx, s, [ctx.neg_one, 1] + [0] * (ctx.n - 2))
+    else:
+        terms = 0 if kind == "zero" else min(terms, ctx.n)
+        slots = rng.choice(ctx.n, size=terms, replace=False)
+        high = ctx.size if kind == "field" else ctx.p
+        f = LinPoly.from_terms(ctx, s, {int(i): int(rng.integers(1, high)) for i in slots})
     _assert_eval_matches_digits(f, rng)
 
 
@@ -229,6 +250,7 @@ def test_eval_vec_matches_digit_reference_on_larger_towers(p, e, t):
     polys.append(build_quadrinomial(QuadParams(ctx, 1, int(mid[5]), h)))
     for f in polys:
         _assert_eval_matches_digits(f, rng)
+        assert np.array_equal(fiber_counts(f), fiber_counts_mod(f))
 
 
 @pytest.mark.parametrize("tower,members", [

@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from reference import fiber_profile_sorted, scaling_class
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import (
-    fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size, orbit_codes,
+    fiber_counts, fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size, orbit_codes,
     profile_key,
 )
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
@@ -204,3 +205,81 @@ def test_orbit_codes_refuse_to_overflow():
     big = SimpleNamespace(p=3, q=3, order=3 ** 40 - 1, deg=40)
     with pytest.raises(BudgetExceededError, match="overflow"):
         orbit_codes(big, (0, 1, 2, 3), [[0, 0, 0, 0]])
+
+
+# -- pinned fiber counts --------------------------------------------------------
+
+# SHA-256 of fiber_counts(f).tobytes() for the members of `_pinned_members`,
+# recorded with the kernel that scaled every term and reduced logs with %
+KERNEL_DIGESTS = {
+    (3, 1, 5, 1): (
+        "912fe03b4a3301d84a8f65bd82881976ab1958373f39173272c08417eeecaa52",
+        "8adac7af541eec31a21ef5d2cca4ef605f9dad8c405d010f66037b0f97a98d2f",
+        "3eee962e7e9209394d89db28aee8e3a0067e5d5836699e6222c3d6f07413ddd9",
+        "bfbced63d67633544cac0b44b3524da9eceb280c647890329eb2728df6f559fa",
+    ),
+    (3, 1, 5, 3): (
+        "92ad960f07f8c5f6e2b99c5d4ed5e3041310328dc82ddfa6f2d8008431ebfd03",
+        "51dd2948340ca3bd64b1d7ad34304bf8d5a23510ce348d030cc20aedb48d0aa5",
+        "df59ff0c0a3c756b104de2e1194005c7bc83b800199c27e26c9200931ceb65bd",
+        "10ac1d3e80a25eb93f43c1a5c192c640ccb43bea1048d83f70c644b47987e7b3",
+    ),
+    (3, 1, 5, 7): (
+        "4a510d0544b8215f7f97f576ee1c625414c5d42fe92efc0f9b358da6e229b3e5",
+        "29ca4af874e790a5b651ec24e290475ba33bc770cf1e08c699fc122859fd6e7b",
+        "fa8504b32310888dd4a3186194fc8d58e63176e68f9a8b049baedf09751058b0",
+        "da72eacf0ba55a6d09dbfe57e7ce047c4287c0a9fbc1ded72f5de2fb7eccec9f",
+    ),
+    (3, 1, 5, 9): (
+        "2929fe91d55f795ecbc729371a9cd97ad82f87440a71a7ebeec2d976d92b82bd",
+        "c3bd70aea73d7f8a8e7f32b0d8d704644554e694dcdcb0f3940dcdeabd4c8f97",
+        "7559ba68eb2c5eff54a0b2ac5c79bd28b7556ab2b6f4b32068838194ddea44da",
+        "b5b936eb7bb2fcfd1ffa8343f04c02437a5cce3fbc2d7289076f24d26c3aca26",
+    ),
+    (5, 1, 3, 1): (
+        "3cbc5cf7533bab789aadd45b43c7fbe1b1b7ffe0583d69a819e9d533ea1c38c1",
+        "4e8e587642f5da5a1de595c08c4fefcc28d14bbc5497c1ec91e23026a36d50d7",
+        "935f689888723baa675894f5355be7023071b8703a0ed5b815a1384881c7dd2e",
+        "c2cdb5da180ee63f480ae407f61c106e44efaa557939684b18ab4dbb9129b994",
+    ),
+    (5, 1, 3, 5): (
+        "07448d5d3d2caa4fa9b789feec446f2be85216512c8b1712b3ffa4ffaa41d465",
+        "cbf1c2f97f5b3dd79e54ec96e1bb64b9f53bd5d858bdc0fad6a53e195c949e01",
+        "9d62c857f219dfc9b3c75a84e2af2d807706924223036f43e66db21d0161c0b7",
+        "e20a78073300d3c16026fb47324e6ad42bb2b91847177705bc626bb5c2006f92",
+    ),
+    (7, 1, 3, 1): (
+        "3bc526a3e16b690be5b406e3f3434dbe31e1623446e20a720dfba84c2cefdd27",
+        "ef64893c59e3edda701b2f46b72ff7dd5ed0578abcc1ea253c67a73b74e3a514",
+        "0203eed0a5f9c7ab57ec14d57bb1435c465ac985e3b60f9a19d63b1340bd7f5c",
+        "3c9d8c7cfa77603e64472fef11f5f6fba4104a86c1574a8778b59631532b1f60",
+    ),
+    (7, 1, 3, 5): (
+        "9f97f67d878f69bfd1c0161746d2f68ebc0d287164deae2a53e2fd830786d048",
+        "8ce973a4b94df3f999108b3f530fb713cd9b420a9f7e1128a2898734bdf12e5b",
+        "7859cc2c57020b6d3b19d3bbd4110885abdefc522469eae092a66ab2d004515b",
+        "a2a00874f95b75496531c5c7a89866af5dc530950db529fc1efeec74c5ff913d",
+    ),
+}
+
+
+def _pinned_members(ctx, s):
+    """Two seeded members where the sufficient conditions apply, then two
+    seeded members of the whole family."""
+    rng = np.random.default_rng(ctx.size + s)
+    pairs = condition_pairs(ctx, s)
+    picks = [pairs[i] for i in rng.choice(len(pairs), size=2, replace=False).tolist()]
+    mid = ctx.subfield(ctx.t)
+    picks += [(int(rng.choice(mid)), int(rng.integers(1, ctx.size))) for _ in range(2)]
+    return [build_quadrinomial(QuadParams(ctx, s, m, h)) for m, h in picks]
+
+
+@pytest.mark.parametrize("p,e,t", [(3, 1, 5), (5, 1, 3), (7, 1, 3)])
+def test_fiber_counts_are_pinned(p, e, t):
+    ctx = make_field(p, e, t)
+    steps = [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]
+    assert sorted(k[3] for k in KERNEL_DIGESTS if k[:3] == (p, e, t)) == steps
+    for s in steps:
+        digests = tuple(hashlib.sha256(fiber_counts(f).tobytes()).hexdigest()
+                        for f in _pinned_members(ctx, s))
+        assert digests == KERNEL_DIGESTS[p, e, t, s]
