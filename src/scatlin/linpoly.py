@@ -4,6 +4,11 @@ A polynomial sum a_i X^(q^(s*i)) is stored as a length-2t vector of element
 indices, slot i holding the coefficient of X^(q^(s*i)).  The step s must be
 coprime to 2t, so the slot view and the plain q-exponent view are related by
 the bijection i -> s*i mod 2t.
+
+`log_sums` is the one log-domain evaluator: it sums the terms of one
+q-exponent support through Zech logarithms, for one row of coefficients
+(`LinPoly.eval_vec`) or for a block of rows that share the term logs
+(`scattered.fiber_profiles`).
 """
 
 from __future__ import annotations
@@ -14,6 +19,55 @@ import numpy as np
 
 from . import gflinalg
 from .fieldcore import FieldCtx
+
+
+def log_sums(ctx: FieldCtx, terms, offsets) -> tuple:
+    """Logs of sum_i d_i x^(q^e_i) with d_0 = 1, for one row of d or a block of rows.
+
+    `terms` yields LOG[x^(q^e_i)] on the points x, one array per term, and
+    offsets[i - 1] is the log of d_i, in [0, order): an int for one row, or
+    a column (rows, 1) for a block of rows.  A block leaves its term arrays
+    untouched, so that blocks can share them; one row sums into its term
+    arrays in place, so its caller hands over arrays it does not read
+    again, and may make them lazily.  The partial sum acc takes each term
+    lt through one Zech logarithm, acc + ZECH[lt - acc].
+    Returns (acc, cancel): acc is the first term alone for a one-term
+    support, and otherwise has the shape of the sums; cancel marks where a
+    sum is 0 (acc reads 0 there), or is None where none cancels.  The logs
+    at x = 0 are meaningless; callers mask them.
+
+    No log is reduced by a division: each lies in a known range below
+    2*order, and `reduce_logs` brings it into [0, order) by one conditional
+    subtraction.  lt lies in [0, 2*order) before it is reduced, so lt - acc
+    lies in (-order, order), which ZECH (period order) takes with a negative
+    index wrapping; acc + ZECH[lt - acc] lies in [-1, 2*order - 1).  Where a
+    partial sum cancels (the mark -1), acc is reset to 0 so that the next
+    index stays in range, and the next term replaces it.
+    """
+    terms = iter(terms)
+    acc, cancel = next(terms), None
+    for term, off in zip(terms, offsets):
+        if isinstance(off, int):
+            term += off
+            lt = term
+        else:
+            lt = term + off
+        ctx.reduce_logs(lt)
+        z = ctx.ZECH[lt - acc]
+        if acc.shape == z.shape:
+            acc += z
+        else:               # the first sum of a block: the first term is shared
+            acc = acc + z
+        ctx.reduce_logs(acc)
+        if cancel is not None:
+            acc[cancel] = lt[cancel]
+            z[cancel] = 0
+        cancel = z < 0
+        if cancel.any():
+            acc[cancel] = 0
+        else:
+            cancel = None
+    return acc, cancel
 
 
 class LinPoly:
@@ -92,53 +146,29 @@ class LinPoly:
         return acc
 
     def eval_vec(self, xs) -> np.ndarray:
-        """Values at the flattened xs, summed in the log domain.
+        """Values at the flattened xs, summed in the log domain by `log_sums`.
 
-        With c0 the first coefficient of the support and d_i = c_i/c0,
-        f(x) = c0 * sum d_i x^(q^(s*i)).  A term's log lt is LOG[x^(q^(s*i))]
-        plus the scalar log d_i, and the partial sum acc takes each term
-        through one Zech logarithm, acc + ZECH[lt - acc].  `EXP` converts
-        the sum back once, and one `scale_vec` by c0 restores the factor.
-
-        No log is reduced by a division: each lies in a known range below
-        2*order, and `reduce_logs` brings it into [0, order) by one
-        conditional subtraction.  lt lies in [0, 2*order) before it is
-        reduced, so lt - acc lies in (-order, order), which ZECH (period
-        order) takes with a negative index wrapping; acc + ZECH[lt - acc]
-        lies in [-1, 2*order - 1).  Where a partial sum cancels (the mark
-        -1), acc is reset to 0 so that the next index stays in range, and
-        the next term replaces it.  Every term vanishes exactly at x = 0.
-        Indices outside [0, size) are refused with ValueError.
+        With c0 the first coefficient of the support, f(x) = c0 * sum d_i
+        x^(q^(s*i)) with d_i = c_i/c0.  `EXP` converts the log sum back once,
+        and one `scale_vec` by c0 restores the factor.  Every term vanishes
+        exactly at x = 0.  Indices outside [0, size) are refused with
+        ValueError.
         """
         ctx = self.ctx
         xs = np.asarray(xs).ravel()
         if xs.size and not (0 <= xs.min() and xs.max() < ctx.size):
             raise ValueError(f"element indices must lie in [0, {ctx.size})")
-        support = self.support()
+        coeffs = self.coeffs.tolist()
+        support = [i for i, c in enumerate(coeffs) if c]
         if not support:
             return np.zeros(xs.size, dtype=np.int64)
-        c0 = int(self.coeffs[support[0]])
-        l0 = int(ctx.LOG[c0])
-        acc = ctx.LOG[ctx.frob_vec(xs, self.s * support[0])]
-        zero = None
-        for i in support[1:]:
-            lt = ctx.LOG[ctx.frob_vec(xs, self.s * i)]
-            lt += (int(ctx.LOG[self.coeffs[i]]) - l0) % ctx.order
-            ctx.reduce_logs(lt)
-            z = ctx.ZECH[lt - acc]
-            acc += z
-            ctx.reduce_logs(acc)
-            if zero is not None:
-                acc[zero] = lt[zero]
-                z[zero] = 0
-            zero = z < 0
-            if zero.any():
-                acc[zero] = 0
-            else:
-                zero = None
+        c0 = coeffs[support[0]]
+        logs = ctx.LOG[self.coeffs].tolist()
+        acc, cancel = log_sums(ctx, (ctx.LOG[ctx.FROB[self.s * i % ctx.n][xs]] for i in support),
+                               [(logs[i] - logs[support[0]]) % ctx.order for i in support[1:]])
         out = ctx.EXP[acc]
-        if zero is not None:
-            out[zero] = 0
+        if cancel is not None:
+            out[cancel] = 0
         out[xs == 0] = 0
         return ctx.scale_vec(c0, out)
 

@@ -6,9 +6,12 @@ ranks in `mrdcodes`) gives both the size of the linear set and the
 scatteredness verdict (no value taken on more than one F_q-line).
 `profile_key` names the class of f under the scalings f -> mu*f(lambda*X),
 which all share one profile; `profile_keys` is the same reduction on rows
-of coefficient logs, and `orbit_codes` folds in the p-power twists, so a
-sweep runs the count once per orbit.  The cross-check oracle counts roots
-of f + m*X for every shift m, naively, independent of the fiber count.
+of coefficient logs, and `orbit_codes` folds in the p-power twists, once
+per distinct key, so a sweep runs the count once per orbit.  The sweeps
+count with `fiber_profiles`: rows of coefficient logs over one support,
+summed by `linpoly.log_sums` and counted as ratio logs, with no value
+converted back.  The cross-check oracle counts roots of f + m*X for every
+shift m, naively, independent of the fiber count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import gcd, prod
 import numpy as np
 
 from .fieldcore import BudgetExceededError
-from .linpoly import LinPoly
+from .linpoly import LinPoly, log_sums
 
 ROOTS_ORACLE_BOUND_DEFAULT = 3 ** 10
 
@@ -28,16 +31,70 @@ def fiber_counts(f: LinPoly) -> np.ndarray:
 
     Kernel elements get the slot ctx.order.  The fiber of c, with 0 added,
     is the kernel of f - c*X (of f for ctx.order), an F_q-subspace, so every
-    count is q^k - 1.  The log of the ratio, LOG[f(x)] - LOG[x] + order, lies
-    in (0, 2*order) and is reduced by one conditional subtraction.
+    count is q^k - 1.  The values come from `LinPoly.eval_vec`, on which
+    this count, `fiber_profile` and `is_scattered_fiber` stay while the
+    benchmark's trace pins `eval_vec` under `is_scattered_fiber`;
+    `fiber_profiles` reads the same counts off the log sums.
     """
     ctx = f.ctx
     vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
-    ratio = ctx.LOG[vals] - ctx.LOG[1:]
-    ratio += ctx.order
+    return _ratio_counts(ctx, ctx.LOG[vals] - ctx.LOG[1:], vals == 0)
+
+
+def _ratio_counts(ctx, ratio, cancel) -> np.ndarray:
+    """Counts of log(f(x)/x) over x = 1 .. size-1, one row per row of `ratio`.
+
+    ratio[..., x - 1] is log f(x) - LOG[x], in (-order, order), and `cancel`
+    marks the x with f(x) = 0 (or is None), which go to slot ctx.order.
+    ratio + order lies in (0, 2*order) and is reduced in place by one
+    conditional subtraction.  A block of rows takes one bincount, row r
+    offset by r*(order + 1).
+    """
+    order = ctx.order
+    ratio += order
     ctx.reduce_logs(ratio)
-    ratio[vals == 0] = ctx.order
-    return np.bincount(ratio, minlength=ctx.order + 1)
+    if cancel is not None:
+        ratio[cancel] = order
+    if ratio.ndim == 1:
+        return np.bincount(ratio, minlength=order + 1)
+    rows = len(ratio)
+    ratio += np.arange(0, rows * (order + 1), order + 1)[:, None]
+    return np.bincount(ratio.ravel(), minlength=rows * (order + 1)).reshape(rows, order + 1)
+
+
+# Rows per block of `fiber_profiles`: with 2**14 // size rows, every int64
+# temporary of a block stays at or below 128 KB, glibc's default mmap
+# threshold, so the allocator reuses its memory instead of mapping and
+# faulting in fresh pages for each block.
+_BLOCK_ELEMENTS = 2 ** 14
+
+
+def fiber_profiles(ctx, support: tuple, logs) -> tuple:
+    """(linear set size, scattered) of `fiber_profile`, one per row of `logs`.
+
+    The layout is that of `profile_keys`: `support` is the sorted q-exponent
+    support, and logs[r, i] is the log of the coefficient of X^(q^E[i]) in
+    row r.  The first coefficient is factored out, which multiplies every
+    value of f(x)/x by one scalar and leaves the profile alone, so the rows
+    go to `linpoly.log_sums` as offsets over term logs computed once, and
+    the ratio logs acc - LOG[x] are counted without leaving the log domain.
+    The zero polynomial (empty support) is refused.
+    """
+    if not support:
+        raise ValueError("fiber_profiles needs a nonempty support")
+    logs = np.asarray(logs, dtype=np.int64)
+    # one (rows, 1) column of offsets per term after the first
+    columns = ((logs[:, 1:] - logs[:, :1]) % ctx.order).T[..., None]
+    terms = [ctx.LOG[ctx.FROB[e][1:]] for e in support]
+    size = np.empty(len(logs), dtype=np.int64)
+    scattered = np.empty(len(logs), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // ctx.size)
+    for r in range(0, len(logs), step):
+        acc, cancel = log_sums(ctx, terms, columns[:, r:r + step])
+        counts = _ratio_counts(ctx, acc - ctx.LOG[1:], cancel)
+        size[r:r + step] = np.count_nonzero(counts, axis=-1)
+        scattered[r:r + step] = counts.max(axis=-1) == ctx.q - 1
+    return size, scattered
 
 
 def fiber_profile(f: LinPoly) -> tuple:
@@ -95,12 +152,15 @@ def profile_keys(ctx, support: tuple, logs) -> np.ndarray:
     return u
 
 
-def orbit_codes(ctx, support: tuple, logs) -> np.ndarray:
-    """One integer per row, shared exactly by the scalings and p-power twists.
+def orbit_codes(ctx, support: tuple, logs) -> tuple:
+    """One integer per row, shared exactly by the scalings and p-power twists,
+    and the number of distinct scaling keys among the rows.
 
     The p-power twist multiplies every coefficient log by p, so the code is
     the smallest `profile_keys` row of logs*p^j, j < deg, read in mixed radix:
-    coordinate i of a reduced key lies below g_i.
+    coordinate i of a reduced key lies below g_i.  The twist maps a scaling
+    class onto a scaling class (lambda, mu -> lambda^(p^j), mu^(p^j)), so
+    the minimum is taken once per distinct key, on its first row.
     """
     order = ctx.order
     radices = [g for g, *_ in _scaling_steps(ctx.q, order, tuple(support))]
@@ -108,8 +168,12 @@ def orbit_codes(ctx, support: tuple, logs) -> np.ndarray:
         raise BudgetExceededError(f"orbit codes of {len(radices) + 1} terms overflow int64")
     weights = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype=np.int64)
     logs = np.asarray(logs, dtype=np.int64)
-    return np.min([profile_keys(ctx, support, logs * pow(ctx.p, j, order) % order) @ weights
-                   for j in range(ctx.deg)], axis=0)
+    keys, first, inverse = np.unique(profile_keys(ctx, support, logs) @ weights,
+                                     return_index=True, return_inverse=True)
+    logs = logs[first]
+    codes = np.min([keys, *(profile_keys(ctx, support, logs * pow(ctx.p, j, order) % order)
+                            @ weights for j in range(1, ctx.deg))], axis=0)
+    return codes[inverse], keys.size
 
 
 @lru_cache(maxsize=None)

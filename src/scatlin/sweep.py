@@ -4,9 +4,9 @@ Every sweep reduces the arrays of one grid builder, `pair_grid`, over flat
 pair arrays (M, H).  Tags: the case and prior codes are those of
 `quadrinomial.condition_tags`, the one statement of the condition rules;
 `condition_pairs` reads one row of it per class of m.  Profiles: the profile is
-shared by every scaling mu*f(lambda*X) and p-power twist of f, so
-`fiber_profile` runs once per `scattered.orbit_codes` code and support.
-`classify_sweep` returns its records as columns (`Records`): the grid's
+shared by every scaling mu*f(lambda*X) and p-power twist of f, so per
+support one `scattered.fiber_profiles` call profiles one row per
+`scattered.orbit_codes` code.  `classify_sweep` returns its records as columns (`Records`): the grid's
 arrays in canonical (m, h) order and a sparse map of witnesses, with no
 per-pair object; `cli._emit_lines` writes the JSON lines from them.
 `classify_record` builds the same record as a dict for one pair.
@@ -14,10 +14,10 @@ per-pair object; `cli._emit_lines` writes the JSON lines from them.
 The classification sweep reports every disagreement between "conditions
 apply" and "scattered" as a datum (a scattered pair outside the conditions
 would refute the only-if direction of the expected characterization).  A
-sweep given a `stats` dict writes its kernel calls (`profiles`) and
-polynomials (`polynomials`) there, outside its report.  Reports read no
-clock, so a repeated call returns the same report; callers time a sweep
-themselves.  Every sweep builds one grid in one process.  Polynomials depend
+sweep given a `stats` dict writes its kernel calls (`profiles`), the
+distinct scaling keys of its code pass (`keys`) and its polynomials
+(`polynomials`) there, outside its report.  Reports read no clock, so a
+repeated call returns the same report; callers time a sweep themselves.  Every sweep builds one grid in one process.  Polynomials depend
 on h only through two power ratios, so h and lambda*h give one member for
 every base-field scalar lambda; the sweeps can deduplicate h by these orbits.
 """
@@ -31,8 +31,8 @@ from .fieldcore import FieldCtx
 from .quadrinomial import (CASES, PRIORS, QuadParams, build_quadrinomial, condition_rows,
                            condition_tags, family_slots, nonscattered_witness, prior_family_tag,
                            scattered_conditions, trace_zero_power_set, witness_range)
-from .linpoly import LinPoly
-from .scattered import fiber_profile, is_scattered_fiber, is_scattered_roots, orbit_codes
+from .scattered import (fiber_profile, fiber_profiles, is_scattered_fiber, is_scattered_roots,
+                        orbit_codes)
 
 SCHEMA_VERSION = 1
 
@@ -73,16 +73,19 @@ def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
     return rec
 
 
-# per-pair arrays of `pair_grid` (size and scattered: one row per form) and
-# the number of kernel calls
-Grid = namedtuple("Grid", "norm_h case prior size scattered calls")
+# per-pair arrays of `pair_grid` (size and scattered: one row per form), the
+# number of kernel calls (orbit representatives) and of distinct scaling keys
+Grid = namedtuple("Grid", "norm_h case prior size scattered calls keys")
 
 
 def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
     """Tags of every pair (M[i], H[i]), and the fiber profile in each form.
 
     `forms` lists the orderings to profile (False main, True swapped; see
-    `family_slots`), all from one orbit pool; `calls` counts kernel runs.
+    `family_slots`), all from one orbit pool.  Per q-exponent support, the
+    code pass reduces the rows to scaling keys and the keys to orbit codes,
+    and one `fiber_profiles` call profiles the first row of every code;
+    `calls` counts those representatives and `keys` the distinct keys.
     """
     M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
     case, prior, norm = condition_tags(ctx, s, M, H)
@@ -98,24 +101,23 @@ def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
     exps = (s * np.arange(n)) % n
     support = live @ (1 << exps)
     size, scattered = np.zeros((2, support.size), dtype=np.int64)
-    calls = 0
+    calls = keys = 0
     # codes compare only within one support
     for pattern in np.unique(support):
         rows = np.flatnonzero(support == pattern)
         slots = np.flatnonzero(live[rows[0]])
         slots = slots[np.argsort(exps[slots])]
-        codes = orbit_codes(ctx, tuple(exps[slots].tolist()), logs[rows][:, slots])
+        exponents = tuple(exps[slots].tolist())
+        codes, distinct = orbit_codes(ctx, exponents, logs[rows][:, slots])
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        profiles = np.array([
-            fiber_profile(LinPoly(ctx, s, np.where(live[r], ctx.EXP[logs[r]], 0)))
-            for r in rows[first]
-        ], dtype=np.int64)
-        size[rows] = profiles[inverse, 0]
-        scattered[rows] = profiles[inverse, 1]
+        sizes, verdicts = fiber_profiles(ctx, exponents, logs[rows[first]][:, slots])
+        size[rows] = sizes[inverse]
+        scattered[rows] = verdicts[inverse]
         calls += first.size
+        keys += distinct
     shape = (len(forms), M.size)
     return Grid(norm, case, prior, size.reshape(shape),
-                scattered.reshape(shape) != 0, calls)
+                scattered.reshape(shape) != 0, calls, keys)
 
 
 def _product(ms, hs):
@@ -134,9 +136,10 @@ def _counts(names, codes) -> dict:
 
 
 def _head(ctx: FieldCtx, s: int, stats, grid: Grid) -> dict:
-    """Report head; the grid's kernel calls and polynomials go to `stats`."""
+    """Report head; the grid's kernel calls, scaling keys and polynomials go
+    to `stats`."""
     if stats is not None:
-        stats.update(profiles=grid.calls, polynomials=grid.scattered.size)
+        stats.update(profiles=grid.calls, keys=grid.keys, polynomials=grid.scattered.size)
     return {"schema_version": SCHEMA_VERSION, "p": ctx.p, "e": ctx.e, "t": ctx.t, "s": s}
 
 

@@ -21,6 +21,14 @@ they reproduce key for key.  `condition_pairs_grid` filters the whole grid
 with `scattered_conditions_branches`; it is the reference for
 `sweep.condition_pairs`.
 
+`pair_profiles_per_orbit` is the per-orbit loop that `sweep.pair_grid`
+replaced: per support it codes every row with `orbit_codes_all_rows`, and
+builds one `LinPoly` and runs one `fiber_profile` per orbit
+representative.  `orbit_codes_all_rows` takes the p-power twist minimum
+on every row, where `scattered.orbit_codes` takes it once per distinct
+scaling key.  They are the references for `pair_grid`'s kernel-call count
+and profiles, for `scattered.fiber_profiles` and for `orbit_codes`.
+
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
 g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
 coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
@@ -60,6 +68,7 @@ equation only on the x that satisfy the ones before it.
 """
 
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -67,10 +76,10 @@ from scatlin import gflinalg
 from scatlin.fieldcore import _factorize
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import (
-    QuadParams, build_quadrinomial, build_quadrinomial_swapped, nonscattered_witness,
-    trace_zero_power_set,
+    QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
+    nonscattered_witness, trace_zero_power_set,
 )
-from scatlin.scattered import fiber_profile, is_scattered_roots
+from scatlin.scattered import _scaling_steps, fiber_profile, is_scattered_roots, profile_keys
 from scatlin.sweep import SCHEMA_VERSION, h_class_reps
 
 GRID_BOUND = 3 ** 12
@@ -289,6 +298,51 @@ def bad_power_set_sweep_pairs(ctx, s):
     return {**_head(ctx, s),
             "pairs_checked": len(hs) * trace_zero_power_set(ctx, s, -1).size,
             "witnesses_verified": witnesses, "failures": failures}
+
+
+def orbit_codes_all_rows(ctx, support, logs):
+    """The codes of `orbit_codes`, with the twist minimum taken on every row."""
+    order = ctx.order
+    radices = [g for g, *_ in _scaling_steps(ctx.q, order, tuple(support))]
+    weights = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype=np.int64)
+    logs = np.asarray(logs, dtype=np.int64)
+    return np.min([profile_keys(ctx, support, logs * pow(ctx.p, j, order) % order) @ weights
+                   for j in range(ctx.deg)], axis=0)
+
+
+def pair_profiles_per_orbit(ctx, s, M, H, forms=(False,)):
+    """(size, scattered, calls) of `sweep.pair_grid`: per support, codes from
+    `orbit_codes_all_rows`, and one `LinPoly` and one `fiber_profile` per
+    orbit representative."""
+    M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
+    n, order = ctx.n, ctx.order
+    logs = np.zeros((len(forms), M.size, n), dtype=np.int64)
+    live = np.zeros(logs.shape, dtype=bool)
+    for f, swapped in enumerate(forms):
+        for slot, times_m, negated, k in family_slots(ctx.t, swapped):
+            e = (1 - ctx.q ** ((s * k) % n)) % order
+            logs[f, :, slot] = (ctx.LOG[H] * e + ctx.LOG[M] * times_m + order // 2 * negated) % order
+            live[f, :, slot] = (M != 0) | (not times_m)
+    logs, live = logs.reshape(-1, n), live.reshape(-1, n)
+    exps = (s * np.arange(n)) % n
+    support = live @ (1 << exps)
+    size, scattered = np.zeros((2, support.size), dtype=np.int64)
+    calls = 0
+    for pattern in np.unique(support):
+        rows = np.flatnonzero(support == pattern)
+        slots = np.flatnonzero(live[rows[0]])
+        slots = slots[np.argsort(exps[slots])]
+        codes = orbit_codes_all_rows(ctx, tuple(exps[slots].tolist()), logs[rows][:, slots])
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        profiles = np.array([
+            fiber_profile(LinPoly(ctx, s, np.where(live[r], ctx.EXP[logs[r]], 0)))
+            for r in rows[first]
+        ], dtype=np.int64)
+        size[rows] = profiles[inverse, 0]
+        scattered[rows] = profiles[inverse, 1]
+        calls += first.size
+    shape = (len(forms), M.size)
+    return size.reshape(shape), scattered.reshape(shape) != 0, calls
 
 
 def _has_remainder(a, b, p):

@@ -94,6 +94,25 @@ def test_classify_artifacts_are_pinned(tmp_path, key):
                  for p in (out, csv_out)) == CLASSIFY_33_DIGESTS[key]
 
 
+# SHA-256 of the `classify --h-dedup --no-witness --s 1` JSON lines (header,
+# records, summary) at larger towers, with the kernel calls and pairs of the
+# stderr cost line; recorded before the sweep profiled its orbits in batches
+CLASSIFY_DEDUP_DIGESTS = {
+    (3, 4): ("82df9ed787ae69b84628efbb7c75da2085a0312861b31ff6d9a5fb2d7e1c86e7", 1703, 265680),
+    (5, 3): ("764e4d817c28363b6bfcc8ba8277c8a0251fe6d39c8a4910da71cb9a51dfd16d", 2667, 488250),
+}
+
+
+@pytest.mark.parametrize("q,t", sorted(CLASSIFY_DEDUP_DIGESTS))
+def test_larger_classify_artifacts_are_pinned(tmp_path, capsys, q, t):
+    digest, calls, pairs = CLASSIFY_DEDUP_DIGESTS[q, t]
+    out = tmp_path / "c.jsonl"
+    assert main(["classify", "--q", str(q), "--t", str(t), "--s", "1", "--h-dedup",
+                 "--no-witness", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert re.fullmatch(rf"s=1: [0-9.]+s, {calls}/{pairs} profiles\n", capsys.readouterr().err)
+
+
 _indices = st.integers(0, 2 ** 62)
 _witnesses = st.fixed_dictionaries({
     "x": _indices, "y": _indices, "gamma": st.none() | _indices, "x0": st.none() | _indices,

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import fiber_profile_sorted, scaling_class
+from reference import fiber_profile_sorted, orbit_codes_all_rows, scaling_class
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
 from scatlin.scattered import (
-    fiber_counts, fiber_profile, is_scattered_fiber, is_scattered_roots, linear_set_size, orbit_codes,
-    profile_key,
+    fiber_counts, fiber_profile, fiber_profiles, is_scattered_fiber, is_scattered_roots,
+    linear_set_size, orbit_codes, profile_key, profile_keys,
 )
-from scatlin.quadrinomial import QuadParams, build_quadrinomial
+from scatlin.quadrinomial import QuadParams, build_quadrinomial, build_quadrinomial_swapped
 from scatlin.sweep import condition_pairs, h_class_reps
 
 
@@ -205,6 +205,85 @@ def test_orbit_codes_refuse_to_overflow():
     big = SimpleNamespace(p=3, q=3, order=3 ** 40 - 1, deg=40)
     with pytest.raises(BudgetExceededError, match="overflow"):
         orbit_codes(big, (0, 1, 2, 3), [[0, 0, 0, 0]])
+
+
+# -- batched profiles and codes ------------------------------------------------
+
+
+@st.composite
+def _support_rows(draw):
+    """1-50 polynomials over one q-exponent support at (3,3) or (3,4): family
+    members in either form (m = 0 gives the binomial), or one to four terms
+    with coefficients in the field or in F_p (whose partial sums cancel
+    often).  Blocks hold 22 rows at (3,3) and 2 at (3,4), so row counts
+    cross block boundaries unevenly."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    s = draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    count = draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(["main", "swapped", "binomial", "field", "base"]))
+    nonzero = st.integers(1, ctx.size - 1)
+    if kind in ("main", "swapped", "binomial"):
+        build = build_quadrinomial_swapped if kind == "swapped" else build_quadrinomial
+        ms = st.just(0) if kind == "binomial" else st.sampled_from(ctx.subfield(ctx.t)[1:].tolist())
+        return [build(QuadParams(ctx, s, draw(ms), draw(nonzero))) for _ in range(count)]
+    slots = draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=4, unique=True))
+    coeffs = nonzero if kind == "field" else st.integers(1, ctx.p - 1)
+    return [LinPoly.from_terms(ctx, s, {i: draw(coeffs) for i in slots}) for _ in range(count)]
+
+
+@example([LinPoly.from_terms(F33, 1, {0: F33.neg_one, 1: 1})] * 23)   # X^q - X
+@example([LinPoly.monomial(F34, 3, 2, 5)] * 3)
+@settings(max_examples=60, deadline=None)
+@given(_support_rows())
+def test_fiber_profiles_match_per_row_fiber_profile(fs):
+    """The batched log-domain profiles against one `fiber_profile` per row,
+    and at (3,3) the roots oracle as a third opinion on the first rows."""
+    ctx = fs[0].ctx
+    support = np.flatnonzero(fs[0].q_view())
+    assert all(np.array_equal(np.flatnonzero(f.q_view()), support) for f in fs)
+    logs = ctx.LOG[np.array([f.q_view()[support] for f in fs])]
+    size, scattered = fiber_profiles(ctx, tuple(support.tolist()), logs)
+    assert list(zip(size.tolist(), scattered.tolist())) == [fiber_profile(f) for f in fs]
+    if ctx is F33:
+        assert [is_scattered_roots(f) for f in fs[:3]] == scattered[:3].tolist()
+
+
+def test_fiber_profiles_refuse_the_empty_support(f33):
+    with pytest.raises(ValueError, match="nonempty"):
+        fiber_profiles(f33, (), np.zeros((1, 0), dtype=np.int64))
+
+
+@st.composite
+def _code_rows(draw):
+    """Random coefficient logs over a random support at (3,3) or (3,4), then
+    images of the first row under scalings and p-power twists: mu*f(lambda*X)
+    adds log mu + q^e*log lambda to the log of the coefficient of X^(q^e),
+    and the twist multiplies every log by p^j."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    support = tuple(sorted(draw(st.lists(st.integers(0, ctx.n - 1), min_size=1, max_size=4,
+                                         unique=True))))
+    logs = st.integers(0, ctx.order - 1)
+    row = st.lists(logs, min_size=len(support), max_size=len(support))
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    images = []
+    for _ in range(draw(st.integers(0, 10))):
+        lam, mu, p_j = draw(logs), draw(logs), ctx.p ** draw(st.integers(0, ctx.deg - 1))
+        images.append([(a + mu + pow(ctx.q, e, ctx.order) * lam) * p_j % ctx.order
+                       for a, e in zip(rows[0], support)])
+    return ctx, support, np.array(rows + images, dtype=np.int64), len(images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_code_rows())
+def test_orbit_codes_match_the_all_rows_reference(case):
+    """Codes from the twist minimum on distinct keys equal the minimum on
+    every row; the images of the first row share its code, and the key
+    count is the number of distinct `profile_keys` rows."""
+    ctx, support, logs, images = case
+    codes, keys = orbit_codes(ctx, support, logs)
+    assert np.array_equal(codes, orbit_codes_all_rows(ctx, support, logs))
+    assert set(codes[len(logs) - images:].tolist()) <= {int(codes[0])}
+    assert keys == len({tuple(u) for u in profile_keys(ctx, support, logs).tolist()})
 
 
 # -- pinned fiber counts --------------------------------------------------------

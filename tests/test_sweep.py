@@ -1,11 +1,14 @@
 import json
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from scatlin import quadrinomial, sweep
 from scatlin.cli import _record_lines
+from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.scattered import fiber_profile, orbit_codes, profile_key
@@ -111,7 +114,8 @@ def test_conjecture_scan_nonzero_m_clean(f33):
 def test_sweeps_match_per_pair_reference(f33, s):
     """All four sweeps equal their per-pair form, in which every pair gets
     its own tags and every polynomial its own fiber count, key order and
-    JSON types included; the kernel runs once per orbit."""
+    JSON types included; the kernel runs once per orbit, and the twist
+    minimum of the code pass once per scaling key."""
     stats = [{} for _ in range(4)]
     fast = [
         sweep.classify_sweep(f33, s, h_dedup=True, stats=stats[0]),
@@ -128,8 +132,9 @@ def test_sweeps_match_per_pair_reference(f33, s):
     records, summary = slow[0]
     assert _lines(*fast[0]) == [json.dumps(r) + "\n" for r in records + [summary]]
     assert [json.dumps(r) for r in fast[1:]] == [json.dumps(r) for r in slow[1:]]
-    assert stats == [{"profiles": c, "polynomials": n}
-                     for c, n in ((139, 9828), (260, 2 * 9828), (3, 364), (2, 28))]
+    assert stats == [{"profiles": c, "keys": k, "polynomials": n}
+                     for c, k, n in ((139, 741, 9828), (260, 1414, 2 * 9828), (3, 14, 364),
+                                     (2, 2, 28))]
 
 
 def test_sweeps_are_identical_across_calls(f33):
@@ -198,11 +203,30 @@ def test_tags_read_step_s_cases_and_step_1_szz(f33, monkeypatch):
     assert ("none", "SZZ") not in tags
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.integers(0, 2 ** 32 - 1))
+def test_pair_grid_matches_the_per_orbit_loop(tower, seed):
+    """Both forms of a seeded three-m slice of the h-deduped grid (m = 0 in
+    half the draws) at a seeded step: the batched profiles equal one
+    `LinPoly` and one `fiber_profile` per orbit, with as many orbits."""
+    ctx = make_field(*tower)
+    rng = np.random.default_rng(seed)
+    s = int(rng.choice([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    mids = ctx.subfield(ctx.t)
+    ms = np.sort(rng.choice(mids[rng.integers(2):], 3, replace=False))
+    M, H = sweep._product(ms, h_class_reps(ctx))
+    grid = sweep.pair_grid(ctx, s, M, H, forms=(False, True))
+    size, scattered, calls = reference.pair_profiles_per_orbit(ctx, s, M, H, forms=(False, True))
+    assert np.array_equal(grid.size, size)
+    assert np.array_equal(grid.scattered, scattered)
+    assert grid.calls == calls
+
+
 def _orbit_code(f):
     ctx = f.ctx
     support = np.flatnonzero(f.q_view())
     logs = ctx.LOG[f.q_view()[support]]
-    return int(orbit_codes(ctx, tuple(support.tolist()), logs[None, :])[0])
+    return int(orbit_codes(ctx, tuple(support.tolist()), logs[None, :])[0][0])
 
 
 def test_orbit_codes_match_fiber_profile_on_seeded_34_orbits(f34):
