@@ -489,16 +489,7 @@ class FieldCtx:
         j = (lc // g0 * pow(step // g0, -1, m)) % m
         return int(self.EXP[j])
 
-    # -- matrices over F_p ----------------------------------------------------
-
-    def mult_matrix(self, a: int) -> np.ndarray:
-        """Multiplication by a as a deg x deg matrix over F_p (power basis)."""
-        cols = [self.mul(a, int(self.PP[j])) for j in range(self.deg)]
-        return self.DIGITS[cols].T.copy()
-
-    def frob_matrix(self, i: int) -> np.ndarray:
-        cols = [self.frob(int(self.PP[j]), i) for j in range(self.deg)]
-        return self.DIGITS[cols].T.copy()
+    # -- F_p digit coordinates -----------------------------------------------
 
     def from_digits(self, dig) -> int:
         return int((np.asarray(dig, dtype=np.int64) % self.p) @ self.PP)

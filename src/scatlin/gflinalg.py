@@ -2,6 +2,13 @@
 
 Matrices hold entries in 0..p-1.  Everything is exact; p is assumed prime
 and small (3, 5, ...), so inverses come from a lookup table.
+
+`row_reduce` is the one elimination: a single Gauss-Jordan pass that, at
+each pivot, updates only the rows nonzero in the pivot column, and only
+from the pivot column on (every row still to be used as a pivot is zero to
+its left).  The reduced row echelon form is unique, so `rank`, `nullspace`
+and `solve_affine` read everything off it; `solve_affine` takes its kernel
+from the same reduction as its particular solution.
 """
 
 from __future__ import annotations
@@ -27,17 +34,21 @@ def row_reduce(mat: np.ndarray, p: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        i = r + nz[0]
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * inv[a[r, c]]) % p
-        mask = np.ones(rows, dtype=bool)
-        mask[r] = False
-        factors = a[mask, c]
-        a[mask] = (a[mask] - np.outer(factors, a[r])) % p
+        if nz[0]:
+            i = r + nz[0]
+            a[[r, i], c:] = a[[i, r], c:]
+        prow = a[r, c:]
+        if prow[0] != 1:
+            prow *= inv[prow[0]]
+            prow %= p
+        col = a[:, c]
+        others = np.flatnonzero(col)
+        others = others[others != r]
+        if others.size:
+            a[others, c:] = (a[others, c:] - col[others, None] * prow) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -48,23 +59,27 @@ def rank(mat: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
+def _kernel(rref: np.ndarray, pivots: list, cols: int, p: int) -> np.ndarray:
+    """Kernel basis of the first `cols` columns of a reduced row echelon form."""
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -rref[: len(pivots), free] % p
+    return basis
+
+
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel, as columns of the returned (cols, k) array."""
     a, pivots = row_reduce(mat, p)
-    cols = a.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        for r, pc in enumerate(pivots):
-            basis[pc, j] = (-a[r, fc]) % p
-    return basis
+    return _kernel(a, pivots, a.shape[1], p)
 
 
 def solve_affine(mat: np.ndarray, rhs: np.ndarray, p: int):
     """All solutions of mat @ x = rhs mod p.
 
-    Returns (particular, kernel_basis) or None when inconsistent.
+    Returns (particular, kernel_basis) or None when inconsistent.  The left
+    block of the reduced [mat | rhs] is the reduced mat when rhs is not a
+    pivot column, so one reduction gives both.
     """
     a = np.array(mat, dtype=np.int64) % p
     b = np.array(rhs, dtype=np.int64).ravel() % p
@@ -73,9 +88,8 @@ def solve_affine(mat: np.ndarray, rhs: np.ndarray, p: int):
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r, cols]
-    return x, nullspace(a, p)
+    x[pivots] = aug[: len(pivots), cols]
+    return x, _kernel(aug, pivots, cols, p)
 
 
 def rank_batched(mats: np.ndarray, p: int) -> np.ndarray:

@@ -10,9 +10,11 @@ The stabilizer, the right idealizer and the GL search in `equivalence` never
 enumerate the 2x2 matrix group (size ~ q^(4n)).  They share one linear
 solve: g o (alpha*X + beta*f) = gamma*X + delta*f is F_p-linear in
 (alpha, beta, gamma, delta) jointly, so all its solutions are the nullspace
-of a single (n*deg) x (4*deg) matrix over F_p (`_graph_maps`), and each
-computation filters or projects that solution space.  The left idealizer
-is F x {0}, or F x F when f o f lies in the span.
+of a single (n*deg) x (4*deg) matrix over F_p (`_graph_system`, gathered
+from the field tables for all coefficients at once), and each computation
+filters or projects that solution space (`_graph_maps`, which solves for
+alpha, beta, delta and reads gamma off the one slot it enters).  The left
+idealizer is F x {0}, or F x F when f o f lies in the span.
 """
 
 from __future__ import annotations
@@ -79,39 +81,55 @@ class RankCode:
 # the graph-map system g o (alpha*X + beta*f) = gamma*X + delta*f
 
 
-def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
-    """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
+def _graph_system(f: LinPoly, g: LinPoly) -> np.ndarray:
+    """The (n*deg) x (4*deg) F_p-matrix of g o (alpha*X + beta*f) - gamma*X - delta*f.
 
     In the q-exponent view the X^(q^k) slot of the difference reads
     g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i) - gamma [k = 0] - delta f_k,
-    which is F_p-linear in the four unknowns jointly, beta included.  The
-    solutions are the nullspace of one (n*deg) x (4*deg) matrix over F_p,
-    returned as an (N, 4) array of element indices in no particular order.
-    Every solution is rechecked by evaluating both sides on an F_p-basis of
-    the top field.
+    which is F_p-linear in the four unknowns jointly, beta included.  Row
+    k*deg + r holds digit r of slot k, column u*deg + j the unknown u in
+    (alpha, beta, gamma, delta) set to the basis element PP[j].  Each block
+    column is the digits of field elements read off the tables at once:
+    c * PP[j]^(q^i) for every coefficient c and Frobenius power i, with the
+    beta terms of one slot summed digitwise.
+    """
+    ctx = f.ctx
+    n, d = ctx.n, ctx.deg
+    fq, gq = f.q_view(), g.q_view()
+    i = np.arange(n)
+    frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
+    # coef[i, k] = g_i * f_(k-i)^(q^i), the coefficient of beta^(q^i) in slot k
+    coef = ctx.mul_vec(gq[:, None], ctx.FROB[i[:, None], fq[(i[None, :] - i[:, None]) % n]])
+    beta = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
+    alpha = ctx.DIGITS[ctx.mul_vec(gq[:, None], frob_pp)]
+    gamma = np.zeros((n, d, d), dtype=np.int64)
+    gamma[0] = -np.eye(d, dtype=np.int64)
+    delta = -ctx.DIGITS[ctx.mul_vec(fq[:, None], ctx.PP)].astype(np.int64)
+    # blocks[k, u, j, r]: digit r of slot k for unknown u at PP[j]
+    blocks = np.stack([alpha, beta, gamma, delta], axis=1)
+    return blocks.transpose(0, 3, 1, 2).reshape(n * d, 4 * d) % ctx.p
+
+
+def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
+    """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
+
+    The solutions are the nullspace of `_graph_system`, returned as an
+    (N, 4) array of element indices in no particular order.  gamma enters
+    only slot 0, as -I, so the other slots are solved for (alpha, beta,
+    delta) alone and gamma is read off slot 0.  Every solution is rechecked
+    by evaluating both sides on an F_p-basis of the top field.
     """
     if f.ctx != g.ctx:
         raise ValueError("mismatched field contexts")
     ctx = f.ctx
-    n, d, p = ctx.n, ctx.deg, ctx.p
-    fq, gq = f.q_view(), g.q_view()
-
-    def mult(a):
-        return ctx.mult_matrix(int(a)).astype(np.int64)
-
-    frob = [ctx.frob_matrix(i).astype(np.int64) for i in range(n)]
-    # blocks[k, u]: slot k, unknown u in (alpha, beta, gamma, delta)
-    blocks = np.zeros((n, 4, d, d), dtype=np.int64)
-    for i in np.nonzero(gq)[0]:
-        blocks[i, 0] = mult(gq[i]) @ frob[i]
-        for j in np.nonzero(fq)[0]:
-            c = ctx.mul(int(gq[i]), ctx.frob(int(fq[j]), i))
-            blocks[(i + j) % n, 1] += mult(c) @ frob[i]
-    blocks[0, 2] = -np.eye(d, dtype=np.int64)
-    for j in np.nonzero(fq)[0]:
-        blocks[j, 3] = -mult(fq[j])
-    mat = blocks.transpose(0, 2, 1, 3).reshape(n * d, 4 * d) % p
-    maps = ctx.from_digits_vec(_solutions(mat, p).reshape(-1, 4, d))
+    d, p = ctx.deg, ctx.p
+    mat = _graph_system(f, g)
+    abd = np.r_[0 : 2 * d, 3 * d : 4 * d]
+    basis = gflinalg.nullspace(mat[d:, abd], p)
+    _refuse_above_bound(p, basis.shape[1])
+    gamma_basis = mat[:d, abd] @ basis % p
+    basis = np.concatenate([basis[: 2 * d], gamma_basis, basis[2 * d :]])
+    maps = ctx.from_digits_vec(gflinalg.span_vectors(basis, p).reshape(-1, 4, d))
 
     # both sides are F_p-linear in x, so agreeing on a basis is exact
     xs = ctx.PP
@@ -123,14 +141,6 @@ def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
     if not np.array_equal(lhs, rhs):
         raise RuntimeError("graph-map solution failed exact recheck")
     return maps
-
-
-def _solutions(mat: np.ndarray, p: int) -> np.ndarray:
-    """Every vector of the nullspace of mat, one per row; refuses spaces
-    above SOLUTION_SPACE_BOUND vectors."""
-    basis = gflinalg.nullspace(mat, p)
-    _refuse_above_bound(p, basis.shape[1])
-    return gflinalg.span_vectors(basis, p)
 
 
 def _refuse_above_bound(p: int, dim: int) -> None:

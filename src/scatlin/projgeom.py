@@ -5,6 +5,12 @@ cyclic semilinear collineation acts cleanly there: an equation with
 coefficient c at position i maps to one with c^(q^s) at position i+1 mod 2t.
 The canonical subgeometry {<(x, x^(q^s), ..., x^(q^(s(2t-1))))>} is fixed
 pointwise by that collineation.
+
+Every rank over the top field comes from one elimination, `FieldEchelon`,
+which keeps its rows reduced and takes new rows one at a time.  The
+intersection number grows one such echelon along the chain gamma,
+gamma^sigma, ..., adding the equations of each image, so no chain is
+eliminated twice.
 """
 
 from __future__ import annotations
@@ -15,26 +21,45 @@ from .fieldcore import FieldCtx
 from .linpoly import LinPoly
 
 
-def field_row_echelon(ctx: FieldCtx, rows):
-    """Row echelon form over the top field; returns (reduced rows, rank)."""
-    m = [np.array(r, dtype=np.int64) for r in rows]
-    nrow = len(m)
-    ncol = m[0].size if nrow else 0
-    r = 0
-    for c in range(ncol):
-        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = ctx.scale_vec(ctx.inv(int(m[r][c])), m[r])
-        for i in range(nrow):
-            if i != r and m[i][c] != 0:
-                factor = ctx.neg(int(m[i][c]))
-                m[i] = ctx.add_vec(m[i], ctx.scale_vec(factor, m[r]))
-        r += 1
-        if r == nrow:
-            break
-    return m, r
+class FieldEchelon:
+    """Rows over the top field in reduced echelon form, grown one row at a time.
+
+    Each kept row is 1 at its pivot and 0 at every other pivot, so a new row
+    is reduced against all of them at once: its entries at the pivots are
+    the multiples to subtract, and the sum is taken on base-p digits.  A row
+    that reduces to zero adds nothing; any other is scaled to 1 at its
+    first nonzero column, which is then cleared from the kept rows.
+    """
+
+    def __init__(self, ctx: FieldCtx, rows=()):
+        self.ctx = ctx
+        self.rows = np.zeros((0, ctx.n), dtype=np.int64)
+        self.pivots = []
+        self.add(rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, rows) -> None:
+        ctx = self.ctx
+        for v in rows:
+            v = np.asarray(v, dtype=np.int64)
+            coef = v[self.pivots]
+            if coef.any():
+                terms = ctx.DIGITS[ctx.mul_vec(coef[:, None], self.rows)].sum(axis=0)
+                v = (ctx.DIGITS[v] - terms) % ctx.p @ ctx.PP
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
+                continue
+            c = int(nz[0])
+            v = ctx.scale_vec(ctx.inv(int(v[c])), v)
+            col = self.rows[:, c]
+            if col.any():
+                cleared = ctx.DIGITS[self.rows] - ctx.DIGITS[ctx.mul_vec(col[:, None], v)]
+                self.rows = cleared % ctx.p @ ctx.PP
+            self.rows = np.vstack([self.rows, v])
+            self.pivots.append(c)
 
 
 class ProjSubspace:
@@ -46,13 +71,14 @@ class ProjSubspace:
         eqs = [np.array(r, dtype=np.int64) for r in equations]
         if any(e.shape != (ctx.n,) for e in eqs):
             raise ValueError(f"equations must have {ctx.n} coordinates")
+        if any(((e < 0) | (e >= ctx.size)).any() for e in eqs):
+            raise ValueError(f"equation coefficients must be element indices in [0, {ctx.size})")
         self.equations = eqs
 
     @property
     def dim(self) -> int:
         """Projective dimension: 2t - rank(equations) - 1."""
-        _, r = field_row_echelon(self.ctx, self.equations)
-        return self.ctx.n - r - 1
+        return self.ctx.n - FieldEchelon(self.ctx, self.equations).rank - 1
 
     def sigma_image(self, power: int = 1) -> "ProjSubspace":
         """Image under the subgeometry-fixing collineation, `power` times.
@@ -67,10 +93,10 @@ class ProjSubspace:
         return ProjSubspace(ctx, self.s, eqs)
 
     def same_subspace(self, other: "ProjSubspace") -> bool:
-        _, r1 = field_row_echelon(self.ctx, self.equations)
-        _, r2 = field_row_echelon(self.ctx, other.equations)
-        _, r12 = field_row_echelon(self.ctx, self.equations + other.equations)
-        return r1 == r2 == r12
+        both = FieldEchelon(self.ctx, self.equations)
+        r1 = both.rank
+        both.add(other.equations)
+        return r1 == FieldEchelon(self.ctx, other.equations).rank == both.rank
 
     def contains_point(self, coords) -> bool:
         ctx = self.ctx
@@ -90,8 +116,7 @@ def intersect_dim(subspaces) -> int:
         raise ValueError("need at least one subspace")
     ctx = subspaces[0].ctx
     rows = [e for s in subspaces for e in s.equations]
-    _, r = field_row_echelon(ctx, rows)
-    return ctx.n - r - 1
+    return ctx.n - FieldEchelon(ctx, rows).rank - 1
 
 
 def subgeometry_point(ctx: FieldCtx, s: int, x: int) -> np.ndarray:
@@ -134,9 +159,13 @@ def axis_line(ctx: FieldCtx, s: int) -> ProjSubspace:
 def meets_subgeometry(space: ProjSubspace) -> bool:
     """Does the subspace contain a point of the canonical subgeometry?
 
-    Each equation is evaluated only on the x that satisfy the ones before it.
+    An equation with one nonzero coefficient, c*x^(q^(s*i)) = 0, has no
+    nonzero root, so the answer is False at once.  Otherwise each equation
+    is evaluated only on the x that satisfy the ones before it.
     """
     ctx, s = space.ctx, space.s
+    if any(np.count_nonzero(e) == 1 for e in space.equations):
+        return False
     xs = ctx.nonzero_elements()
     for e in space.equations:
         # equation sum_i e_i X_i at the point (x^(q^(s*i)))_i is a q^s-polynomial in x
@@ -151,7 +180,8 @@ def intersection_number(gamma: ProjSubspace, check_position: bool = True) -> int
     exceeding dim(gamma) - 2g.
 
     With check_position, first verifies the projection setup: the vertex
-    misses both the axis line and the canonical subgeometry.
+    misses both the axis line and the canonical subgeometry.  The chain is
+    one echelon that takes the equations of each new image.
     """
     ctx = gamma.ctx
     if check_position:
@@ -159,12 +189,12 @@ def intersection_number(gamma: ProjSubspace, check_position: bool = True) -> int
             raise ValueError("vertex meets the axis line")
         if meets_subgeometry(gamma):
             raise ValueError("vertex meets the canonical subgeometry")
-    k = gamma.dim
-    chain = [gamma]
-    current = gamma
+    chain = FieldEchelon(ctx, gamma.equations)
+    k = ctx.n - chain.rank - 1
+    image = gamma
     for g in range(1, ctx.n + 2):
-        current = current.sigma_image()
-        chain.append(current)
-        if intersect_dim(chain) > k - 2 * g:
+        image = image.sigma_image()
+        chain.add(image.equations)
+        if ctx.n - chain.rank - 1 > k - 2 * g:
             return g
     raise RuntimeError("intersection number failed to stabilize")

@@ -64,7 +64,25 @@ float64 stacks through BLAS.
 
 `meets_subgeometry_all_points` evaluates every equation on every nonzero x;
 it is the reference for `projgeom.meets_subgeometry`, which evaluates each
-equation only on the x that satisfy the ones before it.
+equation only on the x that satisfy the ones before it and refuses a
+one-term equation outright.
+
+`row_reduce_masked` updates every other row at each pivot through a boolean
+mask and `np.outer`; `nullspace_loop` reads the kernel off it entry by
+entry, and `solve_affine_twice` reduces the augmented matrix and the matrix
+separately.  They are the references for `gflinalg.row_reduce`,
+`nullspace` and `solve_affine`, which touch only the rows nonzero in the
+pivot column and take the kernel from the one reduction.
+
+`graph_system_per_element` assembles the graph-map system from one
+multiplication matrix per coefficient and one Frobenius matrix per power;
+it is the reference for `mrdcodes._graph_system`, which gathers every
+block from the field tables at once.
+
+`intersection_number_from_scratch` eliminates every chain
+gamma ^ ... ^ gamma^sigma^g anew with `field_row_echelon_loop`, one scalar
+test per entry; it is the reference for `projgeom.intersection_number`,
+which grows one `FieldEchelon` along the chain.
 """
 
 from itertools import product
@@ -623,3 +641,136 @@ def meets_subgeometry_all_points(space):
     for e in space.equations:
         ok &= LinPoly(ctx, space.s, e).eval_vec(xs) == 0
     return bool(ok.any())
+
+
+def row_reduce_masked(mat, p):
+    """Reduced row echelon form mod p, (rref, pivot_columns): at each pivot
+    every other row is updated through a boolean mask and `np.outer`."""
+    a = np.array(mat, dtype=np.int64) % p
+    inv = gflinalg.inv_table(p)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + nz[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * inv[a[r, c]]) % p
+        mask = np.ones(rows, dtype=bool)
+        mask[r] = False
+        factors = a[mask, c]
+        a[mask] = (a[mask] - np.outer(factors, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def nullspace_loop(mat, p):
+    """Right kernel basis from `row_reduce_masked`, one entry at a time."""
+    a, pivots = row_reduce_masked(mat, p)
+    cols = a.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((cols, len(free)), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[fc, j] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, j] = (-a[r, fc]) % p
+    return basis
+
+
+def solve_affine_twice(mat, rhs, p):
+    """(particular, kernel_basis) of mat @ x = rhs mod p, or None: the
+    augmented matrix and mat are reduced separately."""
+    a = np.array(mat, dtype=np.int64) % p
+    b = np.array(rhs, dtype=np.int64).ravel() % p
+    aug, pivots = row_reduce_masked(np.hstack([a, b[:, None]]), p)
+    cols = a.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r, cols]
+    return x, nullspace_loop(a, p)
+
+
+def _mult_matrix(ctx, a):
+    """Multiplication by a as a deg x deg matrix over F_p, one column at a time."""
+    return ctx.DIGITS[[ctx.mul(a, int(ctx.PP[j])) for j in range(ctx.deg)]].T.astype(np.int64)
+
+
+def _frob_matrix(ctx, i):
+    return ctx.DIGITS[[ctx.frob(int(ctx.PP[j]), i) for j in range(ctx.deg)]].T.astype(np.int64)
+
+
+def graph_system_per_element(f, g):
+    """The (n*deg) x (4*deg) F_p-matrix of g o (alpha*X + beta*f) - gamma*X - delta*f,
+    assembled from one multiplication matrix per coefficient and one
+    Frobenius matrix per power."""
+    ctx = f.ctx
+    n, d, p = ctx.n, ctx.deg, ctx.p
+    fq, gq = f.q_view(), g.q_view()
+    frob = [_frob_matrix(ctx, i) for i in range(n)]
+    # blocks[k, u]: slot k, unknown u in (alpha, beta, gamma, delta)
+    blocks = np.zeros((n, 4, d, d), dtype=np.int64)
+    for i in np.nonzero(gq)[0]:
+        blocks[i, 0] = _mult_matrix(ctx, int(gq[i])) @ frob[i]
+        for j in np.nonzero(fq)[0]:
+            c = ctx.mul(int(gq[i]), ctx.frob(int(fq[j]), i))
+            blocks[(i + j) % n, 1] += _mult_matrix(ctx, c) @ frob[i]
+    blocks[0, 2] = -np.eye(d, dtype=np.int64)
+    for j in np.nonzero(fq)[0]:
+        blocks[j, 3] = -_mult_matrix(ctx, int(fq[j]))
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, 4 * d) % p
+
+
+def field_row_echelon_loop(ctx, rows):
+    """Rank of the rows over the top field, by Gauss-Jordan elimination with
+    one scalar test per entry."""
+    m = [np.array(r, dtype=np.int64) for r in rows]
+    nrow = len(m)
+    ncol = m[0].size if nrow else 0
+    r = 0
+    for c in range(ncol):
+        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = ctx.scale_vec(ctx.inv(int(m[r][c])), m[r])
+        for i in range(nrow):
+            if i != r and m[i][c] != 0:
+                factor = ctx.neg(int(m[i][c]))
+                m[i] = ctx.add_vec(m[i], ctx.scale_vec(factor, m[r]))
+        r += 1
+        if r == nrow:
+            break
+    return r
+
+
+def intersection_number_from_scratch(gamma, check_position=True):
+    """Least positive g with dim(gamma ^ gamma^sigma ^ ... ^ gamma^sigma^g)
+    above dim(gamma) - 2g, every chain eliminated anew; the position checks
+    use `meets_subgeometry_all_points`."""
+    ctx = gamma.ctx
+
+    def dim(spaces):
+        rows = [e for sp in spaces for e in sp.equations]
+        return ctx.n - field_row_echelon_loop(ctx, rows) - 1
+
+    if check_position:
+        axis = [np.eye(ctx.n, dtype=np.int64)[i] for i in range(2, ctx.n)]
+        if ctx.n - field_row_echelon_loop(ctx, gamma.equations + axis) - 1 >= 0:
+            raise ValueError("vertex meets the axis line")
+        if meets_subgeometry_all_points(gamma):
+            raise ValueError("vertex meets the canonical subgeometry")
+    k = dim([gamma])
+    chain = [gamma]
+    for g in range(1, ctx.n + 2):
+        chain.append(chain[-1].sigma_image())
+        if dim(chain) > k - 2 * g:
+            return g
+    raise RuntimeError("intersection number failed to stabilize")

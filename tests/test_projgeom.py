@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import meets_subgeometry_all_points
+from reference import intersection_number_from_scratch, meets_subgeometry_all_points
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
@@ -17,7 +17,7 @@ from scatlin.projgeom import (
     sigma_fixes_subgeometry,
     subgeometry_point,
     meets_subgeometry,
-    field_row_echelon,
+    FieldEchelon,
 )
 from scatlin.sweep import condition_pairs
 
@@ -136,8 +136,7 @@ def test_row_echelon_rank(f33):
     rows[0][0] = 1
     rows[1][1] = 5
     rows[2][0] = 2  # dependent on the first row
-    _, r = field_row_echelon(f33, rows)
-    assert r == 2
+    assert FieldEchelon(f33, rows).rank == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,7 +156,60 @@ def test_meets_subgeometry_matches_all_points_reference(tower, k, through_point,
             for term in ctx.mul_vec(e, pt):
                 dot = ctx.add(dot, int(term))
             e[0] = ctx.sub(int(e[0]), ctx.div(dot, int(pt[0])))
+    one_term = data.draw(st.booleans())
+    if one_term:
+        # c * x^(q^(s*i)) alone has no nonzero root
+        e = np.zeros(ctx.n, dtype=np.int64)
+        e[data.draw(st.integers(0, ctx.n - 1))] = data.draw(st.integers(1, ctx.size - 1))
+        rows = np.insert(rows, data.draw(st.integers(0, k)), e, axis=0)
     space = ProjSubspace(ctx, s, rows)
     want = meets_subgeometry_all_points(space)
     assert meets_subgeometry(space) == want
-    assert want or not through_point
+    assert not want if one_term else want or not through_point
+
+
+def _vertices(ctx, s, pairs):
+    return [polynomial_vertex(ctx, s, build_quadrinomial(QuadParams(ctx, s, m, h)))
+            for m, h in pairs]
+
+
+@pytest.mark.parametrize("s", [1, 5])
+def test_intersection_chain_matches_reference_on_every_33_member(f33, s):
+    for gamma in _vertices(f33, s, condition_pairs(f33, s)):
+        assert intersection_number(gamma) == intersection_number_from_scratch(gamma)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_intersection_chain_matches_reference_at_35(f35, s):
+    pairs = condition_pairs(f35, s)
+    rng = np.random.default_rng(s)
+    picks = rng.choice(len(pairs), 6, replace=False)
+    for gamma in _vertices(f35, s, [pairs[i] for i in picks]):
+        assert intersection_number(gamma) == intersection_number_from_scratch(gamma)
+
+
+def test_intersection_chain_matches_reference_on_lp_and_pseudoregulus(f33, f35):
+    for ctx in (f33, f35):
+        for gamma in (lp_vertex(ctx), polynomial_vertex(ctx, 1, LinPoly.monomial(ctx, 1, 1))):
+            assert intersection_number(gamma) == intersection_number_from_scratch(gamma)
+
+
+def test_intersection_chain_matches_reference_on_sigma_images(f33, f35):
+    for ctx in (f33, f35):
+        for gamma in (quad_vertex(ctx), lp_vertex(ctx)):
+            for j in range(1, ctx.n):
+                image = gamma.sigma_image(j)
+                assert (intersection_number(image, check_position=False)
+                        == intersection_number_from_scratch(image, check_position=False))
+
+
+def test_out_of_range_coefficients_are_refused(f33):
+    for bad in (-1, -5, f33.size):
+        row = np.zeros(f33.n, dtype=np.int64)
+        row[1] = bad
+        with pytest.raises(ValueError, match="element indices"):
+            ProjSubspace(f33, 1, [row])
+    row = np.zeros(f33.n, dtype=np.int64)
+    row[:2] = (-1, -5)
+    with pytest.raises(ValueError, match="element indices"):
+        ProjSubspace(f33, 1, [row])
