@@ -14,14 +14,18 @@ of a single (n*deg) x (4*deg) matrix over F_p (`_graph_system`, gathered
 from the field tables for all coefficients at once), and each computation
 filters or projects that solution space (`_graph_maps`, which solves for
 alpha, beta, delta and reads gamma off the one slot it enters).  The left
-idealizer is F x {0}, or F x F when f o f lies in the span.
+idealizer is F x {0}, or F x F when f o f lies in the span; it is returned
+as a `PairRange`, which stores the two sizes and never lists the q^n or
+q^(2n) pairs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+import operator
 import numpy as np
 
 from . import gflinalg
@@ -168,13 +172,57 @@ def right_idealizer(code: RankCode):
     return sorted(set(zip(maps[:, 0].tolist(), maps[:, 1].tolist())))
 
 
-def left_idealizer(code: RankCode):
-    """All g = a*X + b*f with g o f back in the span, as sorted (a, b) pairs.
+@dataclass(frozen=True, eq=False, slots=True)
+class PairRange(Sequence):
+    """The pairs (a, b) with 0 <= a < na and 0 <= b < nb, in row-major order.
+
+    An immutable sequence that stores only its two sizes: pairs[i] is
+    divmod(i, nb), a slice is a list of pairs, and membership is a range
+    test on a 2-tuple of integers.  It compares equal to any sequence of
+    the same pairs in the same order.
+    """
+
+    na: int
+    nb: int
+
+    def __len__(self) -> int:
+        return self.na * self.nb
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [divmod(j, self.nb) for j in range(len(self))[i]]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("pair index out of range")
+        return divmod(i % n, self.nb)
+
+    def __iter__(self):
+        return product(range(self.na), range(self.nb))
+
+    def __contains__(self, pair) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        try:
+            a, b = map(operator.index, pair)
+        except TypeError:
+            return False
+        return 0 <= a < self.na and 0 <= b < self.nb
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def left_idealizer(code: RankCode) -> PairRange:
+    """All g = a*X + b*f with g o f back in the span, as a `PairRange` of (a, b).
 
     g o f = a*f + b*(f o f) and a*f is a codeword, so the answer is F x {0},
     or F x F when (f o f)_k = b'*f_k for one b' in every q-view slot k >= 1.
     Each pair fixes the a', b' of g o f = a'*X + b'*f, so the pair count is
-    a solution-space size, refused above SOLUTION_SPACE_BOUND.
+    a solution-space size, refused above SOLUTION_SPACE_BOUND.  The pairs
+    come in the sorted order of element indices, as `right_idealizer`'s do.
     """
     ctx = code.ctx
     fq, ffq = code.f.q_view(), code.f.compose(code.f).q_view()
@@ -182,8 +230,7 @@ def left_idealizer(code: RankCode):
     ratio = ctx.mul(int(ffq[k]), ctx.inv(int(fq[k])))
     closed = np.array_equal(ffq[1:], ctx.scale_vec(ratio, fq[1:]))
     _refuse_above_bound(ctx.p, 2 * ctx.deg if closed else ctx.deg)
-    elements = ctx.elements().tolist()
-    return list(product(elements, elements if closed else [0]))
+    return PairRange(ctx.size, ctx.size if closed else 1)
 
 
 # ---------------------------------------------------------------------------

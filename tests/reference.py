@@ -34,6 +34,9 @@ g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
 coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
 and `gl_search`.  `left_idealizer_grid` tests every pair for the left
 idealizer.  Both cost q^(2n) and are meant for the (3,3) tower.
+`left_idealizer_list` decides the closed form as `left_idealizer` does and
+lists its pairs as Python tuples; it is the reference for the
+`mrdcodes.PairRange` that `left_idealizer` returns.
 
 `codeword_ranks_elimination` row-reduces the F_p-matrix of X + b*f for every
 b, and of f, with `gflinalg.rank_batched`; it is the reference for
@@ -93,6 +96,7 @@ import numpy as np
 from scatlin import gflinalg
 from scatlin.fieldcore import _factorize
 from scatlin.linpoly import LinPoly
+from scatlin.mrdcodes import _refuse_above_bound
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
     nonscattered_witness, trace_zero_power_set,
@@ -502,6 +506,18 @@ def left_idealizer_grid(code):
             ok &= ratio == rk
     aa, bb = np.nonzero(ok)
     return sorted(set(zip(aa.tolist(), bb.tolist())))
+
+
+def left_idealizer_list(code):
+    """The left idealizer F x {0}, or F x F when f o f is in the span, as a list."""
+    ctx = code.ctx
+    fq, ffq = code.f.q_view(), code.f.compose(code.f).q_view()
+    k = 1 + int(np.flatnonzero(fq[1:])[0])
+    ratio = ctx.mul(int(ffq[k]), ctx.inv(int(fq[k])))
+    closed = np.array_equal(ffq[1:], ctx.scale_vec(ratio, fq[1:]))
+    _refuse_above_bound(ctx.p, 2 * ctx.deg if closed else ctx.deg)
+    elements = ctx.elements().tolist()
+    return list(product(elements, elements if closed else [0]))
 
 
 def codeword_ranks_elimination(code):

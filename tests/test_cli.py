@@ -11,6 +11,7 @@ from scatlin.cli import main
 from scatlin.quadrinomial import CASES, PRIORS
 from scatlin.sweep import Records, condition_pairs
 from scatlin.fieldcore import make_field
+from scatlin.linpoly import LinPoly
 
 
 def read_json(path):
@@ -216,6 +217,31 @@ def test_idealizer_command(tmp_path):
     assert rc == 0
     rep = read_json(out)
     assert rep["right_order"] == 9 and rep["left_order"] == 729
+
+
+# SHA-256 of `idealizer --side both` at s = 1 for the first condition pair,
+# recorded before the left idealizer returned a PairRange.  No family member
+# has f o f in the span, so the F x F case runs the command on X^(q^t) in
+# place of the member (left_order q^(2n) = 531441 at (3,3))
+IDEALIZER_DIGESTS = {
+    (3, False): "06684bedd141f037be437a26523a0b8248a21a86dcf56cae98e86aab2297f8cd",
+    (3, True): "4a1d79a0e6c4c40bb2c406fd5bbfccfcfdcd6b29d08db33c4c80c71ecf7ffd60",
+    (5, False): "88f39b84aa8bf70406e1e749c15fedda905f22e64207ce0460c6516e963fdf83",
+}
+
+
+@pytest.mark.parametrize("key", sorted(IDEALIZER_DIGESTS),
+                         ids=lambda k: f"t{k[0]}{'-middle-frobenius' * k[1]}")
+def test_idealizer_reports_are_pinned(tmp_path, monkeypatch, key):
+    t, middle = key
+    ctx = make_field(3, 1, t)
+    if middle:
+        monkeypatch.setattr(cli, "build_quadrinomial", lambda params: LinPoly.monomial(ctx, 1, t))
+    m, h = condition_pairs(ctx, 1)[0]
+    out = tmp_path / "ideal.json"
+    assert main(["idealizer", "--q", "3", "--t", str(t), "--s", "1", "--m", str(m),
+                 "--h", str(h), "--side", "both", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == IDEALIZER_DIGESTS[key]
 
 
 def test_equiv_command(tmp_path):

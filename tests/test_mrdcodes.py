@@ -8,6 +8,7 @@ from scatlin.linpoly import LinPoly
 from scatlin.scattered import is_scattered_fiber
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
 from scatlin.mrdcodes import (
+    PairRange,
     RankCode,
     StabilizerSet,
     right_idealizer,
@@ -19,7 +20,7 @@ from scatlin.sweep import condition_pairs
 
 from reference import (
     canonical_witness, closure_all_pairs, codeword_ranks_elimination, graph_maps_grid,
-    invertible, left_idealizer_grid,
+    invertible, left_idealizer_grid, left_idealizer_list,
 )
 
 
@@ -138,7 +139,7 @@ def test_grid_enumeration_matches_residual(f33):
         assert right_idealizer(code) == grid
 
 
-def test_grid_enumeration_refuses_above_bound(f34):
+def test_right_idealizer_of_34_member_has_order_q_squared(f34):
     code = RankCode(condition_member(f34))
     assert len(right_idealizer(code)) == 9
 
@@ -402,3 +403,52 @@ def test_left_idealizer_grid_matches_linear(f33):
         assert left_idealizer_grid(code) == pairs
         sizes.append(len(pairs))
     assert sizes == [729, 729, 729 ** 2, 729]
+
+
+_closed_or_line = st.one_of(_polys, st.just(condition_member(F33)),
+                            st.just(LinPoly.monomial(F33, 1, F33.t)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_closed_or_line, st.data())
+def test_left_idealizer_sequence_matches_list(f, data):
+    code = RankCode(f)
+    pairs, ref = left_idealizer(code), left_idealizer_list(code)
+    n, size = len(ref), F33.size
+    assert isinstance(pairs, PairRange) and len(pairs) == n
+    assert list(pairs) == ref
+    assert pairs == ref and ref == pairs and pairs == tuple(ref) and not pairs != ref
+    assert pairs != ref[:-1] and pairs != ref[:-1] + [(size, 0)] and pairs != 5
+    assert pairs == PairRange(size, n // size)
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)):
+        assert pairs[i] == ref[i] and pairs[-i] == ref[-i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            pairs[i]
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    step = st.none() | st.integers(1, n + 1) | st.integers(-n - 1, -1)
+    for _ in range(4):
+        sl = slice(data.draw(bound), data.draw(bound), data.draw(step))
+        assert pairs[sl] == ref[sl]
+    elem = st.integers(0, size - 1)
+    probes = [
+        ref[data.draw(st.integers(0, n - 1))],
+        (data.draw(elem), data.draw(st.integers(1, size - 1))),  # outside F x {0}
+        (data.draw(st.sampled_from([-1, size, size + 7])), data.draw(elem)),
+        (data.draw(elem), data.draw(st.sampled_from([-1, size]))),
+    ]
+    for pair in probes:
+        assert (pair in pairs) == (pair in ref)
+    a, b = ref[-1]
+    for other in ([a, b], (a,), (a, b, 0), ("a", b), None, a, "ab"):
+        assert other not in pairs
+
+
+def test_left_idealizer_sequence_at_34(f34):
+    pairs = left_idealizer(RankCode(condition_member(f34)))
+    size = f34.size
+    assert len(pairs) == size and pairs == PairRange(size, 1)
+    assert pairs[0] == (0, 0) and pairs[1234] == (1234, 0) and pairs[-1] == (size - 1, 0)
+    assert pairs[5:25:7] == [(5, 0), (12, 0), (19, 0)]
+    assert (1, 0) in pairs and (size - 1, 0) in pairs
+    assert (1, 1) not in pairs and (size, 0) not in pairs and (-1, 0) not in pairs
