@@ -295,19 +295,23 @@ class FieldCtx:
         self.PP = p ** np.arange(d, dtype=np.int64)
 
         self.generator = smallest_generator(self.modulus, p)
-        exp = np.empty(2 * self.order, dtype=np.int64)
+        # EXP, LOG, NEG, ZECH and FROB share one buffer: freed as one mapping, it lifts
+        # glibc's trim threshold above one build, so the next build reuses the pages
+        exp, log, neg, zech, frob = np.split(
+            np.empty(3 * self.order + (self.n + 2) * size, dtype=np.int64),
+            np.cumsum([2 * self.order, size, size, self.order]))
         _fill_powers(_companion(self.modulus, p), self.generator, p, exp[: self.order])
         if (np.bincount(exp[: self.order], minlength=size)[1:] != 1).any():
             raise FieldConstructionError("generator powers miss a nonzero element")
         exp[self.order:] = exp[: self.order]
         self.EXP = exp
-        log = np.zeros(size, dtype=np.int64)
+        log[:] = 0
         log[exp[: self.order]] = np.arange(self.order, dtype=np.int64)
         self.LOG = log  # LOG[0] is a filler; every user masks zeros
 
         # -1 = g^(order/2), so -x = g^(log x + order/2)
         half = self.order // 2
-        neg = exp[half:][log]
+        np.take(exp[half:], log, out=neg)
         neg[0] = 0
         self.NEG = neg
         self.neg_one = int(neg[1])
@@ -317,7 +321,7 @@ class FieldCtx:
         # cyclic shift inside each block of p consecutive indices.  Before the
         # mark, slot order/2 holds the filler LOG[0] = 0, and k -> log(1 + g^k)
         # must be a bijection from the other k onto the nonzero logs.
-        zech = np.roll(log.reshape(-1, p), -1, axis=1).ravel()[exp[: self.order]]
+        zech[:] = np.roll(log.reshape(-1, p), -1, axis=1).ravel()[exp[: self.order]]
         if zech[half] != 0 or (np.bincount(zech, minlength=self.order) != 1).any():
             raise FieldConstructionError("Zech logarithms do not cover the nonzero logs once")
         zech[half] = -1
@@ -326,7 +330,7 @@ class FieldCtx:
         # q-Frobenius index maps, one per tower step 0..n-1; x^q = g^(q log x)
         qf = exp[log * self.q % self.order]
         qf[0] = 0
-        frob = np.empty((self.n, size), dtype=np.int64)
+        frob = frob.reshape(self.n, size)
         frob[0] = idx
         for i in range(1, self.n):
             frob[i] = qf[frob[i - 1]]

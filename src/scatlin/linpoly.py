@@ -70,6 +70,17 @@ def log_sums(ctx: FieldCtx, terms, offsets) -> tuple:
     return acc, cancel
 
 
+def composition_terms(ctx: FieldCtx, gq, fq) -> np.ndarray:
+    """terms[i, k] = g_i * f_(k-i)^(q^i), element indices, from the q-views gq, fq.
+
+    g o f = sum_i g_i (sum_j f_j X^(q^j))^(q^i), so the coefficient of
+    X^(q^k) in g o f is the sum of column k.
+    """
+    gq, fq = np.asarray(gq), np.asarray(fq)
+    i = np.arange(ctx.n)
+    return ctx.mul_vec(gq[:, None], ctx.FROB[i[:, None], fq[(i[None, :] - i[:, None]) % ctx.n]])
+
+
 class LinPoly:
     """Immutable q^s-linearized polynomial over the top field of a tower."""
 
@@ -113,19 +124,14 @@ class LinPoly:
     @classmethod
     def from_q_view(cls, ctx: FieldCtx, s: int, qcoeffs) -> "LinPoly":
         """Reindex a plain q-exponent coefficient vector into step-s slots."""
-        qcoeffs = np.asarray(qcoeffs, dtype=np.int64)
-        c = np.zeros(ctx.n, dtype=np.int64)
-        for i in range(ctx.n):
-            c[i] = qcoeffs[(s * i) % ctx.n]
-        return cls(ctx, s, c)
+        return cls(ctx, s, np.asarray(qcoeffs, dtype=np.int64)[s * np.arange(ctx.n) % ctx.n])
 
     # -- views ----------------------------------------------------------------
 
     def q_view(self) -> np.ndarray:
         """Coefficient vector indexed by the plain q-exponent."""
-        out = np.zeros(self.ctx.n, dtype=np.int64)
-        for i in range(self.ctx.n):
-            out[(self.s * i) % self.ctx.n] = self.coeffs[i]
+        out = np.empty_like(self.coeffs)
+        out[self.s * np.arange(self.ctx.n) % self.ctx.n] = self.coeffs
         return out
 
     def support(self):
@@ -188,12 +194,6 @@ class LinPoly:
         self._check_mate(other)
         return LinPoly(self.ctx, self.s, self.ctx.add_vec(self.coeffs, other.coeffs))
 
-    def sub(self, other: "LinPoly") -> "LinPoly":
-        self._check_mate(other)
-        return LinPoly(
-            self.ctx, self.s, self.ctx.add_vec(self.coeffs, self.ctx.NEG[other.coeffs])
-        )
-
     def scale(self, c: int) -> "LinPoly":
         return LinPoly(self.ctx, self.s, self.ctx.scale_vec(c, self.coeffs))
 
@@ -201,17 +201,12 @@ class LinPoly:
         return LinPoly(self.ctx, self.s, self.ctx.NEG[self.coeffs])
 
     def compose(self, other: "LinPoly") -> "LinPoly":
-        """self o other, reduced modulo X^(q^(s*2t)) - X."""
+        """self o other, reduced modulo X^(q^(s*2t)) - X: slot k of the q-view
+        sums column k of `composition_terms` on base-p digits."""
         self._check_mate(other)
         ctx = self.ctx
-        acc = np.zeros((ctx.n, ctx.deg), dtype=np.int64)
-        for i in self.support():
-            fi = int(self.coeffs[i])
-            for j in other.support():
-                k = (i + j) % ctx.n
-                term = ctx.mul(fi, ctx.frob(int(other.coeffs[j]), self.s * i))
-                acc[k] += ctx.DIGITS[term]
-        return LinPoly(ctx, self.s, (acc % ctx.p) @ ctx.PP)
+        terms = composition_terms(ctx, self.q_view(), other.q_view())
+        return LinPoly.from_q_view(ctx, self.s, ctx.DIGITS[terms].sum(axis=0) % ctx.p @ ctx.PP)
 
     def adjoint(self) -> "LinPoly":
         """Slot n-i gets a_i**(q^(s*(n-i))); an involution preserving rank."""

@@ -9,14 +9,14 @@ scatteredness kernel (f is scattered iff the code is MRD).
 The stabilizer, the right idealizer and the GL search in `equivalence` never
 enumerate the 2x2 matrix group (size ~ q^(4n)).  They share one linear
 solve: g o (alpha*X + beta*f) = gamma*X + delta*f is F_p-linear in
-(alpha, beta, gamma, delta) jointly, so all its solutions are the nullspace
-of a single (n*deg) x (4*deg) matrix over F_p (`_graph_system`, gathered
-from the field tables for all coefficients at once), and each computation
-filters or projects that solution space (`_graph_maps`, which solves for
-alpha, beta, delta and reads gamma off the one slot it enters).  The left
-idealizer is F x {0}, or F x F when f o f lies in the span; it is returned
-as a `PairRange`, which stores the two sizes and never lists the q^n or
-q^(2n) pairs.
+(alpha, beta, gamma, delta) jointly, and gamma enters only the X slot.  So
+`_graph_system` gathers one (n*deg) x (3*deg) matrix over F_p in (alpha,
+beta, delta) from the field tables, its beta block from
+`linpoly.composition_terms`; `_graph_maps` takes the nullspace of its rows
+outside the X slot and reads gamma off that slot, and each computation
+filters or projects that solution space.  The left idealizer is F x {0},
+or F x F when f o f lies in the span; it is returned as a `PairRange`,
+which stores the two sizes and never lists the q^n or q^(2n) pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import gflinalg
 from .fieldcore import FieldCtx, BudgetExceededError
-from .linpoly import LinPoly
+from .linpoly import LinPoly, composition_terms
 from .scattered import fiber_counts
 
 # largest solution space enumerated here (memory grows linearly with it)
@@ -86,53 +86,47 @@ class RankCode:
 
 
 def _graph_system(f: LinPoly, g: LinPoly) -> np.ndarray:
-    """The (n*deg) x (4*deg) F_p-matrix of g o (alpha*X + beta*f) - gamma*X - delta*f.
+    """The (n*deg) x (3*deg) F_p-matrix of g o (alpha*X + beta*f) - delta*f.
 
-    In the q-exponent view the X^(q^k) slot of the difference reads
-    g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i) - gamma [k = 0] - delta f_k,
-    which is F_p-linear in the four unknowns jointly, beta included.  Row
-    k*deg + r holds digit r of slot k, column u*deg + j the unknown u in
-    (alpha, beta, gamma, delta) set to the basis element PP[j].  Each block
-    column is the digits of field elements read off the tables at once:
-    c * PP[j]^(q^i) for every coefficient c and Frobenius power i, with the
-    beta terms of one slot summed digitwise.
+    In the q-exponent view the X^(q^k) slot of this image reads
+    g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i) - delta f_k,
+    F_p-linear in the three unknowns jointly, with the beta coefficients of
+    `linpoly.composition_terms`; it is gamma*X iff slots k >= 1 vanish, and
+    gamma is slot 0.  Row k*deg + r holds digit r of slot k, column u*deg + j
+    the unknown u in (alpha, beta, delta) set to the basis element PP[j].
+    Each block column is the digits of field elements read off the tables
+    at once: c * PP[j]^(q^i) for every coefficient c and Frobenius power i,
+    with the beta terms of one slot summed digitwise.
     """
     ctx = f.ctx
     n, d = ctx.n, ctx.deg
     fq, gq = f.q_view(), g.q_view()
-    i = np.arange(n)
     frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
-    # coef[i, k] = g_i * f_(k-i)^(q^i), the coefficient of beta^(q^i) in slot k
-    coef = ctx.mul_vec(gq[:, None], ctx.FROB[i[:, None], fq[(i[None, :] - i[:, None]) % n]])
+    coef = composition_terms(ctx, gq, fq)
     beta = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
     alpha = ctx.DIGITS[ctx.mul_vec(gq[:, None], frob_pp)]
-    gamma = np.zeros((n, d, d), dtype=np.int64)
-    gamma[0] = -np.eye(d, dtype=np.int64)
     delta = -ctx.DIGITS[ctx.mul_vec(fq[:, None], ctx.PP)].astype(np.int64)
     # blocks[k, u, j, r]: digit r of slot k for unknown u at PP[j]
-    blocks = np.stack([alpha, beta, gamma, delta], axis=1)
-    return blocks.transpose(0, 3, 1, 2).reshape(n * d, 4 * d) % ctx.p
+    blocks = np.stack([alpha, beta, delta], axis=1)
+    return blocks.transpose(0, 3, 1, 2).reshape(n * d, 3 * d) % ctx.p
 
 
 def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
     """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
 
-    The solutions are the nullspace of `_graph_system`, returned as an
-    (N, 4) array of element indices in no particular order.  gamma enters
-    only slot 0, as -I, so the other slots are solved for (alpha, beta,
-    delta) alone and gamma is read off slot 0.  Every solution is rechecked
-    by evaluating both sides on an F_p-basis of the top field.
+    (alpha, beta, delta) is the nullspace of `_graph_system` without its
+    slot-0 rows and gamma is slot 0 of the image, as an (N, 4) array of
+    element indices in no particular order.  Every solution is rechecked by
+    evaluating both sides on an F_p-basis of the top field.
     """
     if f.ctx != g.ctx:
         raise ValueError("mismatched field contexts")
     ctx = f.ctx
     d, p = ctx.deg, ctx.p
     mat = _graph_system(f, g)
-    abd = np.r_[0 : 2 * d, 3 * d : 4 * d]
-    basis = gflinalg.nullspace(mat[d:, abd], p)
+    basis = gflinalg.nullspace(mat[d:], p)
     _refuse_above_bound(p, basis.shape[1])
-    gamma_basis = mat[:d, abd] @ basis % p
-    basis = np.concatenate([basis[: 2 * d], gamma_basis, basis[2 * d :]])
+    basis = np.concatenate([basis[: 2 * d], mat[:d] @ basis % p, basis[2 * d :]])
     maps = ctx.from_digits_vec(gflinalg.span_vectors(basis, p).reshape(-1, 4, d))
 
     # both sides are F_p-linear in x, so agreeing on a basis is exact

@@ -57,14 +57,27 @@ def family_slots(t: int, swapped: bool = False) -> tuple:
             (2 * t - 1, False, False, 2 * t - 1))
 
 
+def family_terms(ctx: FieldCtx, s: int, M, H, swapped: bool = False) -> tuple:
+    """(slots, times m, logs) of the four terms of the members (M, H) at step s,
+    in q-exponent order, one tuple entry per term; both forms list the same slots.
+
+    M and H are scalars or index arrays that broadcast; logs[i] is the log of
+    term i's coefficient [m] * [-1] * h^(1 - q^(s*k)) of `family_slots`.  Where
+    m = 0 the terms that carry m vanish, and their logs are meaningless.
+    """
+    n, order, lh, lm = ctx.n, ctx.order, ctx.LOG[H], ctx.LOG[M]
+    terms = sorted(family_slots(ctx.t, swapped), key=lambda term: s * term[0] % n)
+    slots, times_m, negated, k = zip(*terms)
+    logs = tuple((lh * ((1 - ctx.q ** (s * ki % n)) % order) + lm * tm + order // 2 * neg) % order
+                 for tm, neg, ki in zip(times_m, negated, k))
+    return slots, times_m, logs
+
+
 def quad_coeffs(params: QuadParams, swapped: bool = False):
-    """Slot -> coefficient map of the family polynomial."""
-    ctx, s, m, h = params.ctx, params.s, params.m, params.h
-    out = {}
-    for slot, times_m, negated, k in family_slots(ctx.t, swapped):
-        c = ctx.mul(m if times_m else 1, ctx.pow(h, 1 - ctx.q ** ((s * k) % ctx.n)))
-        out[slot] = ctx.neg(c) if negated else c
-    return out
+    """Slot -> coefficient map of the family polynomial, read off `family_terms`."""
+    slots, times_m, logs = family_terms(params.ctx, params.s, params.m, params.h, swapped)
+    return {slot: 0 if carries and params.m == 0 else int(params.ctx.EXP[log])
+            for slot, carries, log in zip(slots, times_m, logs)}
 
 
 def build_quadrinomial(params: QuadParams) -> LinPoly:
@@ -72,11 +85,8 @@ def build_quadrinomial(params: QuadParams) -> LinPoly:
 
 
 def build_quadrinomial_swapped(params: QuadParams) -> LinPoly:
-    """Variant with the t-1 and t+1 exponent roles exchanged.
-
-    Kept alongside the main form so the classification harness can report
-    both orderings; see the conjecture driver in sweep.py.
-    """
+    """Variant with the t-1 and t+1 exponent roles exchanged, one member at a
+    time; the sweeps read both forms off `family_terms`."""
     return LinPoly.from_terms(params.ctx, params.s, quad_coeffs(params, swapped=True))
 
 

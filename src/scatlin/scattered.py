@@ -16,7 +16,6 @@ shift m, naively, independent of the fiber count.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, prod
 import numpy as np
 
@@ -24,6 +23,7 @@ from .fieldcore import BudgetExceededError
 from .linpoly import LinPoly, log_sums
 
 ROOTS_ORACLE_BOUND_DEFAULT = 3 ** 10
+ROOTS_ORACLE_CHUNK = 1 << 21  # products the roots oracle forms per block of shifts
 
 
 def fiber_counts(f: LinPoly) -> np.ndarray:
@@ -146,7 +146,7 @@ def profile_keys(ctx, support: tuple, logs) -> np.ndarray:
     order = ctx.order
     logs = np.asarray(logs, dtype=np.int64)
     u = (logs[:, 1:] - logs[:, :1]) % order
-    for i, (g, mod, inv, w) in enumerate(_scaling_steps(ctx.q, order, tuple(support))):
+    for i, (g, mod, inv, w) in enumerate(_scaling_steps(ctx.q, order, support)):
         k = (u[:, i] % g - u[:, i]) // g * inv % mod
         u = (u + k[:, None] * np.array(w, dtype=np.int64)) % order
     return u
@@ -163,7 +163,7 @@ def orbit_codes(ctx, support: tuple, logs) -> tuple:
     the minimum is taken once per distinct key, on its first row.
     """
     order = ctx.order
-    radices = [g for g, *_ in _scaling_steps(ctx.q, order, tuple(support))]
+    radices = [g for g, *_ in _scaling_steps(ctx.q, order, support)]
     if prod(radices) >= 2 ** 63:
         raise BudgetExceededError(f"orbit codes of {len(radices) + 1} terms overflow int64")
     weights = np.array([prod(radices[i + 1:]) for i in range(len(radices))], dtype=np.int64)
@@ -176,7 +176,6 @@ def orbit_codes(ctx, support: tuple, logs) -> tuple:
     return codes[inverse], keys.size
 
 
-@lru_cache(maxsize=None)
 def _scaling_steps(q: int, order: int, support: tuple) -> tuple:
     """(g, N/g, inverse of w_i/g mod N/g, w) per coordinate of `profile_key`."""
     w = [(pow(q, e, order) - pow(q, support[0], order)) % order for e in support[1:]]
@@ -199,11 +198,7 @@ def is_scattered_fiber(f: LinPoly) -> bool:
     return fiber_profile(f)[1]
 
 
-def is_scattered_roots(
-    f: LinPoly,
-    size_bound: int = ROOTS_ORACLE_BOUND_DEFAULT,
-    chunk: int = 1 << 21,
-) -> bool:
+def is_scattered_roots(f: LinPoly, size_bound: int = ROOTS_ORACLE_BOUND_DEFAULT) -> bool:
     """True iff f + m*X has at most q roots for every shift m.
 
     Quadratic in the field size; refuses beyond size_bound and points to the
@@ -219,7 +214,7 @@ def is_scattered_roots(
     target = ctx.NEG[vals]             # root at x  <=>  m*x == -f(x)
     xs = ctx.elements()
     log_x = ctx.LOG[xs]
-    rows = max(1, chunk // ctx.size)
+    rows = max(1, ROOTS_ORACLE_CHUNK // ctx.size)
     for start in range(0, ctx.size, rows):
         ms = np.arange(start, min(start + rows, ctx.size), dtype=np.int64)
         prod = ctx.EXP[ctx.LOG[ms][:, None] + log_x[None, :]]

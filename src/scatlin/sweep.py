@@ -3,12 +3,15 @@
 Every sweep reduces the arrays of one grid builder, `pair_grid`, over flat
 pair arrays (M, H).  Tags: the case and prior codes are those of
 `quadrinomial.condition_tags`, the one statement of the condition rules;
-`condition_pairs` reads one row of it per class of m.  Profiles: the profile is
-shared by every scaling mu*f(lambda*X) and p-power twist of f, so per
-support one `scattered.fiber_profiles` call profiles one row per
-`scattered.orbit_codes` code.  `classify_sweep` returns its records as columns (`Records`): the grid's
-arrays in canonical (m, h) order and a sparse map of witnesses, with no
-per-pair object; `cli._emit_lines` writes the JSON lines from them.
+`condition_pairs` reads one row of it per class of m.  Profiles: the
+coefficient logs of `quadrinomial.family_terms`, the one statement of the
+family's rule, are grouped by the family's own q-exponent supports.  The
+profile is shared by every scaling mu*f(lambda*X) and p-power twist of f,
+so per support one `scattered.fiber_profiles` call profiles one row per
+`scattered.orbit_codes` code.  `classify_sweep` returns its records as
+columns (`Records`): the grid's arrays in canonical (m, h) order and a
+sparse map of witnesses, with no per-pair object; `cli._emit_lines` writes
+the JSON lines from them.
 `classify_record` builds the same record as a dict for one pair.
 
 The classification sweep reports every disagreement between "conditions
@@ -17,9 +20,10 @@ would refute the only-if direction of the expected characterization).  A
 sweep given a `stats` dict writes its kernel calls (`profiles`), the
 distinct scaling keys of its code pass (`keys`) and its polynomials
 (`polynomials`) there, outside its report.  Reports read no clock, so a
-repeated call returns the same report; callers time a sweep themselves.  Every sweep builds one grid in one process.  Polynomials depend
-on h only through two power ratios, so h and lambda*h give one member for
-every base-field scalar lambda; the sweeps can deduplicate h by these orbits.
+repeated call returns the same report; callers time a sweep themselves.
+Every sweep builds one grid in one process.  Polynomials depend on h only
+through two power ratios, so h and lambda*h give one member for every
+base-field scalar lambda; the sweeps can deduplicate h by these orbits.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .fieldcore import FieldCtx
 from .quadrinomial import (CASES, PRIORS, QuadParams, build_quadrinomial, condition_rows,
-                           condition_tags, family_slots, nonscattered_witness, prior_family_tag,
+                           condition_tags, family_terms, nonscattered_witness, prior_family_tag,
                            scattered_conditions, trace_zero_power_set, witness_range)
 from .scattered import (fiber_profile, fiber_profiles, is_scattered_fiber, is_scattered_roots,
                         orbit_codes)
@@ -46,13 +50,9 @@ def quad_fiber_profile(params: QuadParams):
 
 
 def h_class_reps(ctx: FieldCtx) -> np.ndarray:
-    """Smallest index per base-field-scalar orbit of nonzero h."""
-    d = ctx.order // (ctx.q - 1)
-    hs = ctx.nonzero_elements()
-    cls = ctx.LOG[hs] % d
-    reps = np.full(d, ctx.size, dtype=np.int64)
-    np.minimum.at(reps, cls, hs)
-    return np.sort(reps)
+    """Smallest index per base-field-scalar orbit of nonzero h: the orbit of
+    g^k is g^(k + j*d), d = order/(q-1), a column of EXP read as (q-1) x d."""
+    return np.sort(ctx.EXP[:ctx.order].reshape(ctx.q - 1, -1).min(axis=0))
 
 
 def classify_record(params: QuadParams, with_witness: bool = True) -> dict:
@@ -81,43 +81,45 @@ Grid = namedtuple("Grid", "norm_h case prior size scattered calls keys")
 def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
     """Tags of every pair (M[i], H[i]), and the fiber profile in each form.
 
-    `forms` lists the orderings to profile (False main, True swapped; see
-    `family_slots`), all from one orbit pool.  Per q-exponent support, the
-    code pass reduces the rows to scaling keys and the keys to orbit codes,
-    and one `fiber_profiles` call profiles the first row of every code;
-    `calls` counts those representatives and `keys` the distinct keys.
+    `forms` lists the orderings to profile (False main, True swapped).  Per
+    support of `_family_supports`, the code pass reduces the rows to scaling
+    keys and the keys to orbit codes, and one `fiber_profiles` call profiles
+    the first row of every code; `calls` counts those and `keys` the keys.
     """
     M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
     case, prior, norm = condition_tags(ctx, s, M, H)
-    n, order = ctx.n, ctx.order
-    logs = np.zeros((len(forms), M.size, n), dtype=np.int64)
-    live = np.zeros(logs.shape, dtype=bool)
-    for f, swapped in enumerate(forms):
-        for slot, times_m, negated, k in family_slots(ctx.t, swapped):
-            e = (1 - ctx.q ** ((s * k) % n)) % order
-            logs[f, :, slot] = (ctx.LOG[H] * e + ctx.LOG[M] * times_m + order // 2 * negated) % order
-            live[f, :, slot] = (M != 0) | (not times_m)
-    logs, live = logs.reshape(-1, n), live.reshape(-1, n)
-    exps = (s * np.arange(n)) % n
-    support = live @ (1 << exps)
-    size, scattered = np.zeros((2, support.size), dtype=np.int64)
+    size, scattered = np.zeros((2, len(forms), M.size), dtype=np.int64)
     calls = keys = 0
     # codes compare only within one support
-    for pattern in np.unique(support):
-        rows = np.flatnonzero(support == pattern)
-        slots = np.flatnonzero(live[rows[0]])
-        slots = slots[np.argsort(exps[slots])]
-        exponents = tuple(exps[slots].tolist())
-        codes, distinct = orbit_codes(ctx, exponents, logs[rows][:, slots])
+    for exps, rows, logs in _family_supports(ctx, s, M, H, forms):
+        if not rows.size:
+            continue
+        support = tuple(exps.tolist())
+        codes, distinct = orbit_codes(ctx, support, logs)
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        sizes, verdicts = fiber_profiles(ctx, exponents, logs[rows[first]][:, slots])
-        size[rows] = sizes[inverse]
-        scattered[rows] = verdicts[inverse]
+        sizes, verdicts = fiber_profiles(ctx, support, logs[first])
+        size.flat[rows] = sizes[inverse]
+        scattered.flat[rows] = verdicts[inverse]
         calls += first.size
         keys += distinct
-    shape = (len(forms), M.size)
-    return Grid(norm, case, prior, size.reshape(shape),
-                scattered.reshape(shape) != 0, calls, keys)
+    return Grid(norm, case, prior, size, scattered != 0, calls, keys)
+
+
+def _family_supports(ctx: FieldCtx, s: int, M, H, forms) -> list:
+    """(q-exponents, rows, logs) per support of the members (M, H): all four
+    terms for m != 0, pooled across the forms, and the two terms without m for
+    m = 0, one support per form.  Row f*M.size + i is pair i in forms[f]."""
+    zero = M == 0
+    rows = np.arange(len(forms) * M.size).reshape(len(forms), M.size)
+    supports, pooled = [], []
+    for f, swapped in enumerate(forms):
+        slots, times_m, logs = family_terms(ctx, s, M, H, swapped)
+        exps, plain, logs = s * np.array(slots) % ctx.n, ~np.array(times_m), np.stack(logs, -1)
+        supports.append((exps[plain], rows[f][zero], logs[zero][:, plain]))
+        pooled.append(logs[~zero])
+    if forms:
+        supports.append((exps, rows[:, ~zero].ravel(), np.concatenate(pooled)))
+    return supports
 
 
 def _product(ms, hs):

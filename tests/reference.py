@@ -82,6 +82,14 @@ multiplication matrix per coefficient and one Frobenius matrix per power;
 it is the reference for `mrdcodes._graph_system`, which gathers every
 block from the field tables at once.
 
+`quad_coeffs_scalar` computes each coefficient of the family polynomial
+with scalar `ctx.pow`, `ctx.mul` and `ctx.neg`, one `family_slots` row at
+a time; it is the reference for `quadrinomial.family_terms` and
+`quad_coeffs`, which read every term's log off one array expression.
+`compose_loop` multiplies every pair of terms of the two supports and adds
+their digit vectors one at a time; it is the reference for
+`LinPoly.compose`, which sums the columns of `linpoly.composition_terms`.
+
 `intersection_number_from_scratch` eliminates every chain
 gamma ^ ... ^ gamma^sigma^g anew with `field_row_echelon_loop`, one scalar
 test per entry; it is the reference for `projgeom.intersection_number`,
@@ -365,6 +373,28 @@ def pair_profiles_per_orbit(ctx, s, M, H, forms=(False,)):
         calls += first.size
     shape = (len(forms), M.size)
     return size.reshape(shape), scattered.reshape(shape) != 0, calls
+
+
+def quad_coeffs_scalar(params, swapped=False):
+    """Slot -> coefficient map of the family polynomial, term by term."""
+    ctx, s, m, h = params.ctx, params.s, params.m, params.h
+    out = {}
+    for slot, times_m, negated, k in family_slots(ctx.t, swapped):
+        c = ctx.mul(m if times_m else 1, ctx.pow(h, 1 - ctx.q ** ((s * k) % ctx.n)))
+        out[slot] = ctx.neg(c) if negated else c
+    return out
+
+
+def compose_loop(g, f):
+    """g o f, reduced modulo X^(q^(s*2t)) - X, one pair of terms at a time."""
+    ctx = g.ctx
+    acc = np.zeros((ctx.n, ctx.deg), dtype=np.int64)
+    for i in g.support():
+        gi = int(g.coeffs[i])
+        for j in f.support():
+            term = ctx.mul(gi, ctx.frob(int(f.coeffs[j]), g.s * i))
+            acc[(i + j) % ctx.n] += ctx.DIGITS[term]
+    return LinPoly(ctx, g.s, (acc % ctx.p) @ ctx.PP)
 
 
 def _has_remainder(a, b, p):

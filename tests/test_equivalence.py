@@ -136,6 +136,15 @@ def test_pair_report_structure(f35):
     assert {"case", "gl_witness", "conditions", "agree"} <= set(rep)
 
 
+@pytest.mark.parametrize("ell", [3, 7])
+def test_pair_report_without_witness_agrees(f35, ell):
+    """A class-a pair has no GL witness, so the report agrees with the
+    printed verdict "not GL-equivalent"."""
+    rep = pair_report(condition_params(f35), condition_params(f35, ell))
+    assert rep["case"] == "a" and rep["conditions"]["verdict"] == "not GL-equivalent"
+    assert rep["gl_witness"] is None and rep["agree"]
+
+
 def test_rescaled_h_pair_is_case_c_equivalent(f35):
     ctx = f35
     m, h = condition_pairs(ctx, 1)[0]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import eval_vec_digits, eval_vec_zech, fiber_counts_mod, fiber_profile_sorted
+from reference import (compose_loop, eval_vec_digits, eval_vec_zech, fiber_counts_mod,
+                       fiber_profile_sorted)
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
-from scatlin.quadrinomial import QuadParams, build_quadrinomial
+from scatlin.quadrinomial import QuadParams, build_quadrinomial, build_quadrinomial_swapped
 from scatlin.scattered import fiber_counts, fiber_profile, is_scattered_roots
 
 
@@ -66,6 +67,34 @@ def test_compose_agrees_with_pointwise_on_all_points(f33):
     lhs = fg.eval_field()
     rhs = f.eval_vec(g.eval_field())
     assert np.array_equal(lhs, rhs)
+
+
+@st.composite
+def _composable(draw):
+    """Two polynomials at (3,3) or (3,4), at step 1 or n - 1: members in
+    either form (m = 0 included) or random terms (the zero polynomial
+    included)."""
+    ctx = make_field(*draw(st.sampled_from([(3, 1, 3), (3, 1, 4)])))
+    s = draw(st.sampled_from([1, ctx.n - 1]))
+
+    def poly():
+        if draw(st.booleans()):
+            m = draw(st.one_of(st.just(0), st.sampled_from(ctx.subfield(ctx.t).tolist())))
+            params = QuadParams(ctx, s, m, draw(st.integers(1, ctx.size - 1)))
+            swapped = draw(st.booleans())
+            return (build_quadrinomial_swapped if swapped else build_quadrinomial)(params)
+        return LinPoly.from_terms(ctx, s, draw(st.dictionaries(
+            st.integers(0, ctx.n - 1), st.integers(1, ctx.size - 1), max_size=ctx.n)))
+
+    return poly(), poly()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_composable())
+def test_compose_matches_the_term_loop(pair):
+    g, f = pair
+    got = g.compose(f)
+    assert got.s == g.s and np.array_equal(got.coeffs, compose_loop(g, f).coeffs)
 
 
 def test_ring_axioms_on_random_triples(f33):

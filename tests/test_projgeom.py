@@ -68,6 +68,20 @@ def test_sigma_action_on_points(f33):
         assert g.contains_point(pt) == gs.contains_point(img)
 
 
+def test_contains_point_on_a_subspace_through_it(f33):
+    """Two equations that vanish at a subgeometry point: the point and its
+    multiples lie on the subspace, and a point off it does not."""
+    pt = subgeometry_point(f33, 1, 55)
+    eqs = np.zeros((2, f33.n), dtype=np.int64)
+    eqs[:, 0] = pt[1], pt[2]
+    eqs[0, 1] = eqs[1, 2] = f33.neg(int(pt[0]))
+    space = ProjSubspace(f33, 1, eqs)
+    assert space.dim == f33.n - 3
+    assert space.contains_point(pt)
+    assert space.contains_point(f33.scale_vec(7, pt))
+    assert not space.contains_point(subgeometry_point(f33, 1, 2))
+
+
 def test_intersect_dim_single(f33):
     g = quad_vertex(f33)
     assert intersect_dim([g]) == g.dim

@@ -30,6 +30,8 @@ from scatlin.quadrinomial import (
     admissible_h,
     condition_rows,
     condition_tags,
+    family_terms,
+    quad_coeffs,
 )
 from scatlin.sweep import pair_grid
 
@@ -246,6 +248,36 @@ def test_one_pair_tags_match_the_branch_rules(params):
     assert verdict.case_tag == reference.scattered_conditions_branches(params)
     assert verdict.applies == (verdict.case_tag != "none")
     assert prior_family_tag(params) == reference.prior_family_tag_branches(params)
+
+
+@st.composite
+def _members(draw):
+    """Pairs (M, H) at (3,3) or (3,4), at step 1 or n - 1, with m = 0 drawn
+    as often as a random middle-field m."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    s = draw(st.sampled_from([1, ctx.n - 1]))
+    m = st.one_of(st.just(0), st.sampled_from(ctx.subfield(ctx.t).tolist()))
+    ms = draw(st.lists(m, min_size=1, max_size=6))
+    hs = draw(st.lists(st.integers(1, ctx.size - 1), min_size=len(ms), max_size=len(ms)))
+    return ctx, s, ms, hs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_members(), st.booleans())
+def test_family_terms_match_the_scalar_rule(members, swapped):
+    """`family_terms` on arrays, and `quad_coeffs` and the builder of the
+    form on each pair, against the coefficients computed term by term."""
+    ctx, s, ms, hs = members
+    slots, times_m, logs = family_terms(ctx, s, np.array(ms), np.array(hs), swapped)
+    assert (np.diff(s * np.array(slots) % ctx.n) > 0).all()
+    build = build_quadrinomial_swapped if swapped else build_quadrinomial
+    for m, h, row in zip(ms, hs, np.stack(logs, -1).tolist()):
+        params = QuadParams(ctx, s, m, h)
+        want = reference.quad_coeffs_scalar(params, swapped)
+        assert quad_coeffs(params, swapped) == want
+        assert {slot: 0 if carries and m == 0 else int(ctx.EXP[log])
+                for slot, carries, log in zip(slots, times_m, row)} == want
+        assert build(params) == LinPoly.from_terms(ctx, s, want)
 
 
 def test_condition_tags_refuse_pairs_outside_the_family(f53):
