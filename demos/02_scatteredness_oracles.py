@@ -21,7 +21,7 @@ delta = next(d for d in range(2, ctx.size) if ctx.norm_rel(d, 1) not in (0, 1))
 lp = LinPoly.from_terms(ctx, 1, {1: 1, ctx.n - 1: delta})
 print(f"binomial {lp}: fiber={is_scattered_fiber(lp)} roots={is_scattered_roots(lp)}")
 
-ident = LinPoly.identity(ctx, 1)
+ident = LinPoly.identity(ctx)
 print(f"identity {ident}: fiber={is_scattered_fiber(ident)}  "
       f"(one fat fiber, {linear_set_size(ident)} point)")
 

@@ -34,11 +34,6 @@ class GLSearchResult:
     systems_solved: int  # always 1: the whole search is one nullspace
 
 
-def _q1_view(f: LinPoly) -> LinPoly:
-    """Rewrite into the plain q-exponent indexing (step 1)."""
-    return LinPoly.from_q_view(f.ctx, 1, f.q_view())
-
-
 def gl_search(f: LinPoly, g: LinPoly) -> GLSearchResult:
     """Canonical witness for g o (alpha*X + beta*f) = gamma*X + delta*f.
 
@@ -69,10 +64,9 @@ def verify_gl_witness(f: LinPoly, g: LinPoly, w) -> bool:
     det = ctx.sub(ctx.mul(alpha, delta), ctx.mul(beta, gamma))
     if det == 0:
         return False
-    fq, gq = _q1_view(f), _q1_view(g)
-    inner = LinPoly.from_terms(ctx, 1, {0: alpha}).add(fq.scale(beta))
-    lhs = gq.compose(inner)
-    rhs = LinPoly.from_terms(ctx, 1, {0: gamma}).add(fq.scale(delta))
+    X = LinPoly.identity(ctx)
+    lhs = g.compose(X.scale(alpha).add(f.scale(beta)))
+    rhs = X.scale(gamma).add(f.scale(delta))
     return lhs == rhs
 
 

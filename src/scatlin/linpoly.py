@@ -1,9 +1,10 @@
-"""Algebra of q^s-linearized polynomials, reduced modulo X^(q^(s*2t)) - X.
+"""Algebra of q-linearized polynomials, reduced modulo X^(q^(2t)) - X.
 
-A polynomial sum a_i X^(q^(s*i)) is stored as a length-2t vector of element
-indices, slot i holding the coefficient of X^(q^(s*i)).  The step s must be
-coprime to 2t, so the slot view and the plain q-exponent view are related by
-the bijection i -> s*i mod 2t.
+A polynomial sum_e a_e X^(q^e) is stored as a length-2t vector of element
+indices, entry e holding the coefficient of X^(q^e).  A q^s-polynomial
+sum_i a_i X^(q^(s*i)) with s coprime to 2t is the q-polynomial with a_i at
+exponent s*i mod 2t; `from_terms` reads such a step-s presentation, and it
+is the one place where a step enters.
 
 `log_sums` is the one log-domain evaluator: it sums the terms of one
 q-exponent support through Zech logarithms, for one row of coefficients
@@ -13,7 +14,6 @@ q-exponent support through Zech logarithms, for one row of coefficients
 
 from __future__ import annotations
 
-import json
 from math import gcd
 import numpy as np
 
@@ -70,72 +70,60 @@ def log_sums(ctx: FieldCtx, terms, offsets) -> tuple:
     return acc, cancel
 
 
-def composition_terms(ctx: FieldCtx, gq, fq) -> np.ndarray:
-    """terms[i, k] = g_i * f_(k-i)^(q^i), element indices, from the q-views gq, fq.
+def composition_terms(ctx: FieldCtx, g, f) -> np.ndarray:
+    """terms[i, k] = g_i * f_(k-i)^(q^i), element indices, from the coefficient vectors g, f.
 
     g o f = sum_i g_i (sum_j f_j X^(q^j))^(q^i), so the coefficient of
     X^(q^k) in g o f is the sum of column k.
     """
-    gq, fq = np.asarray(gq), np.asarray(fq)
+    g, f = np.asarray(g), np.asarray(f)
     i = np.arange(ctx.n)
-    return ctx.mul_vec(gq[:, None], ctx.FROB[i[:, None], fq[(i[None, :] - i[:, None]) % ctx.n]])
+    return ctx.mul_vec(g[:, None], ctx.FROB[i[:, None], f[(i[None, :] - i[:, None]) % ctx.n]])
 
 
 class LinPoly:
-    """Immutable q^s-linearized polynomial over the top field of a tower."""
+    """Immutable q-linearized polynomial over the top field of a tower."""
 
-    __slots__ = ("ctx", "s", "coeffs")
+    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: FieldCtx, s: int, coeffs):
-        if gcd(s, ctx.n) != 1:
-            raise ValueError(f"step s={s} must be coprime to 2t={ctx.n}")
-        coeffs = np.asarray(coeffs, dtype=np.int64)
+    def __init__(self, ctx: FieldCtx, coeffs):
+        coeffs = np.array(coeffs, dtype=np.int64)
         if coeffs.shape != (ctx.n,):
-            raise ValueError(f"need exactly {ctx.n} coefficient slots")
-        if not all(0 <= c < ctx.size for c in coeffs.tolist()):
+            raise ValueError(f"need exactly {ctx.n} coefficients")
+        if ((coeffs < 0) | (coeffs >= ctx.size)).any():
             raise ValueError(f"coefficients must be element indices in [0, {ctx.size})")
+        coeffs.setflags(write=False)
         self.ctx = ctx
-        self.s = s % ctx.n
-        self.coeffs = coeffs.copy()
-        self.coeffs.setflags(write=False)
+        self.coeffs = coeffs
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_terms(cls, ctx: FieldCtx, s: int, terms: dict) -> "LinPoly":
-        """Build from {slot: coefficient-index}."""
+        """sum_i a_i X^(q^(s*i)) from the step-s presentation {i: a_i}."""
+        if gcd(s, ctx.n) != 1:
+            raise ValueError(f"step s={s} must be coprime to 2t={ctx.n}")
         c = np.zeros(ctx.n, dtype=np.int64)
         for i, a in terms.items():
-            c[i % ctx.n] = a
-        return cls(ctx, s, c)
+            c[s * i % ctx.n] = a
+        return cls(ctx, c)
 
     @classmethod
-    def identity(cls, ctx: FieldCtx, s: int) -> "LinPoly":
-        return cls.from_terms(ctx, s, {0: 1})
+    def identity(cls, ctx: FieldCtx) -> "LinPoly":
+        return cls.from_terms(ctx, 1, {0: 1})
 
     @classmethod
     def monomial(cls, ctx: FieldCtx, s: int, slot: int, coeff: int = 1) -> "LinPoly":
+        """coeff * X^(q^(s*slot))."""
         return cls.from_terms(ctx, s, {slot: coeff})
 
     @classmethod
-    def zero(cls, ctx: FieldCtx, s: int) -> "LinPoly":
-        return cls(ctx, s, np.zeros(ctx.n, dtype=np.int64))
-
-    @classmethod
-    def from_q_view(cls, ctx: FieldCtx, s: int, qcoeffs) -> "LinPoly":
-        """Reindex a plain q-exponent coefficient vector into step-s slots."""
-        return cls(ctx, s, np.asarray(qcoeffs, dtype=np.int64)[s * np.arange(ctx.n) % ctx.n])
-
-    # -- views ----------------------------------------------------------------
-
-    def q_view(self) -> np.ndarray:
-        """Coefficient vector indexed by the plain q-exponent."""
-        out = np.empty_like(self.coeffs)
-        out[self.s * np.arange(self.ctx.n) % self.ctx.n] = self.coeffs
-        return out
+    def zero(cls, ctx: FieldCtx) -> "LinPoly":
+        return cls(ctx, np.zeros(ctx.n, dtype=np.int64))
 
     def support(self):
-        return [i for i in range(self.ctx.n) if self.coeffs[i]]
+        """The q-exponents with a nonzero coefficient, in increasing order."""
+        return np.flatnonzero(self.coeffs).tolist()
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
@@ -147,15 +135,15 @@ class LinPoly:
         if not 0 <= x < ctx.size:
             raise ValueError(f"element index {x} outside [0, {ctx.size})")
         acc = 0
-        for i in self.support():
-            acc = ctx.add(acc, ctx.mul(int(self.coeffs[i]), ctx.frob(x, self.s * i)))
+        for e in self.support():
+            acc = ctx.add(acc, ctx.mul(int(self.coeffs[e]), ctx.frob(x, e)))
         return acc
 
     def eval_vec(self, xs) -> np.ndarray:
         """Values at the flattened xs, summed in the log domain by `log_sums`.
 
-        With c0 the first coefficient of the support, f(x) = c0 * sum d_i
-        x^(q^(s*i)) with d_i = c_i/c0.  `EXP` converts the log sum back once,
+        With c0 the first coefficient of the support, f(x) = c0 * sum d_e
+        x^(q^e) with d_e = c_e/c0.  `EXP` converts the log sum back once,
         and one `scale_vec` by c0 restores the factor.  Every term vanishes
         exactly at x = 0.  Indices outside [0, size) are refused with
         ValueError.
@@ -165,13 +153,13 @@ class LinPoly:
         if xs.size and not (0 <= xs.min() and xs.max() < ctx.size):
             raise ValueError(f"element indices must lie in [0, {ctx.size})")
         coeffs = self.coeffs.tolist()
-        support = [i for i, c in enumerate(coeffs) if c]
+        support = [e for e, c in enumerate(coeffs) if c]
         if not support:
             return np.zeros(xs.size, dtype=np.int64)
         c0 = coeffs[support[0]]
         logs = ctx.LOG[self.coeffs].tolist()
-        acc, cancel = log_sums(ctx, (ctx.LOG[ctx.FROB[self.s * i % ctx.n][xs]] for i in support),
-                               [(logs[i] - logs[support[0]]) % ctx.order for i in support[1:]])
+        acc, cancel = log_sums(ctx, (ctx.LOG[ctx.FROB[e][xs]] for e in support),
+                               [(logs[e] - logs[support[0]]) % ctx.order for e in support[1:]])
         out = ctx.EXP[acc]
         if cancel is not None:
             out[cancel] = 0
@@ -187,48 +175,41 @@ class LinPoly:
     def _check_mate(self, other: "LinPoly"):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mismatched field contexts")
-        if self.s != other.s:
-            raise ValueError("mismatched Frobenius steps")
 
     def add(self, other: "LinPoly") -> "LinPoly":
         self._check_mate(other)
-        return LinPoly(self.ctx, self.s, self.ctx.add_vec(self.coeffs, other.coeffs))
+        return LinPoly(self.ctx, self.ctx.add_vec(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "LinPoly":
-        return LinPoly(self.ctx, self.s, self.ctx.scale_vec(c, self.coeffs))
+        return LinPoly(self.ctx, self.ctx.scale_vec(c, self.coeffs))
 
     def neg(self) -> "LinPoly":
-        return LinPoly(self.ctx, self.s, self.ctx.NEG[self.coeffs])
+        return LinPoly(self.ctx, self.ctx.NEG[self.coeffs])
 
     def compose(self, other: "LinPoly") -> "LinPoly":
-        """self o other, reduced modulo X^(q^(s*2t)) - X: slot k of the q-view
-        sums column k of `composition_terms` on base-p digits."""
+        """self o other, reduced modulo X^(q^(2t)) - X: coefficient k sums
+        column k of `composition_terms` on base-p digits."""
         self._check_mate(other)
         ctx = self.ctx
-        terms = composition_terms(ctx, self.q_view(), other.q_view())
-        return LinPoly.from_q_view(ctx, self.s, ctx.DIGITS[terms].sum(axis=0) % ctx.p @ ctx.PP)
+        terms = composition_terms(ctx, self.coeffs, other.coeffs)
+        return LinPoly(ctx, ctx.DIGITS[terms].sum(axis=0) % ctx.p @ ctx.PP)
 
     def adjoint(self) -> "LinPoly":
-        """Slot n-i gets a_i**(q^(s*(n-i))); an involution preserving rank."""
+        """Exponent k gets a_(n-k)**(q^k); an involution preserving rank."""
         ctx = self.ctx
-        c = np.zeros(ctx.n, dtype=np.int64)
-        for i in self.support():
-            k = (ctx.n - i) % ctx.n
-            c[k] = ctx.frob(int(self.coeffs[i]), self.s * k)
-        return LinPoly(ctx, self.s, c)
+        k = np.arange(ctx.n)
+        return LinPoly(ctx, ctx.FROB[k, self.coeffs[-k % ctx.n]])
 
     def frobenius_twist(self, j: int) -> "LinPoly":
         """Apply the p-power automorphism x -> x**(p**j) to every coefficient."""
         ctx = self.ctx
-        return LinPoly(ctx, self.s, ctx.pow_vec(self.coeffs, ctx.p ** (j % ctx.deg)))
+        return LinPoly(ctx, ctx.pow_vec(self.coeffs, ctx.p ** (j % ctx.deg)))
 
     # -- linear-map structure -----------------------------------------------------
 
     def matrix(self) -> np.ndarray:
         """The induced F_p-linear map as a deg x deg matrix on the power basis."""
-        ctx = self.ctx
-        cols = [self.eval(int(ctx.PP[j])) for j in range(ctx.deg)]
-        return ctx.DIGITS[cols].T.copy()
+        return self.ctx.DIGITS[self.eval_vec(self.ctx.PP)].T.copy()
 
     def kernel_basis(self):
         """An F_p-basis of the kernel, as a list of element indices."""
@@ -250,37 +231,23 @@ class LinPoly:
 
     # -- misc -----------------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {"s": self.s, "coeffs": [int(c) for c in self.coeffs]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, ctx: FieldCtx, d: dict) -> "LinPoly":
-        return cls(ctx, d["s"], np.array(d["coeffs"], dtype=np.int64))
-
     def __eq__(self, other):
         if not isinstance(other, LinPoly):
             return NotImplemented
-        return self.ctx == other.ctx and np.array_equal(self.q_view(), other.q_view())
+        return self.ctx == other.ctx and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx, tuple(self.q_view())))
+        return hash((self.ctx, tuple(self.coeffs.tolist())))
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for i in self.support():
-            c = int(self.coeffs[i])
-            e = (self.s * i) % self.ctx.n
-            if e == 0:
-                base = "X"
-            else:
-                base = f"X^q^{e}" if e > 1 else "X^q"
+        for e in self.support():
+            c = int(self.coeffs[e])
+            base = "X" if e == 0 else f"X^q^{e}" if e > 1 else "X^q"
             parts.append(base if c == 1 else f"{c}*{base}")
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"LinPoly(s={self.s}, {self})"
+        return f"LinPoly({self})"

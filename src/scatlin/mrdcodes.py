@@ -41,8 +41,7 @@ class RankCode:
     """The 2-dimensional top-field span <X, f>, with cached statistics."""
 
     def __init__(self, f: LinPoly):
-        qv = f.q_view()
-        if not qv[1:].any():
+        if not f.coeffs[1:].any():
             raise ValueError("f must be independent of X: the span would be 1-dimensional")
         self.f = f
         self.ctx = f.ctx
@@ -60,17 +59,17 @@ class RankCode:
         counts = fiber_counts(self.f)
         logs = ctx.LOG[ctx.nonzero_elements()]
         slots = np.append((ctx.LOG[ctx.neg_one] - logs) % ctx.order, ctx.order)
-        sizes = counts[slots] + 1
-        powers = ctx.q ** np.arange(ctx.n + 1, dtype=np.int64)
-        dims = np.searchsorted(powers, sizes)
-        if not np.array_equal(powers[np.minimum(dims, ctx.n)], sizes):
-            raise RuntimeError("a fiber count is not q^k - 1")
-        return np.concatenate([[ctx.n], ctx.n - dims])
+        return np.concatenate([[ctx.n], ctx.n - _log_q(ctx, counts[slots] + 1)])
 
     def min_distance(self) -> int:
-        """Minimum rank over the nonzero codewords (one per projective class)."""
+        """Minimum rank over the nonzero codewords (one per projective class).
+
+        Every fiber of f(x)/x, the kernel fiber included, is the kernel of
+        one class other than X (see `codeword_ranks`), and X has rank n, so
+        this is n - log_q(1 + the largest fiber count).
+        """
         if self._min_distance is None:
-            self._min_distance = int(self.codeword_ranks().min())
+            self._min_distance = self.ctx.n - int(_log_q(self.ctx, fiber_counts(self.f).max() + 1))
         return self._min_distance
 
     def is_mrd(self) -> bool:
@@ -81,6 +80,15 @@ class RankCode:
         return self.min_distance() == self.ctx.n - 1
 
 
+def _log_q(ctx: FieldCtx, sizes):
+    """k with q^k = size, for each size; refused unless every size is such a power."""
+    powers = ctx.q ** np.arange(ctx.n + 1, dtype=np.int64)
+    dims = np.searchsorted(powers, sizes)
+    if not np.array_equal(powers[np.minimum(dims, ctx.n)], sizes):
+        raise RuntimeError("a fiber count is not q^k - 1")
+    return dims
+
+
 # ---------------------------------------------------------------------------
 # the graph-map system g o (alpha*X + beta*f) = gamma*X + delta*f
 
@@ -88,7 +96,7 @@ class RankCode:
 def _graph_system(f: LinPoly, g: LinPoly) -> np.ndarray:
     """The (n*deg) x (3*deg) F_p-matrix of g o (alpha*X + beta*f) - delta*f.
 
-    In the q-exponent view the X^(q^k) slot of this image reads
+    The X^(q^k) slot of this image reads
     g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i) - delta f_k,
     F_p-linear in the three unknowns jointly, with the beta coefficients of
     `linpoly.composition_terms`; it is gamma*X iff slots k >= 1 vanish, and
@@ -100,7 +108,7 @@ def _graph_system(f: LinPoly, g: LinPoly) -> np.ndarray:
     """
     ctx = f.ctx
     n, d = ctx.n, ctx.deg
-    fq, gq = f.q_view(), g.q_view()
+    fq, gq = f.coeffs, g.coeffs
     frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
     coef = composition_terms(ctx, gq, fq)
     beta = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
@@ -213,13 +221,13 @@ def left_idealizer(code: RankCode) -> PairRange:
     """All g = a*X + b*f with g o f back in the span, as a `PairRange` of (a, b).
 
     g o f = a*f + b*(f o f) and a*f is a codeword, so the answer is F x {0},
-    or F x F when (f o f)_k = b'*f_k for one b' in every q-view slot k >= 1.
+    or F x F when (f o f)_k = b'*f_k for one b' in every slot k >= 1.
     Each pair fixes the a', b' of g o f = a'*X + b'*f, so the pair count is
     a solution-space size, refused above SOLUTION_SPACE_BOUND.  The pairs
     come in the sorted order of element indices, as `right_idealizer`'s do.
     """
     ctx = code.ctx
-    fq, ffq = code.f.q_view(), code.f.compose(code.f).q_view()
+    fq, ffq = code.f.coeffs, code.f.compose(code.f).coeffs
     k = 1 + int(np.flatnonzero(fq[1:])[0])
     ratio = ctx.mul(int(ffq[k]), ctx.inv(int(fq[k])))
     closed = np.array_equal(ffq[1:], ctx.scale_vec(ratio, fq[1:]))
@@ -320,7 +328,7 @@ def stabilizer(f: LinPoly) -> StabilizerSet:
 
 
 def standard_form(f: LinPoly) -> dict:
-    """Exponent-difference profile of f in the plain q-exponent view.
+    """Exponent-difference profile of the q-exponents of f.
 
     delta_set is {(i - j) mod n : both coefficients nonzero, i != j} plus n;
     r is its gcd; f is standard when r > 1, and then all exponents share one
@@ -329,8 +337,7 @@ def standard_form(f: LinPoly) -> dict:
     if f.is_zero():
         raise ValueError("standard form of the zero polynomial is not defined")
     ctx = f.ctx
-    qv = f.q_view()
-    supp_q = [i for i in range(ctx.n) if qv[i]]
+    supp_q = f.support()
     deltas = {(i - j) % ctx.n for i in supp_q for j in supp_q if i != j}
     deltas.add(ctx.n)
     r = 0

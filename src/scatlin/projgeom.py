@@ -99,15 +99,16 @@ class ProjSubspace:
         return r1 == FieldEchelon(self.ctx, other.equations).rank == both.rank
 
     def contains_point(self, coords) -> bool:
+        """Every equation vanishes at the coordinates, 2t element indices;
+        anything else is refused with ValueError."""
         ctx = self.ctx
         coords = np.asarray(coords, dtype=np.int64)
-        for e in self.equations:
-            acc = 0
-            for i in range(ctx.n):
-                acc = ctx.add(acc, ctx.mul(int(e[i]), int(coords[i])))
-            if acc != 0:
-                return False
-        return True
+        if coords.shape != (ctx.n,):
+            raise ValueError(f"a point has {ctx.n} coordinates")
+        if ((coords < 0) | (coords >= ctx.size)).any():
+            raise ValueError(f"coordinates must be element indices in [0, {ctx.size})")
+        terms = ctx.mul_vec(np.array(self.equations, dtype=np.int64).reshape(-1, ctx.n), coords)
+        return not (ctx.DIGITS[terms].sum(axis=1) % ctx.p).any()
 
 
 def intersect_dim(subspaces) -> int:
@@ -140,10 +141,11 @@ def sigma_fixes_subgeometry(ctx: FieldCtx, s: int, sample: int = 25, seed: int =
 
 def polynomial_vertex(ctx: FieldCtx, s: int, f: LinPoly) -> ProjSubspace:
     """The projection vertex attached to a graph subspace {(x, f(x))}:
-    equations X_0 = 0 and sum_i f_i X_i = 0 over the coordinate positions."""
+    equations X_0 = 0 and sum_i a_i X_i = 0 over the coordinate positions,
+    with a_i the coefficient of X^(q^(s*i)) in f."""
     e0 = np.zeros(ctx.n, dtype=np.int64)
     e0[0] = 1
-    return ProjSubspace(ctx, s, [e0, f.coeffs.copy()])
+    return ProjSubspace(ctx, s, [e0, f.coeffs[s * np.arange(ctx.n) % ctx.n]])
 
 
 def axis_line(ctx: FieldCtx, s: int) -> ProjSubspace:
@@ -169,7 +171,7 @@ def meets_subgeometry(space: ProjSubspace) -> bool:
     xs = ctx.nonzero_elements()
     for e in space.equations:
         # equation sum_i e_i X_i at the point (x^(q^(s*i)))_i is a q^s-polynomial in x
-        xs = xs[LinPoly(ctx, s, e).eval_vec(xs) == 0]
+        xs = xs[LinPoly.from_terms(ctx, s, dict(enumerate(e.tolist()))).eval_vec(xs) == 0]
         if xs.size == 0:
             return False
     return True

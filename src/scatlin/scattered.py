@@ -129,12 +129,11 @@ def profile_key(f: LinPoly) -> tuple:
     one tower.
     """
     ctx = f.ctx
-    terms = sorted(((f.s * i) % ctx.n, c) for i, c in enumerate(f.coeffs.tolist()) if c)
-    if not terms:
+    support = f.support()
+    if not support:
         return ()
-    support = tuple(e for e, _ in terms)
-    u = profile_keys(ctx, support, [[int(ctx.LOG[c]) for _, c in terms]])
-    return support, tuple(u[0].tolist())
+    u = profile_keys(ctx, tuple(support), ctx.LOG[f.coeffs[support]][None])
+    return tuple(support), tuple(u[0].tolist())
 
 
 def profile_keys(ctx, support: tuple, logs) -> np.ndarray:

@@ -59,13 +59,19 @@ reduces the log of f(x)/x with `%` on its values; they are the references
 for `LinPoly.eval_vec`, which factors out the first coefficient and reduces
 by conditional subtraction, and for `scattered.fiber_counts`.
 
+`eval_terms_loop`, `compose_terms_loop` and `adjoint_terms_loop` work on a
+step-s presentation {i: a_i} of sum_i a_i X^(q^(s*i)), raising to q^(s*i)
+one term at a time; they are the references for `LinPoly.from_terms`, after
+which the library knows no step.
+
 `fill_powers_int64` fills the powers of one element in blocks of int64
 matrix products reduced with `%`, and `smallest_generator_loop` tests one
 candidate at a time with int64 matrix powers; they are the references for
 `fieldcore._fill_powers` and `fieldcore.smallest_generator`, which multiply
 float64 stacks through BLAS.
 
-`meets_subgeometry_all_points` evaluates every equation on every nonzero x;
+`meets_subgeometry_all_points` evaluates every equation on every nonzero x
+by digit sums at the step-s coordinates;
 it is the reference for `projgeom.meets_subgeometry`, which evaluates each
 equation only on the x that satisfy the ones before it and refuses a
 one-term equation outright.
@@ -136,13 +142,12 @@ def scaling_class(f):
     Two polynomials get the same class iff one is a scaling of the other.
     """
     ctx = f.ctx
-    qv = f.q_view()
-    support = np.flatnonzero(qv).tolist()
+    support = f.support()
     if not support:
         return ()
     lam = ctx.nonzero_elements()
     # coefficient of X^(q^e) in f(lambda*X) is a_e * lambda^(q^e)
-    cols = [ctx.scale_vec(int(qv[e]), ctx.frob_vec(lam, e)) for e in support]
+    cols = [ctx.scale_vec(int(f.coeffs[e]), ctx.frob_vec(lam, e)) for e in support]
     inv_lead = ctx.pow_vec(cols[0], -1)
     normed = np.stack([ctx.mul_vec(c, inv_lead) for c in cols], axis=1)
     return tuple(support), min(map(tuple, normed.tolist()))
@@ -365,7 +370,8 @@ def pair_profiles_per_orbit(ctx, s, M, H, forms=(False,)):
         codes = orbit_codes_all_rows(ctx, tuple(exps[slots].tolist()), logs[rows][:, slots])
         _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
         profiles = np.array([
-            fiber_profile(LinPoly(ctx, s, np.where(live[r], ctx.EXP[logs[r]], 0)))
+            fiber_profile(LinPoly.from_terms(
+                ctx, s, dict(enumerate(np.where(live[r], ctx.EXP[logs[r]], 0).tolist()))))
             for r in rows[first]
         ], dtype=np.int64)
         size[rows] = profiles[inverse, 0]
@@ -386,15 +392,38 @@ def quad_coeffs_scalar(params, swapped=False):
 
 
 def compose_loop(g, f):
-    """g o f, reduced modulo X^(q^(s*2t)) - X, one pair of terms at a time."""
+    """g o f, reduced modulo X^(q^(2t)) - X, one pair of terms at a time."""
     ctx = g.ctx
     acc = np.zeros((ctx.n, ctx.deg), dtype=np.int64)
     for i in g.support():
         gi = int(g.coeffs[i])
         for j in f.support():
-            term = ctx.mul(gi, ctx.frob(int(f.coeffs[j]), g.s * i))
+            term = ctx.mul(gi, ctx.frob(int(f.coeffs[j]), i))
             acc[(i + j) % ctx.n] += ctx.DIGITS[term]
-    return LinPoly(ctx, g.s, (acc % ctx.p) @ ctx.PP)
+    return LinPoly(ctx, (acc % ctx.p) @ ctx.PP)
+
+
+def eval_terms_loop(ctx, s, terms, x):
+    """sum_i a_i x^(q^(s*i)) for the step-s presentation {i: a_i}, term by term."""
+    acc = 0
+    for i, a in terms.items():
+        acc = ctx.add(acc, ctx.mul(a, ctx.frob(x, s * i)))
+    return acc
+
+
+def compose_terms_loop(ctx, s, g_terms, f_terms):
+    """The step-s presentation of g o f, term by term: a_i X^(q^(s*i)) after
+    b_j X^(q^(s*j)) is a_i b_j^(q^(s*i)) X^(q^(s*(i+j)))."""
+    acc = np.zeros((ctx.n, ctx.deg), dtype=np.int64)
+    for i, a in g_terms.items():
+        for j, b in f_terms.items():
+            acc[(i + j) % ctx.n] += ctx.DIGITS[ctx.mul(a, ctx.frob(b, s * i))]
+    return dict(enumerate(((acc % ctx.p) @ ctx.PP).tolist()))
+
+
+def adjoint_terms_loop(ctx, s, terms):
+    """The step-s presentation of the adjoint: slot n-i gets a_i^(q^(s*(n-i)))."""
+    return {(ctx.n - i) % ctx.n: ctx.frob(a, s * (ctx.n - i)) for i, a in terms.items()}
 
 
 def _has_remainder(a, b, p):
@@ -422,13 +451,12 @@ def is_irreducible_trial(m, p):
 def _compose_with_span_of_f(outer, inner, bs):
     """Slot values of outer o (b*inner) for every b, as {slot: array}."""
     ctx = outer.ctx
-    s = outer.s
     acc = {k: np.zeros((bs.size, ctx.deg), dtype=np.int64) for k in range(ctx.n)}
     for i in outer.support():
-        fb = ctx.frob_vec(bs, (s * i) % ctx.n)
+        fb = ctx.frob_vec(bs, i)
         for j in inner.support():
             k = (i + j) % ctx.n
-            cst = ctx.mul(int(outer.coeffs[i]), ctx.frob(int(inner.coeffs[j]), (s * i) % ctx.n))
+            cst = ctx.mul(int(outer.coeffs[i]), ctx.frob(int(inner.coeffs[j]), i))
             acc[k] += ctx.DIGITS[ctx.scale_vec(cst, fb)]
     return {k: (v % ctx.p) @ ctx.PP for k, v in acc.items()}
 
@@ -461,21 +489,19 @@ def graph_maps_grid(f, g):
     """
     ctx = f.ctx
     _check_size(ctx)
-    fq = LinPoly.from_q_view(ctx, 1, f.q_view())
-    gq = LinPoly.from_q_view(ctx, 1, g.q_view())
-    fsupp = [k for k in fq.support() if k != 0]
+    fsupp = [k for k in f.support() if k != 0]
     if not fsupp:
         raise ValueError("f must be independent of X")
     els = ctx.elements()
-    b_part = _compose_with_span_of_f(gq, fq, els)
-    a_part = {k: ctx.scale_vec(int(gq.coeffs[k]), ctx.frob_vec(els, k)) for k in gq.support()}
+    b_part = _compose_with_span_of_f(g, f, els)
+    a_part = {k: ctx.scale_vec(int(g.coeffs[k]), ctx.frob_vec(els, k)) for k in g.support()}
     slot = {k: _add_outer(ctx, a_part.get(k), b_part[k]) for k in range(ctx.n)}
     # slot k reads delta*f_k for k != 0 and gamma + delta*f_0 for k = 0
-    delta = _div_by_const(ctx, slot[fsupp[0]], int(fq.coeffs[fsupp[0]]))
+    delta = _div_by_const(ctx, slot[fsupp[0]], int(f.coeffs[fsupp[0]]))
     ok = np.ones((ctx.size, ctx.size), dtype=bool)
     for k in range(1, ctx.n):
-        ok &= slot[k] == ctx.scale_vec(int(fq.coeffs[k]), delta)
-    gamma = ctx.add_vec(slot[0], ctx.NEG[ctx.scale_vec(int(fq.coeffs[0]), delta)])
+        ok &= slot[k] == ctx.scale_vec(int(f.coeffs[k]), delta)
+    gamma = ctx.add_vec(slot[0], ctx.NEG[ctx.scale_vec(int(f.coeffs[0]), delta)])
     aa, bb = np.nonzero(ok)
     return sorted(
         zip(aa.tolist(), bb.tolist(), gamma[aa, bb].tolist(), delta[aa, bb].tolist())
@@ -541,7 +567,7 @@ def left_idealizer_grid(code):
 def left_idealizer_list(code):
     """The left idealizer F x {0}, or F x F when f o f is in the span, as a list."""
     ctx = code.ctx
-    fq, ffq = code.f.q_view(), code.f.compose(code.f).q_view()
+    fq, ffq = code.f.coeffs, code.f.compose(code.f).coeffs
     k = 1 + int(np.flatnonzero(fq[1:])[0])
     ratio = ctx.mul(int(ffq[k]), ctx.inv(int(fq[k])))
     closed = np.array_equal(ffq[1:], ctx.scale_vec(ratio, fq[1:]))
@@ -578,7 +604,7 @@ def eval_vec_digits(f, xs):
     xs = np.asarray(xs).ravel()
     acc = np.zeros((xs.size, ctx.deg), dtype=np.int16)
     for i in f.support():
-        term = ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, f.s * i))
+        term = ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, i))
         acc += ctx.DIGITS[term]
     return (acc % ctx.p).astype(np.int64) @ ctx.PP
 
@@ -590,7 +616,7 @@ def eval_vec_zech(f, xs):
     xs = np.asarray(xs).ravel()
     acc = zero = None
     for i in f.support():
-        lt = ctx.LOG[ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, f.s * i))]
+        lt = ctx.LOG[ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, i))]
         if acc is None:
             acc = lt
             continue
@@ -685,7 +711,8 @@ def meets_subgeometry_all_points(space):
     xs = ctx.nonzero_elements()
     ok = np.ones(xs.size, dtype=bool)
     for e in space.equations:
-        ok &= LinPoly(ctx, space.s, e).eval_vec(xs) == 0
+        terms = [ctx.scale_vec(int(c), ctx.frob_vec(xs, space.s * i)) for i, c in enumerate(e)]
+        ok &= (ctx.DIGITS[np.array(terms)].sum(axis=0) % ctx.p == 0).all(axis=1)
     return bool(ok.any())
 
 
@@ -759,7 +786,7 @@ def graph_system_per_element(f, g):
     Frobenius matrix per power."""
     ctx = f.ctx
     n, d, p = ctx.n, ctx.deg, ctx.p
-    fq, gq = f.q_view(), g.q_view()
+    fq, gq = f.coeffs, g.coeffs
     frob = [_frob_matrix(ctx, i) for i in range(n)]
     # blocks[k, u]: slot k, unknown u in (alpha, beta, gamma, delta)
     blocks = np.zeros((n, 4, d, d), dtype=np.int64)

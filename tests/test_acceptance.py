@@ -172,7 +172,7 @@ def test_criterion_06_mrd_bridge(f33):
         f = LinPoly.from_terms(
             f33, 1, {int(i): int(rng.integers(1, 729)) for i in slots}
         )
-        if not f.q_view()[1:].any():
+        if not f.coeffs[1:].any():
             continue
         code = RankCode(f)
         if (code.min_distance() == 5) != is_scattered_fiber(f):
@@ -231,7 +231,7 @@ def test_criterion_07_stabilizers_even_tower(f34, f33):
     while len(cross) < 6:
         slots = rng.choice(6, size=4, replace=False)
         f = LinPoly.from_terms(f33, 1, {int(i): int(rng.integers(1, 729)) for i in slots})
-        if f.q_view()[1:].any() and is_scattered_fiber(f):
+        if f.coeffs[1:].any() and is_scattered_fiber(f):
             cross.append(f)
     for f in cross:
         if stabilizer(f).elements != invertible(f33, graph_maps_grid(f, f)):

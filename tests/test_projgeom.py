@@ -80,6 +80,20 @@ def test_contains_point_on_a_subspace_through_it(f33):
     assert space.contains_point(pt)
     assert space.contains_point(f33.scale_vec(7, pt))
     assert not space.contains_point(subgeometry_point(f33, 1, 2))
+    assert ProjSubspace(f33, 1, []).contains_point(pt)
+
+
+def test_contains_point_refuses_malformed_points(f33):
+    """A point has 2t element indices: extra or missing coordinates and
+    indices outside [0, size) are refused, not ignored or wrapped."""
+    space = ProjSubspace(f33, 1, [[1, f33.neg_one, 0, 0, 0, 0]])
+    for coords in ([0, 1, 2, 3, 4, 5, 9, 9], [1, 1, 0, 0, 0]):
+        with pytest.raises(ValueError, match="6 coordinates"):
+            space.contains_point(coords)
+    for bad in (-729, -1, f33.size):
+        with pytest.raises(ValueError, match="element indices"):
+            space.contains_point([1, 1, bad, 0, 0, 0])
+    assert space.contains_point([1, 1, 5, 0, 0, 0])
 
 
 def test_intersect_dim_single(f33):

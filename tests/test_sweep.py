@@ -224,8 +224,8 @@ def test_pair_grid_matches_the_per_orbit_loop(tower, seed):
 
 def _orbit_code(f):
     ctx = f.ctx
-    support = np.flatnonzero(f.q_view())
-    logs = ctx.LOG[f.q_view()[support]]
+    support = np.flatnonzero(f.coeffs)
+    logs = ctx.LOG[f.coeffs[support]]
     return int(orbit_codes(ctx, tuple(support.tolist()), logs[None, :])[0][0])
 
 
