@@ -100,9 +100,11 @@ class LinPoly:
 
     @classmethod
     def from_terms(cls, ctx: FieldCtx, s: int, terms: dict) -> "LinPoly":
-        """sum_i a_i X^(q^(s*i)) from the step-s presentation {i: a_i}."""
+        """sum_i a_i X^(q^(s*i)) from the step-s presentation {i: a_i}, 0 <= i < 2t."""
         if gcd(s, ctx.n) != 1:
             raise ValueError(f"step s={s} must be coprime to 2t={ctx.n}")
+        if terms and not (0 <= min(terms) and max(terms) < ctx.n):
+            raise ValueError(f"slots must lie in [0, {ctx.n})")
         c = np.zeros(ctx.n, dtype=np.int64)
         for i, a in terms.items():
             c[s * i % ctx.n] = a

@@ -8,13 +8,15 @@ to (m, h) in F_{q^t} x F_{q^(2t)}* is
 Everything that decides scatteredness of this polynomial lives here: the two
 power sets of trace-zero elements, the sufficient-condition cases and prior
 families (one calculus, `condition_tags`, on scalars or index arrays), the
-structural split into a leading and trailing pair with their multiplier
-maps, and the constructive non-scatteredness witness for the bad power set.
+structural split psi = m*lead_unit + tail, which `split_maps` builds once per
+(s, h) as the `QuadSplit` every structural statement reads, and the
+constructive non-scatteredness witness for the bad power set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 import numpy as np
 
@@ -287,82 +289,100 @@ def prior_family_tag(params: QuadParams) -> str:
 
 @dataclass
 class QuadSplit:
-    """The family polynomial split into its leading and trailing pairs.
+    """The family polynomial psi = m*lead_unit + tail split at one (s, h).
 
-    lead      : m*(X^(q^s) - h^(1-q^(s(t+1))) X^(q^(s(t+1))))
-    lead_unit : the same with m = 1
+    lead_unit : X^(q^s) - h^(1-q^(s(t+1))) X^(q^(s(t+1)))
     tail      : X^(q^(s(t-1))) + h^(1-q^(s(2t-1))) X^(q^(s(2t-1)))
-    lead_mult : X^(q^(st)) + h^(q^(s(t-1)) - q^s) X   (kernel = multipliers
-                carrying ker(tail) into ker(lead))
-    tail_mult : X^(q^(st)) + h^(q^s - q^(s(t-1))) X   (kernel = multipliers
-                carrying ker(lead) into ker(tail))
+    twist     : h^(q^(s(t-1)) - q^s)
+    lead_mult : X^(q^(st)) + twist X      (kernel = multipliers carrying
+                ker(tail) into ker(lead))
+    tail_mult : X^(q^(st)) + twist^-1 X   (kernel = multipliers carrying
+                ker(lead) into ker(tail))
+
+    All but `lead` depend on (s, h) alone: m scales the leading pair and
+    keeps its kernel and image, so the kernels, images and F_p kernel bases
+    of the two pairs are computed once, on first use.
     """
 
-    lead: LinPoly
+    params: QuadParams
     lead_unit: LinPoly
     tail: LinPoly
     lead_mult: LinPoly
     tail_mult: LinPoly
+    twist: int
+
+    @property
+    def lead(self) -> LinPoly:
+        return self.lead_unit.scale(self.params.m)
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """(ker lead_unit, ker tail) as sorted index arrays."""
+        return self.lead_unit.kernel_set(), self.tail.kernel_set()
+
+    @cached_property
+    def images(self) -> tuple:
+        """(im lead_unit, im tail) as sorted index arrays."""
+        return self.lead_unit.image_set(), self.tail.image_set()
+
+    @cached_property
+    def kernel_bases(self) -> tuple:
+        """F_p-bases of ker lead_unit and ker tail, as digit columns."""
+        p = self.params.ctx.p
+        return tuple(gflinalg.nullspace(f.matrix(), p) for f in (self.lead_unit, self.tail))
 
 
 def split_maps(params: QuadParams) -> QuadSplit:
-    ctx, s, m, h = params.ctx, params.s, params.m, params.h
+    ctx, s, h = params.ctx, params.s, params.h
     t, n, q = ctx.t, ctx.n, ctx.q
     unit = quad_coeffs(replace(params, m=1))
     lead_unit = LinPoly.from_terms(ctx, s, {k: unit[k] for k in (1, t + 1)})
-    lead = lead_unit.scale(m)
     tail = LinPoly.from_terms(ctx, s, {k: unit[k] for k in (t - 1, 2 * t - 1)})
-    exp_gap = q ** ((s * (t - 1)) % n) - q ** (s % n)
-    c_r = ctx.pow(h, exp_gap)
-    c_t = ctx.pow(h, -exp_gap)
-    lead_mult = LinPoly.from_terms(ctx, s, {t: 1, 0: c_r})
-    tail_mult = LinPoly.from_terms(ctx, s, {t: 1, 0: c_t})
-    return QuadSplit(lead, lead_unit, tail, lead_mult, tail_mult)
+    twist = ctx.pow(h, q ** ((s * (t - 1)) % n) - q ** (s % n))
+    lead_mult = LinPoly.from_terms(ctx, s, {t: 1, 0: twist})
+    tail_mult = LinPoly.from_terms(ctx, s, {t: 1, 0: ctx.inv(twist)})
+    return QuadSplit(params, lead_unit, tail, lead_mult, tail_mult, twist)
 
 
-def image_characterizations(params: QuadParams) -> bool:
+def _refuse_index(ctx: FieldCtx, x: int, name: str):
+    if not 0 <= x < ctx.size:
+        raise ValueError(f"{name}={x} must be an element index in [0, {ctx.size})")
+
+
+def image_characterizations(sp: QuadSplit) -> bool:
     """Images of the unit leading and trailing pairs match their one-equation
     descriptions (valid when the norm of h is +-1):
 
         im(lead) = {z : z^(q^(st)) + h^(q^(st)-q^s) z = 0}
         im(tail) = {z : z^(q^(st)) - h^(q^(st)-q^(s(t-1))) z = 0}
     """
-    ctx, s, h = params.ctx, params.s, params.h
+    ctx, s, h = sp.params.ctx, sp.params.s, sp.params.h
     t, n, q = ctx.t, ctx.n, ctx.q
-    sp = split_maps(params)
     zs = ctx.elements()
     zt = ctx.frob_vec(zs, (s * t) % n)
-
-    c1 = ctx.pow(h, q ** ((s * t) % n) - q ** (s % n))
-    lhs1 = ctx.add_vec(zt, ctx.scale_vec(c1, zs))
-    im_lead_pred = np.sort(zs[lhs1 == 0])
-
     c2 = ctx.pow(h, q ** ((s * t) % n) - q ** ((s * (t - 1)) % n))
-    lhs2 = ctx.add_vec(zt, ctx.NEG[ctx.scale_vec(c2, zs)])
-    im_tail_pred = np.sort(zs[lhs2 == 0])
+    c1 = ctx.mul(c2, sp.twist)   # h^(q^(st)-q^s)
+    im_lead_pred = np.flatnonzero(ctx.add_vec(zt, ctx.scale_vec(c1, zs)) == 0)
+    im_tail_pred = np.flatnonzero(ctx.add_vec(zt, ctx.NEG[ctx.scale_vec(c2, zs)]) == 0)
+    il, it = sp.images
+    return np.array_equal(il, im_lead_pred) and np.array_equal(it, im_tail_pred)
 
-    return np.array_equal(sp.lead_unit.image_set(), im_lead_pred) and np.array_equal(
-        sp.tail.image_set(), im_tail_pred
-    )
 
-
-def decompose(params: QuadParams, x: int):
+def decompose(sp: QuadSplit, x: int):
     """Unique x = x1 + x2 with x1 in ker(lead) and x2 in ker(tail).
 
-    Solved through a precomputed change of basis over F_p; raises
+    One solve over F_p against the split's kernel bases; raises
     DirectSumError when the two kernels fail to split the field (degenerate
-    h), never returning a wrong pair.
+    h), never returning a wrong pair.  Refuses x outside [0, size).
     """
-    ctx = params.ctx
-    sp = split_maps(params)
-    k1 = _kernel_cols(sp.lead if params.m != 0 else sp.lead_unit)
-    k2 = _kernel_cols(sp.tail)
+    ctx = sp.params.ctx
+    _refuse_index(ctx, x, "x")
+    k1, k2 = sp.kernel_bases
     basis = np.hstack([k1, k2])
-    if basis.shape[1] != ctx.deg or gflinalg.rank(basis, ctx.p) != ctx.deg:
+    sol = basis.shape[1] == ctx.deg and gflinalg.solve_affine(basis, ctx.DIGITS[x], ctx.p)
+    if not sol or sol[1].shape[1]:
         raise DirectSumError("kernels of the two pairs do not split the field")
-    sol = gflinalg.solve_affine(basis, ctx.DIGITS[x], ctx.p)
-    coords, _ = sol
-    d1 = k1.shape[1]
+    coords, d1 = sol[0], k1.shape[1]
     x1 = ctx.from_digits(k1 @ coords[:d1])
     x2 = ctx.from_digits(k2 @ coords[d1:])
     if ctx.add(x1, x2) != x:
@@ -370,26 +390,22 @@ def decompose(params: QuadParams, x: int):
     return x1, x2
 
 
-def _kernel_cols(f: LinPoly) -> np.ndarray:
-    return gflinalg.nullspace(f.matrix(), f.ctx.p)
-
-
-def basis_components(params: QuadParams, gamma: int, rho: int):
+def basis_components(sp: QuadSplit, gamma: int, rho: int):
     """Coordinates of gamma in the two middle-field bases {1, rho}, {1, tau}.
 
     rho must be a nonzero kernel element of the lead multiplier map; tau is
     its twist h^(q^(s(t-1)) - q^s) * rho.  Returns ((l1, m1), (l2, m2)); the
     second pair is produced by the closed-form transfer
         l2 = l1 + m1 * rho * (1 - h^(q^(s(t-1)) - q^s)),  m2 = m1
-    and cross-checked by direct resolution in the second basis.
+    and cross-checked by direct resolution in the second basis.  Refuses
+    gamma outside [0, size).
     """
-    ctx, s, h = params.ctx, params.s, params.h
-    t, n, q = ctx.t, ctx.n, ctx.q
-    sp = split_maps(params)
+    ctx, s = sp.params.ctx, sp.params.s
+    t, n = ctx.t, ctx.n
+    _refuse_index(ctx, gamma, "gamma")
     if rho == 0 or sp.lead_mult.eval(rho) != 0:
         raise ValueError("rho must be a nonzero kernel element of the lead multiplier")
-    twist = ctx.pow(h, q ** ((s * (t - 1)) % n) - q ** (s % n))
-    tau = ctx.mul(twist, rho)
+    tau = ctx.mul(sp.twist, rho)
 
     def components(base2):
         # gamma = l + m*base2 with l, m fixed by the middle-field conjugation
@@ -404,14 +420,14 @@ def basis_components(params: QuadParams, gamma: int, rho: int):
 
     l1, m1 = components(rho)
     l2_direct, m2_direct = components(tau)
-    shift = ctx.mul(m1, ctx.mul(rho, ctx.sub(1, twist)))
+    shift = ctx.mul(m1, ctx.mul(rho, ctx.sub(1, sp.twist)))
     l2 = ctx.add(l1, shift)
     if (l2, m1) != (l2_direct, m2_direct):
         raise RuntimeError("component transfer disagrees")
     return (l1, m1), (l2, m1)
 
 
-def multiplier_equivalences(params: QuadParams) -> bool:
+def multiplier_equivalences(sp: QuadSplit) -> bool:
     """Exhaustive three-way equivalences tying the multiplier kernels to the
     pair kernels and images:
 
@@ -421,43 +437,30 @@ def multiplier_equivalences(params: QuadParams) -> bool:
     for any fixed nonzero u in ker(lead), v in ker(tail), swept over every a
     and b in the field.
     """
-    ctx = params.ctx
-    sp = split_maps(params)
-    ker_lead = sp.lead.kernel_set() if params.m != 0 else sp.lead_unit.kernel_set()
-    ker_tail = sp.tail.kernel_set()
-    u = int(next(k for k in ker_lead if k != 0))
-    v = int(next(k for k in ker_tail if k != 0))
-
+    ctx = sp.params.ctx
+    (kl, kt), (il, it) = sp.kernels, sp.images
+    u, v = int(kl[1]), int(kt[1])   # sorted, and 0 comes first
     elems = ctx.elements()
-    ker_lead_mask = np.zeros(ctx.size, dtype=bool)
-    ker_lead_mask[ker_lead] = True
-    ker_tail_mask = np.zeros(ctx.size, dtype=bool)
-    ker_tail_mask[ker_tail] = True
-    im_lead_mask = np.zeros(ctx.size, dtype=bool)
-    im_lead_mask[sp.lead_unit.image_set()] = True
-    im_tail_mask = np.zeros(ctx.size, dtype=bool)
-    im_tail_mask[sp.tail.image_set()] = True
-
-    in_ker_r = sp.lead_mult.eval_field()[elems] == 0
-    s1 = ker_lead_mask[ctx.mul_vec(elems, v)]
-    s2 = im_lead_mask[ctx.mul_vec(elems, sp.tail.eval(u))]
-    ok_a = np.array_equal(in_ker_r, s1) and np.array_equal(in_ker_r, s2)
-
-    in_ker_t = sp.tail_mult.eval_field()[elems] == 0
-    s3 = ker_tail_mask[ctx.mul_vec(elems, u)]
-    s4 = im_tail_mask[ctx.mul_vec(elems, sp.lead_unit.eval(v))]
-    ok_b = np.array_equal(in_ker_t, s3) and np.array_equal(in_ker_t, s4)
-    return ok_a and ok_b
+    ok = True
+    for mult, ker, im, w, y in ((sp.lead_mult, kl, il, v, sp.tail.eval(u)),
+                                (sp.tail_mult, kt, it, u, sp.lead_unit.eval(v))):
+        member = np.zeros((2, ctx.size), dtype=bool)
+        member[0, ker] = member[1, im] = True
+        in_ker = mult.eval_field() == 0
+        ok &= (np.array_equal(in_ker, member[0, ctx.mul_vec(elems, w)])
+               and np.array_equal(in_ker, member[1, ctx.mul_vec(elems, y)]))
+    return ok
 
 
-def ratio_in_trace_kernel(params: QuadParams, x1: int, x2: int) -> bool:
+def ratio_in_trace_kernel(sp: QuadSplit, x1: int, x2: int) -> bool:
     """tail(x1) / (x2 * (h^(q^s) + h^(q^(s(t-1))))) lies in ker Tr.
 
-    Requires x2 != 0 and a nonzero denominator; the denominator vanishing
-    would mean h^(q^(s(t-2))) = -h, which the norm conditions exclude.
+    Requires x2 a nonzero element index and a nonzero denominator; it
+    vanishes only if h^(q^(s(t-2))) = -h, which the norm conditions exclude.
     """
-    ctx, s, h = params.ctx, params.s, params.h
-    t, n, q = ctx.t, ctx.n, ctx.q
+    ctx, s, h = sp.params.ctx, sp.params.s, sp.params.h
+    t, n = ctx.t, ctx.n
+    _refuse_index(ctx, x2, "x2")
     if x2 == 0:
         raise ValueError("x2 must be nonzero")
     den = ctx.add(ctx.frob(h, s % n), ctx.frob(h, (s * (t - 1)) % n))
@@ -465,7 +468,6 @@ def ratio_in_trace_kernel(params: QuadParams, x1: int, x2: int) -> bool:
         raise ArithmeticError(
             "denominator vanished: h^(q^(s(t-2))) = -h, outside the admissible range"
         )
-    sp = split_maps(params)
     val = ctx.div(sp.tail.eval(x1), ctx.mul(x2, den))
     return ctx.trace_rel(val, t) == 0
 
@@ -613,49 +615,42 @@ def run_property_suite(ctx: FieldCtx, s: int, exhaustive: bool = True,
     record("h_power_condition_norm_plus_one", ok2)
     record("h_no_frobenius_flip", ok3)
 
-    # structural split, images, multipliers, components, ratio membership;
-    # kernels and images of the two pairs only depend on h, so the heavy
-    # sweeps run once per h and the per-m facts stay cheap
+    # structural split, images, multipliers, components, ratio membership:
+    # one split per h, whose kernels, images and bases every statement reads
     mid_nz = mid[mid != 0]
     if not exhaustive:
         hs = hs[rng.choice(hs.size, size=min(samples, hs.size), replace=False)]
     ok_sum = ok_img = ok_mult = ok_comp = ok_ratio = ok_dims = ok_scale = True
     qt = ctx.q ** ctx.t
+    m0 = int(mid_nz[0])
     for h in hs:
         h = int(h)
-        m0 = int(mid_nz[0])
-        base = QuadParams(ctx, s, m0, h)
-        sp = split_maps(base)
-        kl, kt = sp.lead_unit.kernel_set(), sp.tail.kernel_set()
-        il, it = sp.lead_unit.image_set(), sp.tail.image_set()
+        sp = split_maps(QuadParams(ctx, s, m0, h))
+        (kl, kt), (il, it) = sp.kernels, sp.images
+        kr = sp.lead_mult.kernel_set()
         ok_dims &= kl.size == qt and kt.size == qt
         ok_dims &= np.intersect1d(kl, kt).size == 1
         ok_dims &= np.intersect1d(il, it).size == 1
-        ok_dims &= sp.lead_mult.kernel_set().size == qt
-        ok_dims &= sp.tail_mult.kernel_set().size == qt
-        ok_img &= image_characterizations(base)
-        ok_mult &= multiplier_equivalences(base)
-        rho = int(next(k for k in sp.lead_mult.kernel_set() if k != 0))
+        ok_dims &= kr.size == qt and sp.tail_mult.kernel_set().size == qt
+        ok_img &= image_characterizations(sp)
+        ok_mult &= multiplier_equivalences(sp)
+        rho = int(kr[1])
         gamma_el = int(rng.integers(0, ctx.size))
-        (l1, m1), (l2, m2) = basis_components(base, gamma_el, rho)
-        tau = ctx.mul(ctx.inv(int(sp.tail_mult.coeffs[0])), rho)
+        (l1, m1), (l2, m2) = basis_components(sp, gamma_el, rho)
         ok_comp &= ctx.add(l1, ctx.mul(m1, rho)) == gamma_el
-        ok_comp &= ctx.add(l2, ctx.mul(m2, tau)) == gamma_el
+        ok_comp &= ctx.add(l2, ctx.mul(m2, ctx.mul(sp.twist, rho))) == gamma_el
         if not ctx.in_subfield(h, ctx.t):
             x1c = int(kl[rng.integers(0, kl.size)])
-            x2c = int(next(k for k in kt if k != 0))
-            ok_ratio &= ratio_in_trace_kernel(base, x1c, x2c)
+            ok_ratio &= ratio_in_trace_kernel(sp, x1c, int(kt[1]))
+        # the facts that depend on m: psi, decompose, the scaled lead pair
         ms = mid_nz if exhaustive else mid_nz[rng.choice(mid_nz.size, 3, replace=False)]
         for m in ms:
-            params = QuadParams(ctx, s, int(m), h)
-            spm = split_maps(params)
-            ok_sum &= build_quadrinomial(params) == spm.lead.add(spm.tail)
-            x = int(rng.integers(0, ctx.size))
-            x1, x2 = decompose(params, x)
-            ok_sum &= spm.lead.eval(x1) == 0 and spm.tail.eval(x2) == 0
-            # the m-scaled lead pair shares its kernel and image with m = 1
-            ok_scale &= np.array_equal(spm.lead.kernel_set(), kl)
-            ok_scale &= np.array_equal(spm.lead.image_set(), il)
+            lead = sp.lead_unit.scale(int(m))
+            ok_sum &= build_quadrinomial(QuadParams(ctx, s, int(m), h)) == lead.add(sp.tail)
+            x1, x2 = decompose(sp, int(rng.integers(0, ctx.size)))
+            ok_sum &= lead.eval(x1) == 0 and sp.tail.eval(x2) == 0
+            ok_scale &= np.array_equal(lead.kernel_set(), kl)
+            ok_scale &= np.array_equal(lead.image_set(), il)
     record("quadrinomial_is_lead_plus_tail", ok_sum)
     record("kernel_image_direct_sums", ok_dims)
     record("lead_pair_kernel_image_independent_of_m", ok_scale)

@@ -92,6 +92,11 @@ block from the field tables at once.
 with scalar `ctx.pow`, `ctx.mul` and `ctx.neg`, one `family_slots` row at
 a time; it is the reference for `quadrinomial.family_terms` and
 `quad_coeffs`, which read every term's log off one array expression.
+`decompose_per_params` splits x over the kernels of the leading and
+trailing pairs of one member, building the split, taking both nullspaces
+(of m*lead_unit when m != 0) and checking their rank on every call; it is
+the reference for `quadrinomial.decompose`, which solves against the
+kernel bases one `QuadSplit` holds for every m.
 `compose_loop` multiplies every pair of terms of the two supports and adds
 their digit vectors one at a time; it is the reference for
 `LinPoly.compose`, which sums the columns of `linpoly.composition_terms`.
@@ -108,12 +113,12 @@ from math import prod
 import numpy as np
 
 from scatlin import gflinalg
-from scatlin.fieldcore import _factorize
+from scatlin.fieldcore import DirectSumError, _factorize
 from scatlin.linpoly import LinPoly
 from scatlin.mrdcodes import _refuse_above_bound
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
-    nonscattered_witness, trace_zero_power_set,
+    nonscattered_witness, split_maps, trace_zero_power_set,
 )
 from scatlin.scattered import _scaling_steps, fiber_profile, is_scattered_roots, profile_keys
 from scatlin.sweep import SCHEMA_VERSION, h_class_reps
@@ -389,6 +394,21 @@ def quad_coeffs_scalar(params, swapped=False):
         c = ctx.mul(m if times_m else 1, ctx.pow(h, 1 - ctx.q ** ((s * k) % ctx.n)))
         out[slot] = ctx.neg(c) if negated else c
     return out
+
+
+def decompose_per_params(params, x):
+    """x = x1 + x2 over ker(lead) and ker(tail) of the member `params`: the
+    split, both nullspaces and the rank check made anew on every call."""
+    ctx = params.ctx
+    sp = split_maps(params)
+    k1 = gflinalg.nullspace((sp.lead if params.m != 0 else sp.lead_unit).matrix(), ctx.p)
+    k2 = gflinalg.nullspace(sp.tail.matrix(), ctx.p)
+    basis = np.hstack([k1, k2])
+    if basis.shape[1] != ctx.deg or gflinalg.rank(basis, ctx.p) != ctx.deg:
+        raise DirectSumError("kernels of the two pairs do not split the field")
+    coords, _ = gflinalg.solve_affine(basis, ctx.DIGITS[x], ctx.p)
+    d1 = k1.shape[1]
+    return ctx.from_digits(k1 @ coords[:d1]), ctx.from_digits(k2 @ coords[d1:])
 
 
 def compose_loop(g, f):

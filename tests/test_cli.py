@@ -167,6 +167,22 @@ def test_props_command(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+# SHA-256 of the `props` reports, exhaustive at (3,3) and sampled at (3,4);
+# recorded before the structural statements read one split per (s, h)
+PROPS_DIGESTS = {
+    ("3", "1", ()): "d7835972484f26bd4fb211983f35dd71955df00ad4fc74e4686d39b71f9583a9",
+    ("4", "3", ("--samples", "30")): "39d995f70f131892119b5efdb0bc60bdc5a7845335f8f560333b6e696c81b534",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PROPS_DIGESTS), ids=lambda k: f"t{k[0]}-s{k[1]}")
+def test_props_reports_are_pinned(tmp_path, key):
+    t, s, extra = key
+    out = tmp_path / "props.json"
+    assert main(["props", "--q", "3", "--t", t, "--s", s, *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROPS_DIGESTS[key]
+
+
 def test_stabilizer_command(tmp_path):
     ctx = make_field(3, 1, 3)
     m, h = condition_pairs(ctx, 1)[0]

@@ -207,6 +207,15 @@ def test_validation_errors(f33, f53):
     assert f.eval(728) == f.eval_vec([728])[0] == 708
 
 
+def test_from_terms_refuses_slots_outside_the_range(f33):
+    """A slot outside [0, 2t) is refused: reduced mod 2t, {1: 5, 7: 9} would
+    drop the 5 and {-1: 5} would read as 5*X^q^5."""
+    for terms in ({1: 5, 7: 9}, {-1: 5}):
+        with pytest.raises(ValueError, match=r"slots must lie in \[0, 6\)"):
+            LinPoly.from_terms(f33, 1, terms)
+    assert LinPoly.from_terms(f33, 5, {0: 5, 5: 9}) == LinPoly(f33, [5, 9, 0, 0, 0, 0])
+
+
 def test_str(f33):
     f = LinPoly.from_terms(f33, 1, {1: 5, 3: 1})
     assert str(f) == "5*X^q + X^q^3"

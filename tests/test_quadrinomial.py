@@ -362,9 +362,9 @@ def test_split_and_direct_sums(f33):
 
 def test_image_characterizations_both_norms(f33, f53):
     m, h = first_case_pair(f33)
-    assert image_characterizations(QuadParams(f33, 1, m, h))
+    assert image_characterizations(split_maps(QuadParams(f33, 1, m, h)))
     m5, h5 = first_case_pair(f53)
-    assert image_characterizations(QuadParams(f53, 1, m5, h5))
+    assert image_characterizations(split_maps(QuadParams(f53, 1, m5, h5)))
 
 
 def test_decompose(f33):
@@ -374,11 +374,11 @@ def test_decompose(f33):
     sp = split_maps(params)
     kl, kt = sp.lead.kernel_set(), sp.tail.kernel_set()
     for x in kl[:5]:
-        assert decompose(params, int(x)) == (int(x), 0)
+        assert decompose(sp, int(x)) == (int(x), 0)
     for x in kt[:5]:
-        assert decompose(params, int(x)) == (0, int(x))
+        assert decompose(sp, int(x)) == (0, int(x))
     for x in rng.integers(0, 729, 30):
-        x1, x2 = decompose(params, int(x))
+        x1, x2 = decompose(sp, int(x))
         assert f33.add(x1, x2) == int(x)
         assert sp.lead.eval(x1) == 0 and sp.tail.eval(x2) == 0
 
@@ -394,7 +394,50 @@ def test_decompose_reports_degenerate_split(f33):
         )
     )
     with pytest.raises(DirectSumError):
-        decompose(QuadParams(f33, 1, 1, h), 5)
+        decompose(split_maps(QuadParams(f33, 1, 1, h)), 5)
+
+
+@st.composite
+def _split_points(draw):
+    """An admissible member at (3,3) or (3,4) with any step and m anywhere
+    in F_{q^t}, m = 0 drawn as often as a random m, and an element x."""
+    ctx = draw(st.sampled_from([F33, F34]))
+    s = draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    m = draw(st.one_of(st.just(0), st.sampled_from(ctx.subfield(ctx.t).tolist())))
+    h = draw(st.sampled_from(admissible_h(ctx).tolist()))
+    return QuadParams(ctx, s, m, h), draw(st.integers(0, ctx.size - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_split_points())
+def test_decompose_matches_the_per_params_reference(point):
+    params, x = point
+    assert decompose(split_maps(params), x) == reference.decompose_per_params(params, x)
+
+
+def test_decompose_refuses_indices_outside_the_field(f33):
+    m, h = first_case_pair(f33)
+    sp = split_maps(QuadParams(f33, 1, m, h))
+    for bad in (-1, 729):
+        with pytest.raises(ValueError, match="x="):
+            decompose(sp, bad)
+
+
+def test_basis_components_refuse_gamma_outside_the_field(f33):
+    m, h = first_case_pair(f33)
+    sp = split_maps(QuadParams(f33, 1, m, h))
+    rho = int(sp.lead_mult.kernel_set()[1])
+    for bad in (-1, 729):
+        with pytest.raises(ValueError, match="gamma="):
+            basis_components(sp, bad, rho)
+
+
+def test_ratio_in_trace_kernel_refuses_x2_outside_the_field(f33):
+    h = next(int(h) for h in admissible_h(f33) if not f33.in_subfield(int(h), 3))
+    sp = split_maps(QuadParams(f33, 1, 1, h))
+    for bad in (-3, 729):
+        with pytest.raises(ValueError, match="x2="):
+            ratio_in_trace_kernel(sp, 0, bad)
 
 
 def test_multiplier_kernels(f33):
@@ -410,9 +453,9 @@ def test_multiplier_kernels(f33):
 
 def test_multiplier_equivalences_exhaustive(f33, f53):
     m, h = first_case_pair(f33)
-    assert multiplier_equivalences(QuadParams(f33, 1, m, h))
+    assert multiplier_equivalences(split_maps(QuadParams(f33, 1, m, h)))
     m5, h5 = first_case_pair(f53)
-    assert multiplier_equivalences(QuadParams(f53, 1, m5, h5))
+    assert multiplier_equivalences(split_maps(QuadParams(f53, 1, m5, h5)))
 
 
 def test_basis_components(f33):
@@ -424,18 +467,18 @@ def test_basis_components(f33):
     tau = f33.mul(f33.inv(int(sp.tail_mult.coeffs[0])), rho)
     # middle-field elements have trivial second coordinate
     for g0 in f33.subfield(3)[:5]:
-        (l1, m1), (l2, m2) = basis_components(params, int(g0), rho)
+        (l1, m1), (l2, m2) = basis_components(sp, int(g0), rho)
         assert (l1, m1) == (int(g0), 0) and (l2, m2) == (int(g0), 0)
     # gamma = rho is (0, 1) in the first basis
-    (l1, m1), (l2, m2) = basis_components(params, rho, rho)
+    (l1, m1), (l2, m2) = basis_components(sp, rho, rho)
     assert (l1, m1) == (0, 1) and m2 == 1
     # random gammas reconstruct in both bases
     for g in rng.integers(0, 729, 25):
-        (l1, m1), (l2, m2) = basis_components(params, int(g), rho)
+        (l1, m1), (l2, m2) = basis_components(sp, int(g), rho)
         assert f33.add(l1, f33.mul(m1, rho)) == int(g)
         assert f33.add(l2, f33.mul(m2, tau)) == int(g)
     with pytest.raises(ValueError, match="kernel"):
-        basis_components(params, 5, 1)
+        basis_components(sp, 5, 1)
 
 
 def test_ratio_in_trace_kernel_exhaustive(f33):
@@ -451,9 +494,9 @@ def test_ratio_in_trace_kernel_exhaustive(f33):
         kt = sp.tail.kernel_set()
         for x1 in kl:
             for x2 in kt[kt != 0]:
-                assert ratio_in_trace_kernel(params, int(x1), int(x2))
+                assert ratio_in_trace_kernel(sp, int(x1), int(x2))
     with pytest.raises(ValueError, match="nonzero"):
-        ratio_in_trace_kernel(QuadParams(f33, 1, 1, hs[0]), 1, 0)
+        ratio_in_trace_kernel(split_maps(QuadParams(f33, 1, 1, hs[0])), 1, 0)
 
 
 def test_h_power_report_exhaustive(f33):
