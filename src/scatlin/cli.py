@@ -279,6 +279,16 @@ def cmd_witness(args) -> int:
     return 0 if (w is not None and not rep["scattered"]) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_field_args(sp, with_s=True):
     sp.add_argument("--q", type=int, required=True, help="base field order (prime power)")
     sp.add_argument("--t", type=int, required=True, help="tower parameter, n = 2t")
@@ -311,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("props", help="structural property suite")
     _add_field_args(sp)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_positive_int, default=200,
+                    help="h values drawn for the structural statements above 3^6 "
+                         "elements, at least 1 (default 200; smaller towers run exhaustively)")
     sp.set_defaults(func=cmd_props)
 
     sp = sub.add_parser("stabilizer", help="graph-subspace stabilizer")

@@ -4,10 +4,12 @@ Two polynomials are GL-equivalent when an invertible 2x2 matrix over the top
 field carries one graph onto the other, i.e. g o (alpha*X + beta*f) equals
 gamma*X + delta*f as reduced polynomials.  That equation is F_p-linear in
 (alpha, beta, gamma, delta) jointly, so the decision is one nullspace
-computation, the one the stabilizer and the right idealizer of `mrdcodes`
-use; the witness is the invertible solution smallest by (beta, alpha,
-gamma, delta).  Semilinear equivalence loops the p-power coefficient twists
-in front of the linear test.
+computation, `mrdcodes._graph_maps`, the one the stabilizer and the right
+idealizer use: delta is read off the first slot k >= 1 where f is nonzero
+and gamma off slot 0, so the nullspace is taken in (alpha, beta) alone, and
+f with no term beyond X is refused.  The witness is the invertible solution
+smallest by (beta, alpha, gamma, delta).  Semilinear equivalence loops the
+p-power coefficient twists in front of the linear test.
 
 The module also evaluates the printed necessary conditions for two family
 members to be GL-equivalent, organised by the residue class of the second

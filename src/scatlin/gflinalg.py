@@ -3,12 +3,18 @@
 Matrices hold entries in 0..p-1.  Everything is exact; p is assumed prime
 and small (3, 5, ...), so inverses come from a lookup table.
 
-`row_reduce` is the one elimination: a single Gauss-Jordan pass that, at
-each pivot, updates only the rows nonzero in the pivot column, and only
-from the pivot column on (every row still to be used as a pivot is zero to
-its left).  The reduced row echelon form is unique, so `rank`, `nullspace`
-and `solve_affine` read everything off it; `solve_affine` takes its kernel
-from the same reduction as its particular solution.
+`row_reduce` is the one elimination: a single Gauss-Jordan pass that works
+only from the pivot column on (every row still to be used as a pivot is
+0 mod p to its left).  It reduces lazily: at each pivot only the pivot column
+and the pivot row are reduced mod p, every other row takes off the pivot
+row times its pivot-column entry without a reduction (a zero entry leaves
+the row as it is), and the matrix is reduced once at the end.  An update
+moves an entry by at most (p-1)^2, so after k pivots every entry lies
+within (p-1) + k*(p-1)^2 of 0, far inside int64.  The reduced row echelon
+form is unique, so this is the same output as reducing every entry at every
+pivot; `rank`, `nullspace` and `solve_affine` read everything off it, and
+`solve_affine` takes its kernel from the same reduction as its particular
+solution.
 """
 
 from __future__ import annotations
@@ -34,23 +40,26 @@ def row_reduce(mat: np.ndarray, p: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        col = a[:, c] % p
+        nz = col[r:].nonzero()[0]
+        if not nz.size:
             continue
         if nz[0]:
             i = r + nz[0]
-            a[[r, i], c:] = a[[i, r], c:]
-        prow = a[r, c:]
+            prow = a[i, c:] % p
+            a[i, c:] = a[r, c:]
+            col[i] = col[r]
+        else:
+            prow = a[r, c:] % p
         if prow[0] != 1:
             prow *= inv[prow[0]]
             prow %= p
-        col = a[:, c]
-        others = np.flatnonzero(col)
-        others = others[others != r]
-        if others.size:
-            a[others, c:] = (a[others, c:] - col[others, None] * prow) % p
+        a[r, c:] = prow
+        col[r] = 0
+        a[:, c:] -= col[:, None] * prow
         pivots.append(c)
         r += 1
+    a %= p
     return a, pivots
 
 
@@ -61,7 +70,9 @@ def rank(mat: np.ndarray, p: int) -> int:
 
 def _kernel(rref: np.ndarray, pivots: list, cols: int, p: int) -> np.ndarray:
     """Kernel basis of the first `cols` columns of a reduced row echelon form."""
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
     basis = np.zeros((cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     basis[pivots] = -rref[: len(pivots), free] % p

@@ -9,14 +9,16 @@ scatteredness kernel (f is scattered iff the code is MRD).
 The stabilizer, the right idealizer and the GL search in `equivalence` never
 enumerate the 2x2 matrix group (size ~ q^(4n)).  They share one linear
 solve: g o (alpha*X + beta*f) = gamma*X + delta*f is F_p-linear in
-(alpha, beta, gamma, delta) jointly, and gamma enters only the X slot.  So
-`_graph_system` gathers one (n*deg) x (3*deg) matrix over F_p in (alpha,
-beta, delta) from the field tables, its beta block from
-`linpoly.composition_terms`; `_graph_maps` takes the nullspace of its rows
-outside the X slot and reads gamma off that slot, and each computation
-filters or projects that solution space.  The left idealizer is F x {0},
-or F x F when f o f lies in the span; it is returned as a `PairRange`,
-which stores the two sizes and never lists the q^n or q^(2n) pairs.
+(alpha, beta, gamma, delta) jointly, gamma enters only the X slot, and
+delta is slot k0 over f_k0 for the first k0 >= 1 with f_k0 != 0.  So
+`_graph_maps` gathers the slots of the image as field elements from the
+tables, its beta part from `linpoly.composition_terms`, clears delta from
+every slot, takes the nullspace of the (n-2)*deg x 2*deg system over F_p in
+(alpha, beta) that the slots other than 0 and k0 form, and reads gamma and
+delta off slots 0 and k0; each computation filters or projects that
+solution space.  The left idealizer is F x {0}, or F x F when f o f lies in
+the span; it is returned as a `PairRange`, which stores the two sizes and
+never lists the q^n or q^(2n) pairs.
 """
 
 from __future__ import annotations
@@ -93,48 +95,45 @@ def _log_q(ctx: FieldCtx, sizes):
 # the graph-map system g o (alpha*X + beta*f) = gamma*X + delta*f
 
 
-def _graph_system(f: LinPoly, g: LinPoly) -> np.ndarray:
-    """The (n*deg) x (3*deg) F_p-matrix of g o (alpha*X + beta*f) - delta*f.
-
-    The X^(q^k) slot of this image reads
-    g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i) - delta f_k,
-    F_p-linear in the three unknowns jointly, with the beta coefficients of
-    `linpoly.composition_terms`; it is gamma*X iff slots k >= 1 vanish, and
-    gamma is slot 0.  Row k*deg + r holds digit r of slot k, column u*deg + j
-    the unknown u in (alpha, beta, delta) set to the basis element PP[j].
-    Each block column is the digits of field elements read off the tables
-    at once: c * PP[j]^(q^i) for every coefficient c and Frobenius power i,
-    with the beta terms of one slot summed digitwise.
-    """
-    ctx = f.ctx
-    n, d = ctx.n, ctx.deg
-    fq, gq = f.coeffs, g.coeffs
-    frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
-    coef = composition_terms(ctx, gq, fq)
-    beta = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
-    alpha = ctx.DIGITS[ctx.mul_vec(gq[:, None], frob_pp)]
-    delta = -ctx.DIGITS[ctx.mul_vec(fq[:, None], ctx.PP)].astype(np.int64)
-    # blocks[k, u, j, r]: digit r of slot k for unknown u at PP[j]
-    blocks = np.stack([alpha, beta, delta], axis=1)
-    return blocks.transpose(0, 3, 1, 2).reshape(n * d, 3 * d) % ctx.p
-
-
 def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
     """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
 
-    (alpha, beta, delta) is the nullspace of `_graph_system` without its
-    slot-0 rows and gamma is slot 0 of the image, as an (N, 4) array of
-    element indices in no particular order.  Every solution is rechecked by
-    evaluating both sides on an F_p-basis of the top field.
+    The X^(q^k) slot of g o (alpha*X + beta*f) reads
+    g_k alpha^(q^k) + sum_i g_i f_(k-i)^(q^i) beta^(q^i), F_p-linear in
+    (alpha, beta), with the beta coefficients of `linpoly.composition_terms`.
+    Its values at alpha or beta = PP[j] (the other 0) are gathered from the
+    field tables as field elements.  With k0 the first slot >= 1 where
+    f_k0 != 0, delta = slot_k0 / f_k0, and slot k - f_k * delta is gamma
+    for k = 0, 0 for k = k0, and must vanish for every other k.
+    So (alpha, beta) is the nullspace of that (n-2)*deg x 2*deg system over
+    F_p, and gamma and delta are its images under two deg x 2*deg maps.
+    Returns an (N, 4) array of element indices in no particular order;
+    every solution is rechecked by evaluating both sides on an F_p-basis of
+    the top field.  f with no term beyond X is refused: delta is then not
+    determined by any slot.
     """
     if f.ctx != g.ctx:
         raise ValueError("mismatched field contexts")
     ctx = f.ctx
-    d, p = ctx.deg, ctx.p
-    mat = _graph_system(f, g)
-    basis = gflinalg.nullspace(mat[d:], p)
+    n, d, p = ctx.n, ctx.deg, ctx.p
+    fq, gq = f.coeffs, g.coeffs
+    beyond = np.flatnonzero(fq[1:])
+    if not beyond.size:
+        raise ValueError("f must be independent of X: delta is read off a slot k >= 1")
+    k0 = 1 + int(beyond[0])
+    frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
+    coef = composition_terms(ctx, gq, fq)
+    beta_digits = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
+    # slots[k, u*d + j]: slot k at unknown u in (alpha, beta) set to PP[j]
+    slots = np.concatenate([ctx.mul_vec(gq[:, None], frob_pp), beta_digits % p @ ctx.PP], axis=1)
+    delta_part = ctx.scale_vec(ctx.inv(int(fq[k0])), slots[k0])
+    cleared = ctx.add_vec(slots, ctx.mul_vec(ctx.NEG[fq][:, None], delta_part))
+    # digits[k, r, :]: digit r of cleared slot k, and of delta for k = n
+    digits = ctx.DIGITS[np.vstack([cleared, delta_part])].transpose(0, 2, 1)
+    system = np.delete(digits[:n], [0, k0], axis=0).reshape((n - 2) * d, 2 * d)
+    basis = gflinalg.nullspace(system, p)
     _refuse_above_bound(p, basis.shape[1])
-    basis = np.concatenate([basis[: 2 * d], mat[:d] @ basis % p, basis[2 * d :]])
+    basis = np.concatenate([basis, digits[[0, n]].reshape(2 * d, 2 * d) @ basis % p])
     maps = ctx.from_digits_vec(gflinalg.span_vectors(basis, p).reshape(-1, 4, d))
 
     # both sides are F_p-linear in x, so agreeing on a basis is exact

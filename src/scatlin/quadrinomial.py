@@ -562,8 +562,11 @@ def run_property_suite(ctx: FieldCtx, s: int, exhaustive: bool = True,
     """Run every structural statement at (q, t, s); returns [(name, ok, detail)].
 
     Exhaustive mode sweeps all admissible (m, h) pairs; sampled mode draws a
-    seeded subset, for larger fields.
+    seeded subset of `samples` h, for larger fields.  samples < 1 is
+    refused with ValueError: it would check no h and pass vacuously.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -80,13 +80,21 @@ one-term equation outright.
 mask and `np.outer`; `nullspace_loop` reads the kernel off it entry by
 entry, and `solve_affine_twice` reduces the augmented matrix and the matrix
 separately.  They are the references for `gflinalg.row_reduce`,
-`nullspace` and `solve_affine`, which touch only the rows nonzero in the
-pivot column and take the kernel from the one reduction.
+`nullspace` and `solve_affine`, which take the kernel from the one
+reduction.  `row_reduce_eager` updates only the rows nonzero in the pivot
+column and reduces every updated entry mod p at every pivot; it is the
+reference for the lazy `gflinalg.row_reduce`, which reduces only the pivot
+column and the pivot row until the end.
 
-`graph_system_per_element` assembles the graph-map system from one
-multiplication matrix per coefficient and one Frobenius matrix per power;
-it is the reference for `mrdcodes._graph_system`, which gathers every
-block from the field tables at once.
+`graph_system_three_blocks` gathers the graph-map system in (alpha, beta,
+delta), (n*deg) x (3*deg), from the field tables, and
+`graph_maps_three_blocks` takes the kernel of its rows outside slot 0 and
+reads gamma off slot 0; they are the references for `mrdcodes._graph_maps`,
+which reads delta off the first slot k0 >= 1 of f and reduces only the
+(n-2)*deg x 2*deg system in (alpha, beta).  `graph_system_per_element`
+assembles the system from one multiplication matrix per coefficient and
+one Frobenius matrix per power; it is the reference for
+`graph_system_three_blocks`.
 
 `quad_coeffs_scalar` computes each coefficient of the family polynomial
 with scalar `ctx.pow`, `ctx.mul` and `ctx.neg`, one `family_slots` row at
@@ -114,7 +122,7 @@ import numpy as np
 
 from scatlin import gflinalg
 from scatlin.fieldcore import DirectSumError, _factorize
-from scatlin.linpoly import LinPoly
+from scatlin.linpoly import LinPoly, composition_terms
 from scatlin.mrdcodes import _refuse_above_bound
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
@@ -791,6 +799,38 @@ def solve_affine_twice(mat, rhs, p):
     return x, nullspace_loop(a, p)
 
 
+def row_reduce_eager(mat, p):
+    """Reduced row echelon form mod p, (rref, pivot_columns): one Gauss-Jordan
+    pass that updates only the rows nonzero in the pivot column, from the
+    pivot column on, and reduces every updated entry mod p at every pivot."""
+    a = np.array(mat, dtype=np.int64) % p
+    inv = gflinalg.inv_table(p)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + nz[0]
+            a[[r, i], c:] = a[[i, r], c:]
+        prow = a[r, c:]
+        if prow[0] != 1:
+            prow *= inv[prow[0]]
+            prow %= p
+        col = a[:, c]
+        others = np.flatnonzero(col)
+        others = others[others != r]
+        if others.size:
+            a[others, c:] = (a[others, c:] - col[others, None] * prow) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
 def _mult_matrix(ctx, a):
     """Multiplication by a as a deg x deg matrix over F_p, one column at a time."""
     return ctx.DIGITS[[ctx.mul(a, int(ctx.PP[j])) for j in range(ctx.deg)]].T.astype(np.int64)
@@ -819,6 +859,38 @@ def graph_system_per_element(f, g):
     for j in np.nonzero(fq)[0]:
         blocks[j, 3] = -_mult_matrix(ctx, int(fq[j]))
     return blocks.transpose(0, 2, 1, 3).reshape(n * d, 4 * d) % p
+
+
+def graph_system_three_blocks(f, g):
+    """The (n*deg) x (3*deg) F_p-matrix of g o (alpha*X + beta*f) - delta*f,
+    gathered from the field tables one block column per unknown in
+    (alpha, beta, delta); row k*deg + r is digit r of slot k, column
+    u*deg + j the unknown u set to PP[j]."""
+    ctx = f.ctx
+    n, d = ctx.n, ctx.deg
+    fq, gq = f.coeffs, g.coeffs
+    frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
+    coef = composition_terms(ctx, gq, fq)
+    beta = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
+    alpha = ctx.DIGITS[ctx.mul_vec(gq[:, None], frob_pp)]
+    delta = -ctx.DIGITS[ctx.mul_vec(fq[:, None], ctx.PP)].astype(np.int64)
+    # blocks[k, u, j, r]: digit r of slot k for unknown u at PP[j]
+    blocks = np.stack([alpha, beta, delta], axis=1)
+    return blocks.transpose(0, 3, 1, 2).reshape(n * d, 3 * d) % ctx.p
+
+
+def graph_maps_three_blocks(f, g):
+    """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f,
+    as an (N, 4) array: (alpha, beta, delta) is the kernel (`nullspace_loop`)
+    of the rows of `graph_system_three_blocks` outside slot 0, and gamma is
+    slot 0 of the image."""
+    ctx = f.ctx
+    d, p = ctx.deg, ctx.p
+    mat = graph_system_three_blocks(f, g)
+    basis = nullspace_loop(mat[d:], p)
+    _refuse_above_bound(p, basis.shape[1])
+    basis = np.concatenate([basis[: 2 * d], mat[:d] @ basis % p, basis[2 * d:]])
+    return ctx.from_digits_vec(gflinalg.span_vectors(basis, p).reshape(-1, 4, d))
 
 
 def field_row_echelon_loop(ctx, rows):

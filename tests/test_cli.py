@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scatlin import cli
 from scatlin.cli import main
-from scatlin.quadrinomial import CASES, PRIORS
+from scatlin.quadrinomial import CASES, PRIORS, run_property_suite
 from scatlin.sweep import Records, condition_pairs
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
@@ -183,6 +183,18 @@ def test_props_reports_are_pinned(tmp_path, key):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PROPS_DIGESTS[key]
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_props_refuses_fewer_than_one_sample(samples, capsys):
+    """--samples 0 would check no h and pass vacuously, and -1 used to end
+    in a numpy traceback; both are refused before the suite runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["props", "--q", "3", "--t", "4", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        run_property_suite(make_field(3, 1, 4), 1, exhaustive=False, samples=int(samples))
+
+
 def test_stabilizer_command(tmp_path):
     ctx = make_field(3, 1, 3)
     m, h = condition_pairs(ctx, 1)[0]
@@ -258,6 +270,34 @@ def test_idealizer_reports_are_pinned(tmp_path, monkeypatch, key):
     assert main(["idealizer", "--q", "3", "--t", str(t), "--s", "1", "--m", str(m),
                  "--h", str(h), "--side", "both", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == IDEALIZER_DIGESTS[key]
+
+
+# SHA-256 of `stabilizer` and of `equiv` for the first condition pair (m, h)
+# at s = 1, the latter against (m, -h); recorded before the graph-map solve
+# read delta off a slot of f.  Every coefficient of a member carries an even
+# power of h, so (m, -h) is the same polynomial and the witness is the identity
+STRUCTURE_DIGESTS = {
+    ("stabilizer", 3): "bbd83b305fcc53eb063f87798809ef16c39692d33ac4b43946314ce6b43ed5b1",
+    ("stabilizer", 5): "2f0477674bf241ee7f503a91e7066128095700ea5897bfe0a76899969b8ff2b9",
+    ("equiv", 3): "a6fd44148e0340677a2850649569836ddb9c8eb133709cd738dc5601d05c832c",
+    ("equiv", 5): "6f87b1c41bda92bd834e378665d6f5758ff957b393fbf15855eaf2ba4ff9db6c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(STRUCTURE_DIGESTS), ids=lambda k: f"{k[0]}-t{k[1]}")
+def test_structure_reports_are_pinned(tmp_path, key):
+    command, t = key
+    ctx = make_field(3, 1, t)
+    m, h = condition_pairs(ctx, 1)[0]
+    argv = [command, "--q", "3", "--t", str(t), "--s", "1", "--m", str(m), "--h", str(h)]
+    if command == "equiv":
+        argv += ["--s2", "1", "--m2", str(m), "--h2", str(ctx.neg(h))]
+        argv += ["--allow-small-t"] if t < 5 else []
+    out = tmp_path / f"{command}.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    if command == "equiv":
+        assert read_json(out)["gl_witness"] == [1, 0, 0, 1]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STRUCTURE_DIGESTS[key]
 
 
 def test_equiv_command(tmp_path):

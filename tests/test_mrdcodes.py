@@ -1,7 +1,10 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scatlin import gflinalg
 from scatlin.equivalence import gl_search
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly
@@ -11,6 +14,7 @@ from scatlin.mrdcodes import (
     PairRange,
     RankCode,
     StabilizerSet,
+    _graph_maps,
     right_idealizer,
     left_idealizer,
     stabilizer,
@@ -20,7 +24,7 @@ from scatlin.sweep import condition_pairs
 
 from reference import (
     canonical_witness, closure_all_pairs, codeword_ranks_elimination, graph_maps_grid,
-    invertible, left_idealizer_grid, left_idealizer_list,
+    graph_maps_three_blocks, invertible, left_idealizer_grid, left_idealizer_list,
 )
 
 
@@ -70,6 +74,16 @@ def test_degenerate_span_rejected(f33):
         RankCode(LinPoly.from_terms(f33, 1, {0: 5}))
     with pytest.raises(ValueError):
         RankCode(LinPoly.zero(f33))
+
+
+def test_graph_maps_refuse_f_without_a_term_beyond_x(f33):
+    """delta is read off the first slot k >= 1 of f, so f = a*X is refused,
+    as RankCode refuses it."""
+    f = LinPoly.from_terms(f33, 1, {0: 5})
+    g = condition_member(f33)
+    for solve in (lambda: _graph_maps(f, g), lambda: gl_search(f, g), lambda: stabilizer(f)):
+        with pytest.raises(ValueError, match="independent of X"):
+            solve()
 
 
 def test_mrd_iff_scattered_on_random_quadrinomials(f33):
@@ -290,6 +304,21 @@ def test_stabilizers_pinned_at_larger_towers(f34, f35):
     ]
 
 
+def test_graph_maps_reduce_80_by_20_at_35(f35, monkeypatch):
+    """With delta read off slot k0, a (3,5) member's system has (n-2)*deg = 80
+    rows in 2*deg = 20 unknowns (alpha, beta), of rank 18: q^2 solutions."""
+    seen = []
+    nullspace = gflinalg.nullspace
+
+    def spy(mat, p):
+        seen.append((mat.shape, gflinalg.rank(mat, p)))
+        return nullspace(mat, p)
+
+    monkeypatch.setattr(gflinalg, "nullspace", spy)
+    assert stabilizer(condition_member(f35)).order_with_zero == 9
+    assert seen == [((80, 20), 18)]
+
+
 def test_solution_space_above_bound_is_refused(f35):
     # X^(q^t) o (alpha*X + beta*X^(q^t)) lies in <X, X^(q^t)> for every
     # (alpha, beta), and so does (a*X + b*X^(q^t)) o X^(q^t): q^(2n) pairs
@@ -345,6 +374,43 @@ def test_graph_maps_match_grid_reference(pair):
     res = gl_search(f, g)
     assert res.witness == canonical_witness(F33, maps)
     assert res.beta_candidates == len({m[1] for m in maps})
+
+
+def _outcome(solve, f, g):
+    """The sorted solution tuples, or the exception class a solve raised."""
+    try:
+        return sorted(map(tuple, solve(f, g).tolist()))
+    except BudgetExceededError:
+        return BudgetExceededError
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.data())
+def test_graph_maps_match_three_block_reference(tower, data):
+    """The closed-form delta solve against the three-block (alpha, beta,
+    delta) solve, over every coprime step and the self, random and image
+    pair kinds."""
+    ctx = make_field(*tower)
+    s = data.draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
+    terms = st.dictionaries(st.integers(0, ctx.n - 1), st.integers(1, ctx.size - 1),
+                            min_size=1, max_size=4)
+    polys = st.builds(lambda t: LinPoly.from_terms(ctx, s, t), terms)
+    f = data.draw(polys.filter(lambda f: f.coeffs[1:].any()))
+    kind = data.draw(st.sampled_from(["self", "random", "image"]))
+    if kind == "self":
+        g = f
+    elif kind == "random":
+        g = data.draw(polys)
+    else:
+        # g o (a*X) = c*X + d*f, i.e. g = (c*X + d*f) o (X / a)
+        a, d = (data.draw(st.integers(1, ctx.size - 1)) for _ in range(2))
+        c = data.draw(st.integers(0, ctx.size - 1))
+        g = LinPoly.from_terms(ctx, 1, {0: c}).add(f.scale(d))
+        g = g.compose(LinPoly.from_terms(ctx, 1, {0: ctx.inv(a)}))
+    want = _outcome(graph_maps_three_blocks, f, g)
+    assert _outcome(_graph_maps, f, g) == want
+    if kind == "image" and want is not BudgetExceededError:
+        assert len(want) > 1  # the zero map and (a, 0, c, d)
 
 
 # -- standard form ------------------------------------------------------------------
