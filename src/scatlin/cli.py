@@ -1,4 +1,5 @@
-"""Batch driver: every verification suite as a subcommand with JSON reports.
+"""Batch driver: suites and point queries as subcommands with JSON reports
+(`sweep.sufficiency_sweep` and `sweep.bad_power_set_sweep` are library-only).
 
 Sweep outputs are JSON-lines (header object, one record per line, summary
 object); point queries write a single JSON object.  Every artifact carries a

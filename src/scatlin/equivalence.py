@@ -285,7 +285,7 @@ def find_new_example(ctx: FieldCtx, s: int) -> dict:
 
     g_sub = gcd(t - 2, ctx.n)
     hs = ctx.nonzero_elements()
-    hs = hs[ctx.frob_vec(hs, g_sub) != hs]
+    hs = hs[~ctx.in_subfield(hs, g_sub)]
     ms = mid_nz[~d_mask]
     cls, (case, _, norm) = condition_rows(ctx, s, ms, hs)
     found = np.flatnonzero((case == target).any(axis=1)[cls])

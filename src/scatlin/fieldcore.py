@@ -36,10 +36,10 @@ Arithmetic stays in the log domain: multiplication runs through the exp/log
 tables, addition through the Zech logarithms ZECH[k] = log(1 + g^k) as
 a + b = a*(1 + b/a), and Frobenius through precomputed index maps.  Arrays
 of logs are reduced mod order by `reduce_logs`, a conditional subtraction
-where their range is known to lie below 2*order.  The
-base-p digit table DIGITS is kept for F_p coordinates: matrices, linear
-solves, relative traces and composition.  All bulk operations accept numpy
-arrays of indices.
+where their range is known to lie below 2*order.  The base-p digit table
+DIGITS is kept for F_p coordinates: matrices, linear solves and `sum_vec`,
+the field sum of many terms.  All bulk operations accept numpy arrays of
+indices, `in_subfield` (the one subfield test) among them.
 """
 
 from __future__ import annotations
@@ -284,9 +284,9 @@ class FieldCtx:
     def _build_tables(self):
         p, d, size = self.p, self.deg, self.size
         idx = np.arange(size, dtype=np.int64)
-        # int8 F_p coordinates; the digit sums of `compose` and `trace_rel`
-        # (<= 2t terms) stay far below 127.  In the C-order view with one axis
-        # per digit, digit j runs along axis d-1-j.
+        # int8 F_p coordinates; `sum_vec` and the elimination of
+        # `projgeom.FieldEchelon` sum them in int64.  In the C-order view with
+        # one axis per digit, digit j runs along axis d-1-j.
         digits = np.empty((size, d), dtype=np.int8)
         grid = digits.reshape((p,) * d + (d,))
         for j in range(d):
@@ -420,40 +420,41 @@ class FieldCtx:
 
     # -- tower structure -----------------------------------------------------
 
-    def trace_rel(self, x: int, d: int) -> int:
-        """Relative trace onto F_{q^d}: sum of x**(q^(d*i)), i = 0..2t/d - 1."""
+    def _refuse_degree(self, d: int):
         if d <= 0 or self.n % d:
             raise ValueError(f"d must divide 2t = {self.n}, got {d}")
-        acc = self.DIGITS[x].copy()
-        for i in range(1, self.n // d):
-            acc = acc + self.DIGITS[self.frob(x, d * i)]
-        return int((acc % self.p) @ self.PP)
+
+    def sum_vec(self, a, axis: int = 0):
+        """Field sum of the element indices a along `axis`: base-p digits summed mod p."""
+        return self.DIGITS[a].sum(axis=axis % np.ndim(a)) % self.p @ self.PP
+
+    def trace_rel(self, x: int, d: int) -> int:
+        """Relative trace onto F_{q^d}: sum of x**(q^(d*i)), i = 0..2t/d - 1."""
+        self._refuse_degree(d)
+        return int(self.sum_vec(self.FROB[d * np.arange(self.n // d), x]))
 
     def norm_rel(self, x: int, d: int) -> int:
         """Relative norm onto F_{q^d}: x**((q^2t - 1)/(q^d - 1))."""
-        if d <= 0 or self.n % d:
-            raise ValueError(f"d must divide 2t = {self.n}, got {d}")
+        self._refuse_degree(d)
         if x == 0:
             return 0
         return self.pow(x, self.order // (self.q ** d - 1))
 
-    def in_subfield(self, x: int, d: int) -> bool:
-        """x lies in F_{q^d}  <=>  frob(x, d) == x."""
-        if d <= 0 or self.n % d:
-            raise ValueError(f"d must divide 2t = {self.n}, got {d}")
-        return self.frob(x, d) == x
+    def in_subfield(self, x, d: int):
+        """x**(q^d) == x, i.e. x lies in F_{q^d}: a bool, or a mask for an index array."""
+        self._refuse_degree(d)
+        return self.FROB[d % self.n][x] == x
 
     def subfield(self, d: int) -> np.ndarray:
         """Sorted indices of F_{q^d} inside the top field."""
         cache = getattr(self, "_subfield_cache", None)
         if cache is None:
             cache = self._subfield_cache = {}
-        hit = cache.get(d % self.n)
+        hit = cache.get(d)
         if hit is None:
-            idx = np.arange(self.size, dtype=np.int64)
-            hit = idx[self.FROB[d % self.n] == idx]
+            hit = np.flatnonzero(self.in_subfield(self.elements(), d))
             hit.setflags(write=False)
-            cache[d % self.n] = hit
+            cache[d] = hit
         return hit
 
     def ker_trace(self) -> np.ndarray:

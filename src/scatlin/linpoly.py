@@ -183,18 +183,20 @@ class LinPoly:
         return LinPoly(self.ctx, self.ctx.add_vec(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "LinPoly":
+        """c * self; c outside [0, size) is refused with ValueError."""
+        if not 0 <= c < self.ctx.size:
+            raise ValueError(f"scalar {c} outside [0, {self.ctx.size})")
         return LinPoly(self.ctx, self.ctx.scale_vec(c, self.coeffs))
 
     def neg(self) -> "LinPoly":
         return LinPoly(self.ctx, self.ctx.NEG[self.coeffs])
 
     def compose(self, other: "LinPoly") -> "LinPoly":
-        """self o other, reduced modulo X^(q^(2t)) - X: coefficient k sums
-        column k of `composition_terms` on base-p digits."""
+        """self o other, reduced modulo X^(q^(2t)) - X: coefficient k is the
+        `sum_vec` of column k of `composition_terms`."""
         self._check_mate(other)
         ctx = self.ctx
-        terms = composition_terms(ctx, self.coeffs, other.coeffs)
-        return LinPoly(ctx, ctx.DIGITS[terms].sum(axis=0) % ctx.p @ ctx.PP)
+        return LinPoly(ctx, ctx.sum_vec(composition_terms(ctx, self.coeffs, other.coeffs)))
 
     def adjoint(self) -> "LinPoly":
         """Exponent k gets a_(n-k)**(q^k); an involution preserving rank."""

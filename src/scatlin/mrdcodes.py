@@ -123,9 +123,9 @@ def _graph_maps(f: LinPoly, g: LinPoly) -> np.ndarray:
     k0 = 1 + int(beyond[0])
     frob_pp = ctx.FROB[:, ctx.PP]  # frob_pp[i, j] = PP[j]^(q^i)
     coef = composition_terms(ctx, gq, fq)
-    beta_digits = ctx.DIGITS[ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :])].sum(axis=0)
+    beta = ctx.sum_vec(ctx.mul_vec(coef[:, :, None], frob_pp[:, None, :]))
     # slots[k, u*d + j]: slot k at unknown u in (alpha, beta) set to PP[j]
-    slots = np.concatenate([ctx.mul_vec(gq[:, None], frob_pp), beta_digits % p @ ctx.PP], axis=1)
+    slots = np.concatenate([ctx.mul_vec(gq[:, None], frob_pp), beta], axis=1)
     delta_part = ctx.scale_vec(ctx.inv(int(fq[k0])), slots[k0])
     cleared = ctx.add_vec(slots, ctx.mul_vec(ctx.NEG[fq][:, None], delta_part))
     # digits[k, r, :]: digit r of cleared slot k, and of delta for k = n

@@ -47,6 +47,7 @@ class FieldEchelon:
             v = np.asarray(v, dtype=np.int64)
             coef = v[self.pivots]
             if coef.any():
+                # one fused signed pass on digits: sum_vec plus a NEG gather is slower here
                 terms = ctx.DIGITS[ctx.mul_vec(coef[:, None], self.rows)].sum(axis=0)
                 v = (ctx.DIGITS[v] - terms) % ctx.p @ ctx.PP
             nz = np.flatnonzero(v)
@@ -108,7 +109,7 @@ class ProjSubspace:
         if ((coords < 0) | (coords >= ctx.size)).any():
             raise ValueError(f"coordinates must be element indices in [0, {ctx.size})")
         terms = ctx.mul_vec(np.array(self.equations, dtype=np.int64).reshape(-1, ctx.n), coords)
-        return not (ctx.DIGITS[terms].sum(axis=1) % ctx.p).any()
+        return not ctx.sum_vec(terms, axis=1).any()
 
 
 def intersect_dim(subspaces) -> int:

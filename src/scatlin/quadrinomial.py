@@ -20,7 +20,6 @@ from functools import cached_property
 from math import gcd
 import numpy as np
 
-from . import gflinalg
 from .fieldcore import FieldCtx, DirectSumError
 from .linpoly import LinPoly
 
@@ -117,8 +116,7 @@ def trace_zero_power_set(ctx: FieldCtx, s: int, sign: int) -> np.ndarray:
         return hit
     ker = ctx.ker_trace()
     powers = np.unique(ctx.pow_vec(ker, ctx.q ** (s % ctx.n) + sign))
-    mid = ctx.frob_vec(powers, ctx.t)
-    if not np.array_equal(mid, powers):
+    if not ctx.in_subfield(powers, ctx.t).all():
         raise RuntimeError("power set escaped the middle field")
     powers.setflags(write=False)
     _POWER_SET_CACHE[key] = powers
@@ -192,7 +190,7 @@ def _h_bits(ctx: FieldCtx, H):
     norm = ctx.EXP[logs * (ctx.order // (ctx.q ** ctx.t - 1)) % ctx.order]
     bits = ((norm == 1) * _NORM1 | (norm == ctx.neg_one) * _NORMM1
             | (ctx.EXP[2 * logs % ctx.order] == ctx.neg_one) * _SQRTM1
-            | (ctx.FROB[ctx.t][H] == H) * _MID | (ctx.FROB[1][H] == H) * _BASE)
+            | ctx.in_subfield(H, ctx.t) * _MID | ctx.in_subfield(H, 1) * _BASE)
     return bits, norm
 
 
@@ -251,7 +249,7 @@ def condition_rows(ctx: FieldCtx, s: int, ms, H) -> tuple:
 def _refuse_outside(ctx: FieldCtx, M, H):
     M, H = np.asarray(M), np.asarray(H)
     if (((H < 1) | (H >= ctx.size)).any() or ((M < 0) | (M >= ctx.size)).any()
-            or (ctx.FROB[ctx.t][M] != M).any()):
+            or not ctx.in_subfield(M, ctx.t).all()):
         raise ValueError("m must lie in F_{q^t} and h must be a nonzero element index")
 
 
@@ -300,8 +298,8 @@ class QuadSplit:
                 ker(lead) into ker(tail))
 
     All but `lead` depend on (s, h) alone: m scales the leading pair and
-    keeps its kernel and image, so the kernels, images and F_p kernel bases
-    of the two pairs are computed once, on first use.
+    keeps its kernel and image, so the kernel and image sets of the two
+    pairs are computed once, on first use; `decompose` reads the kernels.
     """
 
     params: QuadParams
@@ -324,12 +322,6 @@ class QuadSplit:
     def images(self) -> tuple:
         """(im lead_unit, im tail) as sorted index arrays."""
         return self.lead_unit.image_set(), self.tail.image_set()
-
-    @cached_property
-    def kernel_bases(self) -> tuple:
-        """F_p-bases of ker lead_unit and ker tail, as digit columns."""
-        p = self.params.ctx.p
-        return tuple(gflinalg.nullspace(f.matrix(), p) for f in (self.lead_unit, self.tail))
 
 
 def split_maps(params: QuadParams) -> QuadSplit:
@@ -371,20 +363,19 @@ def image_characterizations(sp: QuadSplit) -> bool:
 def decompose(sp: QuadSplit, x: int):
     """Unique x = x1 + x2 with x1 in ker(lead) and x2 in ker(tail).
 
-    One solve over F_p against the split's kernel bases; raises
-    DirectSumError when the two kernels fail to split the field (degenerate
-    h), never returning a wrong pair.  Refuses x outside [0, size).
+    Matches x - ker(lead) against ker(tail), the split's kernel sets; raises
+    DirectSumError unless |ker lead| * |ker tail| = size and exactly one
+    difference matches (degenerate h), never returning a wrong pair.
+    Refuses x outside [0, size).
     """
     ctx = sp.params.ctx
     _refuse_index(ctx, x, "x")
-    k1, k2 = sp.kernel_bases
-    basis = np.hstack([k1, k2])
-    sol = basis.shape[1] == ctx.deg and gflinalg.solve_affine(basis, ctx.DIGITS[x], ctx.p)
-    if not sol or sol[1].shape[1]:
+    kl, kt = sp.kernels
+    rest = ctx.add_vec(x, ctx.NEG[kl])  # x - u for every u in ker(lead)
+    hit = np.flatnonzero(np.isin(rest, kt))
+    if kl.size * kt.size != ctx.size or hit.size != 1:
         raise DirectSumError("kernels of the two pairs do not split the field")
-    coords, d1 = sol[0], k1.shape[1]
-    x1 = ctx.from_digits(k1 @ coords[:d1])
-    x2 = ctx.from_digits(k2 @ coords[d1:])
+    x1, x2 = int(kl[hit[0]]), int(rest[hit[0]])
     if ctx.add(x1, x2) != x:
         raise RuntimeError("kernel components do not add up to x")
     return x1, x2
@@ -498,7 +489,7 @@ def h_power_report(params: QuadParams) -> dict:
 def witness_range(ctx: FieldCtx, H):
     """Mask of h in F_{q^t} with h^4 = 1 (a scalar or an index array): the
     range of `nonscattered_witness`."""
-    return (ctx.frob_vec(H, ctx.t) == H) & (ctx.pow_vec(H, 4) == 1)
+    return ctx.in_subfield(H, ctx.t) & (ctx.pow_vec(H, 4) == 1)
 
 
 def nonscattered_witness(params: QuadParams):
@@ -506,9 +497,10 @@ def nonscattered_witness(params: QuadParams):
 
     Exists whenever m is a (q^s - 1)-power of a trace-zero element and h lies
     in `witness_range`.  Returns None when m is outside the minus power set;
-    raises when h is outside the range.  The construction takes x = 1 + x1
-    and y = 1 + xi*x1 with xi the smallest base-field scalar other than 0
-    and 1 in canonical order; all choices are reported for reproducibility.
+    raises ValueError when h is outside the range, and RuntimeError (never
+    None) if the construction fails.  It takes x = 1 + x1 and y = 1 + xi*x1
+    with xi the smallest base-field scalar other than 0 and 1 in canonical
+    order; all choices are reported for reproducibility.
     """
     ctx, s, m, h = params.ctx, params.s, params.m, params.h
     t, n, q = ctx.t, ctx.n, ctx.q
@@ -535,7 +527,7 @@ def nonscattered_witness(params: QuadParams):
     else:
         cands = ker[ctx.pow_vec(ker, q ** (s % n) - 1) == m]
         if cands.size == 0:
-            return None
+            raise RuntimeError("m in the minus power set has no trace-zero preimage")
         gamma = int(cands[0])
         x1 = ctx.inv(gamma)
     xi = _smallest_scalar_not_01(ctx)
@@ -589,13 +581,12 @@ def run_property_suite(ctx: FieldCtx, s: int, exhaustive: bool = True,
     record("tower_split_roundtrip", ok_split)
     w = ker[ker != 0]
     prods = ctx.mul_vec(w[:, None], w[None, :]).ravel()
-    record("trace_zero_products_in_middle_field",
-           bool((ctx.frob_vec(prods, ctx.t) == prods).all()))
+    record("trace_zero_products_in_middle_field", ctx.in_subfield(prods, ctx.t).all())
     odd_pows = ctx.pow_vec(w, 3)
     even_pows = ctx.pow_vec(w, 4)
     record("trace_zero_odd_even_powers",
            bool((ctx.frob_vec(odd_pows, ctx.t) == ctx.NEG[odd_pows]).all()
-                and (ctx.frob_vec(even_pows, ctx.t) == even_pows).all()))
+                and ctx.in_subfield(even_pows, ctx.t).all()))
 
     # power sets
     record("power_sets_step_independent", power_sets_step_independent(ctx, s))
@@ -619,7 +610,7 @@ def run_property_suite(ctx: FieldCtx, s: int, exhaustive: bool = True,
     record("h_no_frobenius_flip", ok3)
 
     # structural split, images, multipliers, components, ratio membership:
-    # one split per h, whose kernels, images and bases every statement reads
+    # one split per h, whose kernels and images every statement reads
     mid_nz = mid[mid != 0]
     if not exhaustive:
         hs = hs[rng.choice(hs.size, size=min(samples, hs.size), replace=False)]

@@ -190,12 +190,10 @@ def condition_pairs(ctx: FieldCtx, s: int):
     """All (m, h) where the sufficient conditions apply, in
     (case, m, norm_h != 1, h) order."""
     ms, hs = ctx.subfield(ctx.t), ctx.nonzero_elements()
-    cls, (rows, _, _) = condition_rows(ctx, s, ms, hs)
-    blocks = [_product(ms[cls == i], hs[row != 0]) for i, row in enumerate(rows)]
-    M, H = (np.concatenate([blk[k] for blk in blocks]) for k in (0, 1))
-    case, _, norm = condition_tags(ctx, s, M, H)
-    order = np.lexsort((H, norm != 1, M, case))
-    return _pairs_where(M[order], H[order], slice(None))
+    cls, (case, _, norm) = condition_rows(ctx, s, ms, hs)
+    i, j = np.nonzero(case[cls])   # ms and hs are sorted: i and j order as m and h do
+    order = np.lexsort((j, norm[j] != 1, i, case[cls[i], j]))
+    return _pairs_where(ms[i[order]], hs[j[order]], slice(None))
 
 
 def sufficiency_sweep(ctx: FieldCtx, s: int, roots_sample: int = 0, seed: int = 0,

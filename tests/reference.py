@@ -103,8 +103,10 @@ a time; it is the reference for `quadrinomial.family_terms` and
 `decompose_per_params` splits x over the kernels of the leading and
 trailing pairs of one member, building the split, taking both nullspaces
 (of m*lead_unit when m != 0) and checking their rank on every call; it is
-the reference for `quadrinomial.decompose`, which solves against the
-kernel bases one `QuadSplit` holds for every m.
+the reference for `quadrinomial.decompose`, which matches x - ker(lead)
+against ker(tail), the kernel sets one `QuadSplit` holds for every m.
+`trace_rel_loop` adds the digit vectors of the conjugates one at a time; it
+is the reference for `FieldCtx.trace_rel`, one gather and one `sum_vec`.
 `compose_loop` multiplies every pair of terms of the two supports and adds
 their digit vectors one at a time; it is the reference for
 `LinPoly.compose`, which sums the columns of `linpoly.composition_terms`.
@@ -417,6 +419,14 @@ def decompose_per_params(params, x):
     coords, _ = gflinalg.solve_affine(basis, ctx.DIGITS[x], ctx.p)
     d1 = k1.shape[1]
     return ctx.from_digits(k1 @ coords[:d1]), ctx.from_digits(k2 @ coords[d1:])
+
+
+def trace_rel_loop(ctx, x, d):
+    """Relative trace onto F_{q^d}, one conjugate's digit vector at a time."""
+    acc = ctx.DIGITS[x].copy()
+    for i in range(1, ctx.n // d):
+        acc = acc + ctx.DIGITS[ctx.frob(x, d * i)]
+    return int((acc % ctx.p) @ ctx.PP)
 
 
 def compose_loop(g, f):

@@ -275,9 +275,8 @@ def test_criterion_07b_stabilizer_odd_tower_closed_form(f35):
     report(7, ok, f"(3,5,1): all {count} closed-form matrices verified as members")
 
 
-@pytest.mark.slow
 def test_criterion_07c_stabilizer_odd_tower_full_solver(f35):
-    """Odd tower, full linear solver (slow flag per the criterion)."""
+    """Odd tower, full linear solver."""
     m, h = condition_pairs(f35, 1)[0]
     st = stabilizer(build_quadrinomial(QuadParams(f35, 1, m, h)))
     ok = st.order_with_zero == 9 and all(a == d for a, _, _, d in st.elements)

@@ -195,6 +195,13 @@ def test_props_refuses_fewer_than_one_sample(samples, capsys):
         run_property_suite(make_field(3, 1, 4), 1, exhaustive=False, samples=int(samples))
 
 
+def test_props_refuses_a_sample_count_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["props", "--q", "3", "--t", "4", "--samples", "abc"])
+    assert exc.value.code == 2
+    assert "--samples: not an integer: 'abc'" in capsys.readouterr().err
+
+
 def test_stabilizer_command(tmp_path):
     ctx = make_field(3, 1, 3)
     m, h = condition_pairs(ctx, 1)[0]

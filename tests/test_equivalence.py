@@ -200,7 +200,6 @@ def test_new_example_is_pinned(tower, s, found_mh, case, margin):
     assert reference.scattered_conditions_branches(found["params"]) == case
 
 
-@pytest.mark.slow
 def test_new_example_search_at_73():
     ctx = make_field(7, 1, 3)
     qt = 7 ** 3
@@ -229,3 +228,26 @@ def test_new_example_search_at_73():
                 params, QuadParams(ctx, ell, mu, 1), require_large_t=False
             )
             assert not rep["conditions_hold"]
+
+
+def test_searches_refuse_members_of_two_towers(f33, f35):
+    p33, p35 = condition_params(f33), condition_params(f35)
+    with pytest.raises(ValueError, match="mismatched field contexts"):
+        gl_search(build_quadrinomial(p33), build_quadrinomial(p35))
+    with pytest.raises(ValueError, match="mismatched field contexts"):
+        necessary_conditions(p33, p35, require_large_t=False)
+
+
+def test_necessary_conditions_refuse_m_zero(f35):
+    p = condition_params(f35)
+    zero = QuadParams(f35, p.s, 0, p.h)
+    for p1, p2 in ((zero, p), (p, zero)):
+        with pytest.raises(ValueError, match="m parameters must be nonzero"):
+            necessary_conditions(p1, p2)
+
+
+def test_necessary_conditions_without_a_semilinear_solution(f35):
+    """Case b where z^(q^(st)) = +-c z has no nonzero solution for either sign."""
+    rep = necessary_conditions(QuadParams(f35, 1, 8183, 30182), QuadParams(f35, 9, 1548, 18177))
+    assert rep["case"] == "b" and rep["conditions_hold"] is False
+    assert rep["alternatives"] == [False, False] and rep["witness_z"] == [None, None]

@@ -19,6 +19,7 @@ from scatlin.fieldcore import (
 )
 from reference import (
     add_vec_digits, fill_powers_int64, is_irreducible_trial, smallest_generator_loop,
+    trace_rel_loop,
 )
 
 # (modulus, generator) of every admitted tower (p, e, t), field size <= 2^24
@@ -277,10 +278,16 @@ def test_trace_lands_in_subfield(f33):
 
 
 def test_trace_requires_divisor(f33):
-    with pytest.raises(ValueError):
-        f33.trace_rel(5, 4)
-    with pytest.raises(ValueError):
-        f33.norm_rel(5, 5)
+    """Every subfield degree must divide 2t; subfield(4) at (3,3) used to
+    return the 9 elements of F_{q^2} silently."""
+    for d in (0, -3, 4, 5, 7):
+        for call in (f33.trace_rel, f33.norm_rel, f33.in_subfield):
+            with pytest.raises(ValueError, match="d must divide 2t = 6"):
+                call(5, d)
+        with pytest.raises(ValueError, match="d must divide 2t = 6"):
+            f33.in_subfield(f33.elements(), d)
+        with pytest.raises(ValueError, match="d must divide 2t = 6"):
+            f33.subfield(d)
 
 
 def test_norm_examples(f33):
@@ -427,7 +434,6 @@ def test_ring_axioms(x, y, z):
     assert ctx.mul(x, ctx.add(y, z)) == ctx.add(ctx.mul(x, y), ctx.mul(x, z))
 
 
-@pytest.mark.slow
 def test_prime_power_base_field():
     ctx = make_field(3, 2, 3)  # q = 9, top field 3^12
     assert ctx.q == 9 and ctx.deg == 12
@@ -436,3 +442,63 @@ def test_prime_power_base_field():
     assert ctx.in_subfield(ctx.trace_rel(x, 3), 3)
     assert ctx.subfield(1).size == 9
     assert ctx.ker_trace().size == 9 ** 3
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 3), (3, 1, 4), (3, 2, 3)])
+def test_in_subfield_mask_matches_the_per_element_answer(tower):
+    ctx = make_field(*tower)
+    xs = ctx.elements()
+    for d in _divisors(ctx.n):
+        mask = ctx.in_subfield(xs, d)
+        assert mask.dtype == bool and mask.shape == xs.shape
+        assert np.array_equal(mask, ctx.pow_vec(xs, ctx.q ** d) == xs)
+        assert int(mask.sum()) == ctx.q ** d
+        assert np.array_equal(ctx.subfield(d), np.flatnonzero(mask))
+        if ctx.size <= 3 ** 8:
+            assert [bool(ctx.in_subfield(int(x), d)) for x in xs] == mask.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4), (5, 1, 3)]), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_vec_is_a_fold_of_add(tower, rows, cols, seed):
+    ctx = make_field(*tower)
+    a = np.random.default_rng(seed).integers(0, ctx.size, (rows, cols))
+    for axis, lines in ((0, a.T), (1, a), (-1, a)):
+        want = []
+        for line in lines.tolist():
+            acc = 0
+            for v in line:
+                acc = ctx.add(acc, v)
+            want.append(acc)
+        got = ctx.sum_vec(a, axis=axis)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 3), (3, 1, 4)])
+def test_trace_rel_matches_the_conjugate_loop(tower):
+    ctx = make_field(*tower)
+    for d in _divisors(ctx.n):
+        got = [ctx.trace_rel(x, d) for x in range(ctx.size)]
+        assert got == [trace_rel_loop(ctx, x, d) for x in range(ctx.size)]
+
+
+def test_field_above_the_table_bound_is_refused_before_the_build(monkeypatch):
+    def build(*args):
+        raise AssertionError("the tower was built")
+
+    monkeypatch.setattr(fieldcore, "smallest_irreducible", build)
+    with pytest.raises(fieldcore.BudgetExceededError, match="exceeds the table bound"):
+        FieldCtx(3, 1, 8)
+
+
+def test_zero_has_no_inverse(f33):
+    with pytest.raises(ZeroDivisionError):
+        f33.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f33.pow(0, -1)
+    assert f33.pow(0, 0) == 1 and f33.pow(0, 3) == 0

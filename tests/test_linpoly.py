@@ -320,3 +320,12 @@ def test_fiber_verdict_has_three_agreeing_opinions(tower, members):
         assert is_scattered_roots(f) == scattered
         verdicts.add(scattered)
     assert verdicts == {False, True}
+
+
+def test_scale_refuses_scalars_outside_the_field(f33):
+    """scale(-1) used to wrap through LOG to 728*X^q, and scale(729) ended in IndexError."""
+    f = LinPoly.monomial(f33, 1, 1)
+    for c in (-1, 729):
+        with pytest.raises(ValueError, match="outside"):
+            f.scale(c)
+    assert f.scale(0).is_zero() and f.scale(728) == LinPoly.monomial(f33, 1, 1, 728)

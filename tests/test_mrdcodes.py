@@ -76,6 +76,13 @@ def test_degenerate_span_rejected(f33):
         RankCode(LinPoly.zero(f33))
 
 
+def test_zero_polynomial_has_no_stabilizer_or_standard_form(f33):
+    with pytest.raises(ValueError, match="stabilizer of the zero polynomial"):
+        stabilizer(LinPoly.zero(f33))
+    with pytest.raises(ValueError, match="standard form of the zero polynomial"):
+        standard_form(LinPoly.zero(f33))
+
+
 def test_graph_maps_refuse_f_without_a_term_beyond_x(f33):
     """delta is read off the first slot k >= 1 of f, so f = a*X is refused,
     as RankCode refuses it."""
@@ -281,7 +288,6 @@ def test_odd_tower_stabilizer_closed_form(f35):
     assert len(closed) == q ** 2 - 1
 
 
-@pytest.mark.slow
 def test_odd_tower_stabilizer_full_solver(f35):
     ctx = f35
     m, h = condition_pairs(ctx, 1)[0]

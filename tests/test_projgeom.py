@@ -99,6 +99,14 @@ def test_contains_point_refuses_malformed_points(f33):
 def test_intersect_dim_single(f33):
     g = quad_vertex(f33)
     assert intersect_dim([g]) == g.dim
+    with pytest.raises(ValueError, match="at least one subspace"):
+        intersect_dim([])
+
+
+@pytest.mark.parametrize("eq", [[1, 2, 3], [1, 0, 0, 0, 0, 0, 0], [[1, 0, 0, 0, 0, 0]]])
+def test_equations_of_the_wrong_length_are_refused(f33, eq):
+    with pytest.raises(ValueError, match="6 coordinates"):
+        ProjSubspace(f33, 1, [[0, 1, 0, 0, 0, 0], eq])
 
 
 def test_separation_chain_large_tower(f35):

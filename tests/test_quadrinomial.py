@@ -176,7 +176,6 @@ def test_power_sets_cover_middle_field_at_q3_odd_t(f33, f35):
         assert union.size == ctx.q ** ctx.t
 
 
-@pytest.mark.slow
 def test_case_iib_exists_at_73():
     from scatlin.fieldcore import make_field
 
@@ -641,3 +640,10 @@ def test_property_suite_exhaustive(f33):
     results = run_property_suite(f33, 1, exhaustive=True)
     failed = [n for n, ok, _ in results if not ok]
     assert not failed, failed
+
+
+@pytest.mark.parametrize("s, sign, match", [(1, 0, "sign"), (1, 2, "sign"), (5, -2, "sign"),
+                                            (2, 1, "coprime"), (3, -1, "coprime")])
+def test_power_set_refuses_a_bad_sign_or_step(f33, s, sign, match):
+    with pytest.raises(ValueError, match=match):
+        trace_zero_power_set(f33, s, sign)

@@ -74,17 +74,6 @@ def test_oracles_agree_on_random_quadrinomials(f33):
         assert is_scattered_fiber(f) == is_scattered_roots(f)
 
 
-@pytest.mark.slow
-def test_oracles_agree_on_every_family_member(f33):
-    # full dual-oracle sweep over all (m, h-orbit) pairs at (3,3,1)
-    mids = f33.subfield(3)
-    reps = h_class_reps(f33)
-    for m in mids:
-        for h in reps:
-            f = build_quadrinomial(QuadParams(f33, 1, int(m), int(h)))
-            assert is_scattered_fiber(f) == is_scattered_roots(f)
-
-
 def test_adjoint_of_scattered_is_scattered(f33):
     for m, h in condition_pairs(f33, 1):
         f = build_quadrinomial(QuadParams(f33, 1, m, h))

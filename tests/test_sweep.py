@@ -154,6 +154,11 @@ def test_condition_pairs_match_the_filtered_grid(f33):
         assert condition_pairs(f33, s) == reference.condition_pairs_grid(f33, s)
 
 
+def test_condition_pairs_match_the_filtered_grid_at_34(f34):
+    """Even t: case I only, read off the rows of one `condition_rows` pass."""
+    assert condition_pairs(f34, 3) == reference.condition_pairs_grid(f34, 3)
+
+
 def test_conditions_hold_on_every_53_condition_pair(f53):
     """The grid's case codes against the branch rules on all 7,812 pairs."""
     pairs = condition_pairs(f53, 1)
