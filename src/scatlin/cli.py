@@ -277,7 +277,7 @@ def cmd_witness(args) -> int:
     rep["witness"] = w
     rep["scattered"] = bool(is_scattered_fiber(build_quadrinomial(params)))
     _emit(rep, args.out)
-    return 0 if (w is not None and not rep["scattered"]) else 1
+    return 1 if rep["scattered"] else 0
 
 
 def _positive_int(text: str) -> int:

@@ -9,7 +9,8 @@ idealizer use: delta is read off the first slot k >= 1 where f is nonzero
 and gamma off slot 0, so the nullspace is taken in (alpha, beta) alone, and
 f with no term beyond X is refused.  The witness is the invertible solution
 smallest by (beta, alpha, gamma, delta).  Semilinear equivalence loops the
-p-power coefficient twists in front of the linear test.
+p-power coefficient twists in front of the linear test.  Witness
+determinants, inverses and products come from `mrdcodes.mat_det`/`mat_mul`.
 
 The module also evaluates the printed necessary conditions for two family
 members to be GL-equivalent, organised by the residue class of the second
@@ -24,7 +25,7 @@ import numpy as np
 
 from .fieldcore import FieldCtx
 from .linpoly import LinPoly
-from .mrdcodes import _graph_maps, _invertible
+from .mrdcodes import _graph_maps, mat_det, mat_mul
 from .quadrinomial import (CASES, QuadParams, build_quadrinomial, condition_rows,
                            trace_zero_power_set)
 
@@ -44,7 +45,7 @@ def gl_search(f: LinPoly, g: LinPoly) -> GLSearchResult:
     """
     maps = _graph_maps(f, g)
     n_beta = int(np.unique(maps[:, 1]).size)
-    inv = maps[_invertible(f.ctx, maps)]
+    inv = maps[mat_det(f.ctx, maps) != 0]
     if not inv.size:
         return GLSearchResult(None, n_beta, 1)
     w = tuple(int(v) for v in inv[np.lexsort(inv.T[[3, 2, 0, 1]])[0]])
@@ -63,13 +64,10 @@ def verify_gl_witness(f: LinPoly, g: LinPoly, w) -> bool:
     """Exact recheck: g o (alpha*X + beta*f) = gamma*X + delta*f, det != 0."""
     ctx = f.ctx
     alpha, beta, gamma, delta = w
-    det = ctx.sub(ctx.mul(alpha, delta), ctx.mul(beta, gamma))
-    if det == 0:
-        return False
     X = LinPoly.identity(ctx)
     lhs = g.compose(X.scale(alpha).add(f.scale(beta)))
     rhs = X.scale(gamma).add(f.scale(delta))
-    return lhs == rhs
+    return lhs == rhs and int(mat_det(ctx, w)) != 0
 
 
 def invert_witness(ctx: FieldCtx, w):
@@ -77,27 +75,16 @@ def invert_witness(ctx: FieldCtx, w):
     divided by its determinant.  A witness carrying the graph of f onto the
     graph of g (see `verify_gl_witness`) inverts to one carrying the graph
     of g onto the graph of f."""
+    ctx.refuse_index(*w)
     alpha, beta, gamma, delta = w
-    det = ctx.sub(ctx.mul(alpha, delta), ctx.mul(beta, gamma))
-    dinv = ctx.inv(det)
-    return (
-        ctx.mul(delta, dinv),
-        ctx.neg(ctx.mul(beta, dinv)),
-        ctx.neg(ctx.mul(gamma, dinv)),
-        ctx.mul(alpha, dinv),
-    )
+    adjugate = (delta, ctx.neg(beta), ctx.neg(gamma), alpha)
+    return tuple(ctx.scale_vec(ctx.inv(int(mat_det(ctx, w))), adjugate).tolist())
 
 
 def multiply_witnesses(ctx: FieldCtx, w2, w1):
     """Matrix product w2 @ w1 on (alpha, beta; gamma, delta) tuples."""
-    a2, b2, c2, d2 = w2
-    a1, b1, c1, d1 = w1
-    return (
-        ctx.add(ctx.mul(a2, a1), ctx.mul(b2, c1)),
-        ctx.add(ctx.mul(a2, b1), ctx.mul(b2, d1)),
-        ctx.add(ctx.mul(c2, a1), ctx.mul(d2, c1)),
-        ctx.add(ctx.mul(c2, b1), ctx.mul(d2, d1)),
-    )
+    ctx.refuse_index(*w2, *w1)
+    return tuple(mat_mul(ctx, w2, w1).tolist())
 
 
 def gammal_equivalent(f: LinPoly, g: LinPoly):

@@ -340,8 +340,15 @@ class FieldCtx:
 
     # -- scalar arithmetic ---------------------------------------------------
 
+    def refuse_index(self, *xs) -> None:
+        """Refuse any element index outside [0, size) with ValueError."""
+        for x in xs:
+            if not 0 <= x < self.size:
+                raise ValueError(f"element index {x} outside [0, {self.size})")
+
     def add(self, a: int, b: int) -> int:
         """a + b = a*(1 + b/a) through one Zech logarithm."""
+        self.refuse_index(a, b)
         if a == 0 or b == 0:
             return int(a) + int(b)
         la = int(self.LOG[a])
@@ -349,17 +356,20 @@ class FieldCtx:
         return 0 if z < 0 else int(self.EXP[la + z])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, int(self.NEG[b]))
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
+        self.refuse_index(a)
         return int(self.NEG[a])
 
     def mul(self, a: int, b: int) -> int:
+        self.refuse_index(a, b)
         if a == 0 or b == 0:
             return 0
         return int(self.EXP[self.LOG[a] + self.LOG[b]])
 
     def inv(self, a: int) -> int:
+        self.refuse_index(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return int(self.EXP[(self.order - self.LOG[a]) % self.order])
@@ -369,6 +379,7 @@ class FieldCtx:
 
     def pow(self, a: int, k: int) -> int:
         """a**k with k any python int (negative allowed for a != 0)."""
+        self.refuse_index(a)
         if a == 0:
             if k < 0:
                 raise ZeroDivisionError("0 to a negative power")
@@ -377,6 +388,7 @@ class FieldCtx:
 
     def frob(self, x: int, i: int) -> int:
         """x**(q**i), the tower Frobenius, i taken mod 2t."""
+        self.refuse_index(x)
         return int(self.FROB[i % self.n][x])
 
     # -- vector arithmetic (numpy arrays of indices) --------------------------
@@ -430,18 +442,22 @@ class FieldCtx:
 
     def trace_rel(self, x: int, d: int) -> int:
         """Relative trace onto F_{q^d}: sum of x**(q^(d*i)), i = 0..2t/d - 1."""
+        self.refuse_index(x)
         self._refuse_degree(d)
         return int(self.sum_vec(self.FROB[d * np.arange(self.n // d), x]))
 
     def norm_rel(self, x: int, d: int) -> int:
         """Relative norm onto F_{q^d}: x**((q^2t - 1)/(q^d - 1))."""
+        self.refuse_index(x)
         self._refuse_degree(d)
         if x == 0:
             return 0
         return self.pow(x, self.order // (self.q ** d - 1))
 
     def in_subfield(self, x, d: int):
-        """x**(q^d) == x, i.e. x lies in F_{q^d}: a bool, or a mask for an index array."""
+        """x**(q^d) == x: a bool (x refused outside [0, size)), or a mask for an index array."""
+        if np.ndim(x) == 0:
+            self.refuse_index(x)
         self._refuse_degree(d)
         return self.FROB[d % self.n][x] == x
 

@@ -134,8 +134,7 @@ class LinPoly:
 
     def eval(self, x: int) -> int:
         ctx = self.ctx
-        if not 0 <= x < ctx.size:
-            raise ValueError(f"element index {x} outside [0, {ctx.size})")
+        ctx.refuse_index(x)
         acc = 0
         for e in self.support():
             acc = ctx.add(acc, ctx.mul(int(self.coeffs[e]), ctx.frob(x, e)))
@@ -184,8 +183,7 @@ class LinPoly:
 
     def scale(self, c: int) -> "LinPoly":
         """c * self; c outside [0, size) is refused with ValueError."""
-        if not 0 <= c < self.ctx.size:
-            raise ValueError(f"scalar {c} outside [0, {self.ctx.size})")
+        self.ctx.refuse_index(c)
         return LinPoly(self.ctx, self.ctx.scale_vec(c, self.coeffs))
 
     def neg(self) -> "LinPoly":

@@ -19,6 +19,9 @@ delta off slots 0 and k0; each computation filters or projects that
 solution space.  The left idealizer is F x {0}, or F x F when f o f lies in
 the span; it is returned as a `PairRange`, which stores the two sizes and
 never lists the q^n or q^(2n) pairs.
+
+`mat_mul` and `mat_det` state the 2x2 matrix algebra on (alpha, beta, gamma,
+delta) rows once, for every invertibility filter, closure test and witness.
 """
 
 from __future__ import annotations
@@ -153,9 +156,23 @@ def _refuse_above_bound(p: int, dim: int) -> None:
         raise BudgetExceededError(f"{p}^{dim} solutions, above the bound {SOLUTION_SPACE_BOUND}")
 
 
-def _invertible(ctx: FieldCtx, maps: np.ndarray) -> np.ndarray:
-    """Row mask of the (alpha, beta, gamma, delta) rows with nonzero determinant."""
-    return ctx.mul_vec(maps[:, 0], maps[:, 3]) != ctx.mul_vec(maps[:, 1], maps[:, 2])
+# ---------------------------------------------------------------------------
+# 2x2 matrices (alpha, beta; gamma, delta) stored as index rows on the last axis
+
+
+def mat_mul(ctx: FieldCtx, a, b) -> np.ndarray:
+    """Products a @ b of 2x2 matrices whose (alpha, beta, gamma, delta) run
+    along the last axis; the leading axes broadcast, so one 4-tuple works too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return ctx.add_vec(ctx.mul_vec(a[..., [0, 0, 2, 2]], b[..., [0, 1, 0, 1]]),
+                       ctx.mul_vec(a[..., [1, 1, 3, 3]], b[..., [2, 3, 2, 3]]))
+
+
+def mat_det(ctx: FieldCtx, m) -> np.ndarray:
+    """Determinants alpha*delta - beta*gamma along the last axis, as `mat_mul` stores them."""
+    m = np.asarray(m)
+    return ctx.add_vec(ctx.mul_vec(m[..., 0], m[..., 3]),
+                       ctx.NEG[ctx.mul_vec(m[..., 1], m[..., 2])])
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +277,10 @@ class StabilizerSet:
         its entries; so the set is additively closed iff it has p^r
         elements, and it is then that span.  The product is bilinear, so a
         span is closed under products iff the products of pairs of basis
-        elements lie in it: r^2 products.  For a set that is not additively
-        closed that test does not apply, and "multiplicative" is None; such
-        a set is no field either way.
+        elements lie in it: r^2 products of one broadcast `mat_mul`, each
+        compared with the set's rows entry by entry.  For a set that is not
+        additively closed that test does not apply, and "multiplicative" is
+        None; such a set is no field either way.
         """
         ctx = self.f.ctx
         p = ctx.p
@@ -278,33 +296,18 @@ class StabilizerSet:
         if len(pivots) != r:
             return {"additive": False, "multiplicative": None}
         basis = mats[pivots]
-        ii, jj = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
-        A, B = basis[ii.ravel()], basis[jj.ravel()]
-        prods = np.stack(
-            [
-                ctx.add_vec(ctx.mul_vec(A[:, 0], B[:, 0]), ctx.mul_vec(A[:, 1], B[:, 2])),
-                ctx.add_vec(ctx.mul_vec(A[:, 0], B[:, 1]), ctx.mul_vec(A[:, 1], B[:, 3])),
-                ctx.add_vec(ctx.mul_vec(A[:, 2], B[:, 0]), ctx.mul_vec(A[:, 3], B[:, 2])),
-                ctx.add_vec(ctx.mul_vec(A[:, 2], B[:, 1]), ctx.mul_vec(A[:, 3], B[:, 3])),
-            ],
-            axis=1,
-        )
-        mul_ok = np.isin(_matrix_keys(ctx, prods), _matrix_keys(ctx, mats)).all()
-        return {"additive": True, "multiplicative": bool(mul_ok)}
+        prods = mat_mul(ctx, basis[:, None], basis[None, :]).reshape(-1, 4)
+        mul_ok = set(map(tuple, prods.tolist())) <= set(map(tuple, mats.tolist()))
+        return {"additive": True, "multiplicative": mul_ok}
 
-    def to_report(self, sample: int = 8) -> dict:
+    def to_report(self) -> dict:
         flags = self.closure_flags()
         return {
             "order": self.order_with_zero,
             "is_field": bool(flags["additive"] and flags["multiplicative"]),
             "diagonal_only": self.is_diagonal_only(),
-            "sample_elements": [list(map(int, m)) for m in self.elements[:sample]],
+            "sample_elements": [list(map(int, m)) for m in self.elements[:8]],
         }
-
-
-def _matrix_keys(ctx: FieldCtx, mats: np.ndarray) -> np.ndarray:
-    base = np.int64(ctx.size)
-    return ((mats[:, 0] * base + mats[:, 1]) * base + mats[:, 2]) * base + mats[:, 3]
 
 
 def stabilizer(f: LinPoly) -> StabilizerSet:
@@ -316,7 +319,7 @@ def stabilizer(f: LinPoly) -> StabilizerSet:
     if f.is_zero():
         raise ValueError("stabilizer of the zero polynomial is not defined")
     maps = _graph_maps(f, f)
-    elements = sorted(map(tuple, maps[_invertible(f.ctx, maps)].tolist()))
+    elements = sorted(map(tuple, maps[mat_det(f.ctx, maps) != 0].tolist()))
     if (1, 0, 0, 1) not in elements:
         raise RuntimeError("identity matrix missing from stabilizer")
     return StabilizerSet(f, elements)

@@ -22,7 +22,7 @@ import numpy as np
 from .fieldcore import BudgetExceededError
 from .linpoly import LinPoly, log_sums
 
-ROOTS_ORACLE_BOUND_DEFAULT = 3 ** 10
+ROOTS_ORACLE_BOUND = 3 ** 10
 ROOTS_ORACLE_CHUNK = 1 << 21  # products the roots oracle forms per block of shifts
 
 
@@ -197,16 +197,16 @@ def is_scattered_fiber(f: LinPoly) -> bool:
     return fiber_profile(f)[1]
 
 
-def is_scattered_roots(f: LinPoly, size_bound: int = ROOTS_ORACLE_BOUND_DEFAULT) -> bool:
+def is_scattered_roots(f: LinPoly) -> bool:
     """True iff f + m*X has at most q roots for every shift m.
 
-    Quadratic in the field size; refuses beyond size_bound and points to the
-    fiber oracle instead.  Used for cross-validation only.
+    Quadratic in the field size; refuses beyond ROOTS_ORACLE_BOUND and points
+    to the fiber oracle instead.  Used for cross-validation only.
     """
     ctx = f.ctx
-    if ctx.size > size_bound:
+    if ctx.size > ROOTS_ORACLE_BOUND:
         raise BudgetExceededError(
-            f"roots oracle is O(size^2); {ctx.size} exceeds bound {size_bound}. "
+            f"roots oracle is O(size^2); {ctx.size} exceeds bound {ROOTS_ORACLE_BOUND}. "
             "Use is_scattered_fiber for production checks."
         )
     vals = f.eval_field()

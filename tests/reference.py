@@ -44,6 +44,10 @@ b, and of f, with `gflinalg.rank_batched`; it is the reference for
 
 `closure_all_pairs` adds and multiplies every pair of a set of 2x2
 matrices; it is the reference for `StabilizerSet.closure_flags`.
+`mat_mul_scalar` and `mat_det_scalar` write the product and the
+determinant of one pair of (alpha, beta, gamma, delta) tuples entry by
+entry with scalar `ctx.mul`, `ctx.add` and `ctx.sub`; they are the
+references for `mrdcodes.mat_mul` and `mrdcodes.mat_det`.
 
 `is_irreducible_trial` divides by every monic polynomial of degree at most
 d/2; it is the reference for the companion-matrix test
@@ -110,6 +114,10 @@ is the reference for `FieldCtx.trace_rel`, one gather and one `sum_vec`.
 `compose_loop` multiplies every pair of terms of the two supports and adds
 their digit vectors one at a time; it is the reference for
 `LinPoly.compose`, which sums the columns of `linpoly.composition_terms`.
+
+`sigma_image_loop` applies the collineation one step at a time, one
+Frobenius and one roll per equation and step; it is the reference for
+`ProjSubspace.sigma_image`, which takes k steps in closed form.
 
 `intersection_number_from_scratch` eliminates every chain
 gamma ^ ... ^ gamma^sigma^g anew with `field_row_echelon_loop`, one scalar
@@ -564,6 +572,24 @@ def closure_all_pairs(ctx, elements):
             all(tuple(m) in members for m in prods.tolist()))
 
 
+def mat_mul_scalar(ctx, w2, w1):
+    """The 2x2 product w2 @ w1 of two (alpha, beta, gamma, delta) tuples."""
+    a2, b2, c2, d2 = w2
+    a1, b1, c1, d1 = w1
+    return (
+        ctx.add(ctx.mul(a2, a1), ctx.mul(b2, c1)),
+        ctx.add(ctx.mul(a2, b1), ctx.mul(b2, d1)),
+        ctx.add(ctx.mul(c2, a1), ctx.mul(d2, c1)),
+        ctx.add(ctx.mul(c2, b1), ctx.mul(d2, d1)),
+    )
+
+
+def mat_det_scalar(ctx, w):
+    """alpha*delta - beta*gamma of one (alpha, beta, gamma, delta) tuple."""
+    alpha, beta, gamma, delta = w
+    return ctx.sub(ctx.mul(alpha, delta), ctx.mul(beta, gamma))
+
+
 def invertible(ctx, maps):
     """The maps (alpha, beta, gamma, delta) with alpha*delta != beta*gamma."""
     return [m for m in maps if ctx.mul(m[0], m[3]) != ctx.mul(m[1], m[2])]
@@ -926,6 +952,15 @@ def field_row_echelon_loop(ctx, rows):
     return r
 
 
+def sigma_image_loop(space, power=1):
+    """The image of a ProjSubspace under `power` single collineation steps."""
+    ctx = space.ctx
+    eqs = [e.copy() for e in space.equations]
+    for _ in range(power % ctx.n):
+        eqs = [np.roll(ctx.frob_vec(e, space.s), 1) for e in eqs]
+    return type(space)(ctx, space.s, eqs)
+
+
 def intersection_number_from_scratch(gamma, check_position=True):
     """Least positive g with dim(gamma ^ gamma^sigma ^ ... ^ gamma^sigma^g)
     above dim(gamma) - 2g, every chain eliminated anew; the position checks
@@ -938,7 +973,7 @@ def intersection_number_from_scratch(gamma, check_position=True):
 
     if check_position:
         axis = [np.eye(ctx.n, dtype=np.int64)[i] for i in range(2, ctx.n)]
-        if ctx.n - field_row_echelon_loop(ctx, gamma.equations + axis) - 1 >= 0:
+        if ctx.n - field_row_echelon_loop(ctx, list(gamma.equations) + axis) - 1 >= 0:
             raise ValueError("vertex meets the axis line")
         if meets_subgeometry_all_points(gamma):
             raise ValueError("vertex meets the canonical subgeometry")

@@ -307,6 +307,21 @@ def test_structure_reports_are_pinned(tmp_path, key):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STRUCTURE_DIGESTS[key]
 
 
+def test_equiv_report_with_a_nontrivial_witness_is_pinned(tmp_path):
+    """(m, h) = (1, 11) against (43, 11) at (3,3): two distinct members, a
+    diagonal witness; recorded before the witness algebra moved to
+    `mrdcodes.mat_mul`/`mat_det`."""
+    out = tmp_path / "equiv.json"
+    assert main(["equiv", "--q", "3", "--t", "3", "--s", "1", "--m", "1", "--h", "11",
+                 "--s2", "1", "--m2", "43", "--h2", "11", "--allow-small-t",
+                 "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert (rep["case"], rep["gl_witness"], rep["beta_candidates"], rep["agree"]) == (
+        "c", [361, 0, 0, 42], 3, True)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "3d39641467084d86b80de222610f95f14df0db6662155463e228e790d4b4084f")
+
+
 def test_equiv_command(tmp_path):
     ctx = make_field(3, 1, 3)
     m, h = condition_pairs(ctx, 1)[0]

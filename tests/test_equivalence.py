@@ -54,6 +54,29 @@ def test_witness_inverse_and_product(f33):
     assert gl_equivalent(g, f) is not None  # symmetric search succeeds too
 
 
+def test_nontrivial_witness_inverts_to_the_identity(f33):
+    """(m, h) = (1, 11) and (43, 11) at (3,3) are distinct polynomials carried
+    onto each other by a diagonal witness."""
+    f = build_quadrinomial(QuadParams(f33, 1, 1, 11))
+    g = build_quadrinomial(QuadParams(f33, 1, 43, 11))
+    w = gl_equivalent(f, g)
+    assert f != g and w == (361, 0, 0, 42)
+    w_inv = invert_witness(f33, w)
+    assert verify_gl_witness(g, f, w_inv)
+    assert multiply_witnesses(f33, w, w_inv) == (1, 0, 0, 1)
+    assert multiply_witnesses(f33, w_inv, w) == (1, 0, 0, 1)
+
+
+def test_witness_algebra_refuses_bad_entries(f33):
+    for bad in ((-1, 0, 0, 1), (1, 0, 0, f33.size)):
+        with pytest.raises(ValueError, match="outside"):
+            invert_witness(f33, bad)
+        with pytest.raises(ValueError, match="outside"):
+            multiply_witnesses(f33, bad, (1, 0, 0, 1))
+    with pytest.raises(ZeroDivisionError):
+        invert_witness(f33, (1, 2, 1, 2))
+
+
 def test_family_member_not_equivalent_to_monomial(f33):
     member = build_quadrinomial(condition_params(f33))
     mono = LinPoly.monomial(f33, 1, 1)

@@ -502,3 +502,23 @@ def test_zero_has_no_inverse(f33):
     with pytest.raises(ZeroDivisionError):
         f33.pow(0, -1)
     assert f33.pow(0, 0) == 1 and f33.pow(0, 3) == 0
+
+
+def test_scalar_methods_refuse_indices_outside_the_field(f33):
+    """-1 used to wrap through numpy (frob(-1, 1) read 375, trace_rel(-1, 3)
+    720, mul(-1, 2) 364, in_subfield(-1, 3) False) and trace_rel(729, 3)
+    ended in IndexError."""
+    calls = [
+        lambda x: f33.frob(x, 1), lambda x: f33.trace_rel(x, 3), lambda x: f33.mul(x, 2),
+        lambda x: f33.mul(2, x), lambda x: f33.in_subfield(x, 3), lambda x: f33.add(x, 1),
+        lambda x: f33.add(1, x), lambda x: f33.sub(1, x), lambda x: f33.sub(x, 1),
+        lambda x: f33.neg(x), lambda x: f33.inv(x), lambda x: f33.div(x, 1),
+        lambda x: f33.div(1, x), lambda x: f33.pow(x, 2), lambda x: f33.norm_rel(x, 3),
+    ]
+    for call in calls:
+        for bad in (-1, f33.size):
+            with pytest.raises(ValueError, match="outside"):
+                call(bad)
+        call(f33.size - 1)
+    # index arrays are not checked by the scalar helper
+    assert f33.in_subfield(np.arange(f33.size), 3).sum() == 27

@@ -15,6 +15,8 @@ from scatlin.mrdcodes import (
     RankCode,
     StabilizerSet,
     _graph_maps,
+    mat_det,
+    mat_mul,
     right_idealizer,
     left_idealizer,
     stabilizer,
@@ -25,6 +27,7 @@ from scatlin.sweep import condition_pairs
 from reference import (
     canonical_witness, closure_all_pairs, codeword_ranks_elimination, graph_maps_grid,
     graph_maps_three_blocks, invertible, left_idealizer_grid, left_idealizer_list,
+    mat_det_scalar, mat_mul_scalar,
 )
 
 
@@ -225,6 +228,43 @@ def test_closure_flags_match_all_pairs(f33):
         assert flags["multiplicative"] == (multiplicative if additive else None)
         seen.add((additive, multiplicative))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closure_flags_compare_whole_rows_at_73():
+    """At (7,3) four indices no longer fit one int64 key: B @ B =
+    (45312, 21627, 6813, 102712) packs to the key of the zero matrix, so
+    the multiples k*B, k = 1..6, passed for closed under products when
+    membership was tested on packed keys."""
+    ctx = make_field(7, 1, 3)
+    b = (20018, 32569, 40921, 16133)
+    elements = [tuple(ctx.mul(k, x) for x in b) for k in range(1, 7)]
+    assert mat_mul(ctx, b, b).tolist() == [45312, 21627, 6813, 102712]
+    st = StabilizerSet(LinPoly.monomial(ctx, 1, 1), elements)
+    assert closure_all_pairs(ctx, st.elements) == (True, False)
+    assert st.closure_flags() == {"additive": True, "multiplicative": False}
+
+    member = stabilizer(build_quadrinomial(QuadParams(ctx, 1, 55, 871)))
+    assert member.order_with_zero == 49
+    assert closure_all_pairs(ctx, member.elements) == (True, True)
+    assert member.closure_flags() == {"additive": True, "multiplicative": True}
+
+
+_towers = st.sampled_from([(3, 1, 3), (3, 1, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_towers, st.data())
+def test_matrix_algebra_matches_scalar_formulas(tower, data):
+    ctx = make_field(*tower)
+    mats = st.tuples(*[st.integers(0, ctx.size - 1)] * 4)
+    a, b = data.draw(mats), data.draw(mats)
+    assert tuple(mat_mul(ctx, a, b).tolist()) == mat_mul_scalar(ctx, a, b)
+    assert int(mat_det(ctx, a)) == mat_det_scalar(ctx, a)
+    # the leading axes broadcast: a stack against one matrix, row by row
+    stack = data.draw(st.lists(mats, min_size=1, max_size=5))
+    assert [tuple(r) for r in mat_mul(ctx, stack, b).tolist()] == [
+        mat_mul_scalar(ctx, w, b) for w in stack]
+    assert mat_det(ctx, stack).tolist() == [mat_det_scalar(ctx, w) for w in stack]
 
 
 def test_pseudoregulus_stabilizer_at_34_is_a_field(f34):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import intersection_number_from_scratch, meets_subgeometry_all_points
+from reference import (intersection_number_from_scratch, meets_subgeometry_all_points,
+                       sigma_image_loop)
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
 from scatlin.quadrinomial import QuadParams, build_quadrinomial
@@ -49,6 +50,30 @@ def test_sigma_identity_and_order(f33):
     assert g.sigma_image(0).same_subspace(g)
     assert g.sigma_image(f33.n).same_subspace(g)
     assert not g.sigma_image(1).same_subspace(g)
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 3), (3, 1, 4)])
+def test_sigma_powers_match_single_steps(tower):
+    """Closed-form k-th images against k single steps, for k in [0, 2t] and
+    every coprime step, on random equations and on a family vertex."""
+    ctx = make_field(*tower)
+    rng = np.random.default_rng(ctx.t)
+    for s in (s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1):
+        spaces = [ProjSubspace(ctx, s, rng.integers(0, ctx.size, (r, ctx.n))) for r in (0, 1, 3)]
+        spaces.append(quad_vertex(ctx, s))
+        for space in spaces:
+            for k in range(ctx.n + 1):
+                want = sigma_image_loop(space, k).equations
+                assert np.array_equal(space.sigma_image(k).equations, want)
+
+
+def test_equations_are_one_read_only_array(f33):
+    for rows in ([], [[0, 1, 0, 0, 0, 0]], np.eye(f33.n, dtype=np.int64)[2:]):
+        eqs = ProjSubspace(f33, 1, rows).equations
+        assert eqs.dtype == np.int64 and eqs.shape == (len(rows), f33.n)
+        with pytest.raises(ValueError, match="read-only"):
+            eqs[0:1, 0] = 1
+    assert axis_line(f33, 1).equations.shape == (f33.n - 2, f33.n)
 
 
 def test_sigma_fixes_subgeometry_pointwise(f33, f35):
