@@ -63,11 +63,14 @@ def gl_equivalent(f: LinPoly, g: LinPoly):
 def verify_gl_witness(f: LinPoly, g: LinPoly, w) -> bool:
     """Exact recheck: g o (alpha*X + beta*f) = gamma*X + delta*f, det != 0."""
     ctx = f.ctx
+    ctx.refuse_index(*w)
+    if int(mat_det(ctx, w)) == 0:
+        return False
     alpha, beta, gamma, delta = w
     X = LinPoly.identity(ctx)
     lhs = g.compose(X.scale(alpha).add(f.scale(beta)))
     rhs = X.scale(gamma).add(f.scale(delta))
-    return lhs == rhs and int(mat_det(ctx, w)) != 0
+    return lhs == rhs
 
 
 def invert_witness(ctx: FieldCtx, w):

@@ -356,7 +356,8 @@ class FieldCtx:
         return 0 if z < 0 else int(self.EXP[la + z])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self.refuse_index(b)
+        return self.add(a, int(self.NEG[b]))
 
     def neg(self, a: int) -> int:
         self.refuse_index(a)

@@ -336,11 +336,6 @@ def split_maps(params: QuadParams) -> QuadSplit:
     return QuadSplit(params, lead_unit, tail, lead_mult, tail_mult, twist)
 
 
-def _refuse_index(ctx: FieldCtx, x: int, name: str):
-    if not 0 <= x < ctx.size:
-        raise ValueError(f"{name}={x} must be an element index in [0, {ctx.size})")
-
-
 def image_characterizations(sp: QuadSplit) -> bool:
     """Images of the unit leading and trailing pairs match their one-equation
     descriptions (valid when the norm of h is +-1):
@@ -369,7 +364,7 @@ def decompose(sp: QuadSplit, x: int):
     Refuses x outside [0, size).
     """
     ctx = sp.params.ctx
-    _refuse_index(ctx, x, "x")
+    ctx.refuse_index(x)
     kl, kt = sp.kernels
     rest = ctx.add_vec(x, ctx.NEG[kl])  # x - u for every u in ker(lead)
     hit = np.flatnonzero(np.isin(rest, kt))
@@ -393,7 +388,7 @@ def basis_components(sp: QuadSplit, gamma: int, rho: int):
     """
     ctx, s = sp.params.ctx, sp.params.s
     t, n = ctx.t, ctx.n
-    _refuse_index(ctx, gamma, "gamma")
+    ctx.refuse_index(gamma)
     if rho == 0 or sp.lead_mult.eval(rho) != 0:
         raise ValueError("rho must be a nonzero kernel element of the lead multiplier")
     tau = ctx.mul(sp.twist, rho)
@@ -451,7 +446,7 @@ def ratio_in_trace_kernel(sp: QuadSplit, x1: int, x2: int) -> bool:
     """
     ctx, s, h = sp.params.ctx, sp.params.s, sp.params.h
     t, n = ctx.t, ctx.n
-    _refuse_index(ctx, x2, "x2")
+    ctx.refuse_index(x2)
     if x2 == 0:
         raise ValueError("x2 must be nonzero")
     den = ctx.add(ctx.frob(h, s % n), ctx.frob(h, (s * (t - 1)) % n))

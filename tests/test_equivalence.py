@@ -68,13 +68,17 @@ def test_nontrivial_witness_inverts_to_the_identity(f33):
 
 
 def test_witness_algebra_refuses_bad_entries(f33):
+    f = build_quadrinomial(QuadParams(f33, 1, 1, 11))
     for bad in ((-1, 0, 0, 1), (1, 0, 0, f33.size)):
         with pytest.raises(ValueError, match="outside"):
             invert_witness(f33, bad)
         with pytest.raises(ValueError, match="outside"):
             multiply_witnesses(f33, bad, (1, 0, 0, 1))
+        with pytest.raises(ValueError, match="outside"):
+            verify_gl_witness(f, f, bad)
     with pytest.raises(ZeroDivisionError):
         invert_witness(f33, (1, 2, 1, 2))
+    assert not verify_gl_witness(f, f, (1, 2, 1, 2))
 
 
 def test_family_member_not_equivalent_to_monomial(f33):

@@ -418,7 +418,7 @@ def test_decompose_refuses_indices_outside_the_field(f33):
     m, h = first_case_pair(f33)
     sp = split_maps(QuadParams(f33, 1, m, h))
     for bad in (-1, 729):
-        with pytest.raises(ValueError, match="x="):
+        with pytest.raises(ValueError, match="outside"):
             decompose(sp, bad)
 
 
@@ -427,7 +427,7 @@ def test_basis_components_refuse_gamma_outside_the_field(f33):
     sp = split_maps(QuadParams(f33, 1, m, h))
     rho = int(sp.lead_mult.kernel_set()[1])
     for bad in (-1, 729):
-        with pytest.raises(ValueError, match="gamma="):
+        with pytest.raises(ValueError, match="outside"):
             basis_components(sp, bad, rho)
 
 
@@ -435,7 +435,7 @@ def test_ratio_in_trace_kernel_refuses_x2_outside_the_field(f33):
     h = next(int(h) for h in admissible_h(f33) if not f33.in_subfield(int(h), 3))
     sp = split_maps(QuadParams(f33, 1, 1, h))
     for bad in (-3, 729):
-        with pytest.raises(ValueError, match="x2="):
+        with pytest.raises(ValueError, match="outside"):
             ratio_in_trace_kernel(sp, 0, bad)
 
 
