@@ -61,7 +61,8 @@ def gl_equivalent(f: LinPoly, g: LinPoly):
 
 
 def verify_gl_witness(f: LinPoly, g: LinPoly, w) -> bool:
-    """Exact recheck: g o (alpha*X + beta*f) = gamma*X + delta*f, det != 0."""
+    """Exact recheck: g o (alpha*X + beta*f) = gamma*X + delta*f, det != 0.
+    Entries outside [0, size) are refused with ValueError."""
     ctx = f.ctx
     ctx.refuse_index(*w)
     if int(mat_det(ctx, w)) == 0:

@@ -457,7 +457,7 @@ class FieldCtx:
 
     def in_subfield(self, x, d: int):
         """x**(q^d) == x: a bool (x refused outside [0, size)), or a mask for an index array."""
-        if np.ndim(x) == 0:
+        if isinstance(x, (int, np.integer)):
             self.refuse_index(x)
         self._refuse_degree(d)
         return self.FROB[d % self.n][x] == x
