@@ -12,11 +12,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import sys
 import time
 from math import gcd
+
+import numpy as np
 
 from .fieldcore import _factorize, make_field
 from .linpoly import LinPoly
@@ -63,30 +66,42 @@ def _emit(obj, out_path):
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
-_RECORD_LINE = ('{"m": %d, "h": %d, "norm_h": %d, "case_tag": %s, "prior_tag": %s, '
-                '"scattered": %s, "linear_set_size": %d%s}\n').__mod__
-_CASE_JSON = [json.dumps(name) for name in CASES].__getitem__
-_PRIOR_JSON = [json.dumps(name) for name in PRIORS].__getitem__
-_VERDICT_JSON = ("false", "true").__getitem__
+# the record fields from case_tag to the key of linear_set_size, one piece per
+# (case, prior, scattered), indexed (case*len(PRIORS) + prior)*2 + scattered
+_MIDDLES = np.array([', "case_tag": %s, "prior_tag": %s, "scattered": %s, "linear_set_size": '
+                     % (json.dumps(case), json.dumps(prior), verdict)
+                     for case in CASES for prior in PRIORS for verdict in ("false", "true")],
+                    dtype=object)
+
+
+def _pieces(col, fmt):
+    """fmt % v for every entry v of an integer column, formatted once per
+    distinct value."""
+    values, inverse = np.unique(col, return_inverse=True)
+    return np.array([fmt % v for v in values.tolist()], dtype=object)[inverse].tolist()
 
 
 def _record_lines(records):
     """The JSON line of every row of a `sweep.Records`, in row order.
 
     Each line is `json.dumps` of the record dict (same keys, order and
-    separators) filled into one template: the tag names are encoded once,
-    the verdict is the literal true/false, and only witnesses go through
-    `json.dumps`.  Without witnesses the "witness" key is left out.
+    separators), joined from pieces: every distinct value of the m, h,
+    norm_h and linear_set_size columns is formatted once, the tag names and
+    verdict come as one precomputed piece per (case, prior, scattered), and
+    only witnesses go through `json.dumps`.  Without witnesses the "witness"
+    key is left out.
     """
     if records.witness is None:
-        tail, default = {}, ""
+        tails = itertools.repeat("}\n")
     else:
-        tail = {i: ', "witness": ' + json.dumps(w) for i, w in records.witness.items()}
-        default = ', "witness": null'
-    m, h, norm, case, prior, scattered, size = (col.tolist() for col in records[:7])
-    tails = map(tail.get, range(len(m)), itertools.repeat(default))
-    return map(_RECORD_LINE, zip(m, h, norm, map(_CASE_JSON, case), map(_PRIOR_JSON, prior),
-                                 map(_VERDICT_JSON, scattered), size, tails))
+        tail = {i: ', "witness": ' + json.dumps(w) + "}\n" for i, w in records.witness.items()}
+        tails = map(tail.get, range(len(records.m)), itertools.repeat(', "witness": null}\n'))
+    middle = (records.case.astype(np.int64) * len(PRIORS) + records.prior) * 2 + records.scattered
+    return map("".join, zip(_pieces(records.m, '{"m": %d, "h": '),
+                            _pieces(records.h, '%d, "norm_h": '),
+                            _pieces(records.norm_h, "%d"),
+                            _MIDDLES[middle].tolist(),
+                            _pieces(records.linear_set_size, "%d"), tails))
 
 
 def _emit_lines(header, records, summary, out_path):
@@ -370,8 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser` once per process; each parse fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

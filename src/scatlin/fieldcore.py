@@ -410,10 +410,16 @@ class FieldCtx:
         return np.where((a == 0) | (b == 0), 0, out)
 
     def scale_vec(self, c: int, a):
+        """c*a for an array a of indices: one log array, shifted in place, and
+        one gather, with zeros written back where a is 0."""
         if c == 0:
             return np.zeros_like(np.asarray(a))
         a = np.asarray(a)
-        return np.where(a == 0, 0, self.EXP[self.LOG[a] + self.LOG[c]])
+        r = self.LOG[a]
+        r += self.LOG[c]
+        out = self.EXP[r]
+        out[a == 0] = 0
+        return out
 
     def frob_vec(self, a, i: int):
         return self.FROB[i % self.n][a]

@@ -9,9 +9,10 @@ which all share one profile; `profile_keys` is the same reduction on rows
 of coefficient logs, and `orbit_codes` folds in the p-power twists, once
 per distinct key, so a sweep runs the count once per orbit.  The sweeps
 count with `fiber_profiles`: rows of coefficient logs over one support,
-summed by `linpoly.log_sums` and counted as ratio logs, with no value
-converted back.  The cross-check oracle counts roots of f + m*X for every
-shift m, naively, independent of the fiber count.
+summed by `linpoly.log_sums` at one point per F_q*-class (f(x)/x is
+constant on each) and counted as ratio logs, with no value converted
+back.  The cross-check oracle counts roots of f + m*X for every shift m,
+naively, independent of the fiber count.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ def fiber_counts(f: LinPoly) -> np.ndarray:
 
 
 def _ratio_counts(ctx, ratio, cancel) -> np.ndarray:
-    """Counts of log(f(x)/x) over x = 1 .. size-1, one row per row of `ratio`.
+    """Counts of log(f(x)/x) over a list of points x, one row per row of `ratio`.
 
-    ratio[..., x - 1] is log f(x) - LOG[x], in (-order, order), and `cancel`
-    marks the x with f(x) = 0 (or is None), which go to slot ctx.order.
+    ratio[..., j] is log f(x) - log x at the j-th point, in (-order, order),
+    and `cancel` marks the x with f(x) = 0 (or is None), which go to slot
+    ctx.order.
     ratio + order lies in (0, 2*order) and is reduced in place by one
     conditional subtraction.  A block of rows takes one bincount, row r
     offset by r*(order + 1).
@@ -62,10 +64,11 @@ def _ratio_counts(ctx, ratio, cancel) -> np.ndarray:
     return np.bincount(ratio.ravel(), minlength=rows * (order + 1)).reshape(rows, order + 1)
 
 
-# Rows per block of `fiber_profiles`: with 2**14 // size rows, every int64
-# temporary of a block stays at or below 128 KB, glibc's default mmap
-# threshold, so the allocator reuses its memory instead of mapping and
-# faulting in fresh pages for each block.
+# Rows per block of `fiber_profiles`: with 2**14 // d rows of d points, every
+# int64 temporary of `log_sums` stays at or below 128 KB, glibc's default
+# mmap threshold, so the allocator reuses its memory instead of mapping and
+# faulting in fresh pages for each block; the block's counts take order + 1
+# slots a row, q - 1 times as many.
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -77,24 +80,30 @@ def fiber_profiles(ctx, support: tuple, logs) -> tuple:
     row r.  The first coefficient is factored out, which multiplies every
     value of f(x)/x by one scalar and leaves the profile alone, so the rows
     go to `linpoly.log_sums` as offsets over term logs computed once, and
-    the ratio logs acc - LOG[x] are counted without leaving the log domain.
-    The zero polynomial (empty support) is refused.
+    the ratio logs acc - k are counted without leaving the log domain.
+    Since f(lambda*x)/(lambda*x) = f(x)/x for lambda in F_q*, the points are
+    the d = order/(q - 1) representatives x = g^k, k < d, of the F_q*-classes,
+    whose term logs are k*q^e mod order.  Every count is then the full count
+    divided by q - 1, so f is scattered iff the largest count is 1, that is
+    iff the d points fall into d distinct slots.  The zero polynomial (empty
+    support) is refused.
     """
     if not support:
         raise ValueError("fiber_profiles needs a nonempty support")
     logs = np.asarray(logs, dtype=np.int64)
     # one (rows, 1) column of offsets per term after the first
     columns = ((logs[:, 1:] - logs[:, :1]) % ctx.order).T[..., None]
-    terms = [ctx.LOG[ctx.FROB[e][1:]] for e in support]
+    d = ctx.order // (ctx.q - 1)
+    points = ctx.EXP[:d]               # g^k, k < d
+    k = np.arange(d, dtype=np.int64)   # their logs
+    terms = [ctx.LOG[ctx.FROB[e][points]] for e in support]
     size = np.empty(len(logs), dtype=np.int64)
-    scattered = np.empty(len(logs), dtype=bool)
-    step = max(1, _BLOCK_ELEMENTS // ctx.size)
+    step = max(1, _BLOCK_ELEMENTS // d)
     for r in range(0, len(logs), step):
         acc, cancel = log_sums(ctx, terms, columns[:, r:r + step])
-        counts = _ratio_counts(ctx, acc - ctx.LOG[1:], cancel)
+        counts = _ratio_counts(ctx, acc - k, cancel)
         size[r:r + step] = np.count_nonzero(counts, axis=-1)
-        scattered[r:r + step] = counts.max(axis=-1) == ctx.q - 1
-    return size, scattered
+    return size, size == d
 
 
 def fiber_profile(f: LinPoly) -> tuple:

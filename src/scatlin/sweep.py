@@ -8,10 +8,10 @@ coefficient logs of `quadrinomial.family_terms`, the one statement of the
 family's rule, are grouped by the family's own q-exponent supports.  The
 profile is shared by every scaling mu*f(lambda*X) and p-power twist of f,
 so per support one `scattered.fiber_profiles` call profiles one row per
-`scattered.orbit_codes` code.  `classify_sweep` returns its records as
-columns (`Records`): the grid's arrays in canonical (m, h) order and a
-sparse map of witnesses, with no per-pair object; `cli._emit_lines` writes
-the JSON lines from them.
+`scattered.orbit_codes` code, each at one point per F_q*-class.
+`classify_sweep` returns its records as columns (`Records`): the grid's
+arrays in canonical (m, h) order and a sparse map of witnesses, with no
+per-pair object; `cli._emit_lines` writes the JSON lines from them.
 `classify_record` builds the same record as a dict for one pair.
 
 The classification sweep reports every disagreement between "conditions

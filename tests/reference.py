@@ -28,6 +28,10 @@ representative.  `orbit_codes_all_rows` takes the p-power twist minimum
 on every row, where `scattered.orbit_codes` takes it once per distinct
 scaling key.  They are the references for `pair_grid`'s kernel-call count
 and profiles, for `scattered.fiber_profiles` and for `orbit_codes`.
+`fiber_profiles_full_field` counts f(x)/x at every nonzero x, in blocks of
+2^14/size rows, and reads scatteredness off the largest count q - 1; it is
+the reference for `scattered.fiber_profiles`, which counts one point per
+F_q*-class.
 
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
 g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
@@ -56,6 +60,10 @@ d/2; it is the reference for the companion-matrix test
 `add_vec_digits` and `eval_vec_digits` add base-p digit vectors and reduce
 mod p; they are the references for `FieldCtx.add_vec`, `FieldCtx.add` and
 `LinPoly.eval_vec`, which add through Zech logarithms.
+
+`scale_vec_where` scales by `np.where` over the whole sum of logs; it is
+the reference for `FieldCtx.scale_vec`, which shifts one log array in place
+and writes the zeros back.
 
 `eval_vec_zech` sums the terms through Zech logarithms with one `scale_vec`
 per term and reduces every partial sum with `%`, and `fiber_counts_mod`
@@ -132,13 +140,15 @@ import numpy as np
 
 from scatlin import gflinalg
 from scatlin.fieldcore import DirectSumError, _factorize
-from scatlin.linpoly import LinPoly, composition_terms
+from scatlin.linpoly import LinPoly, composition_terms, log_sums
 from scatlin.mrdcodes import _refuse_above_bound
 from scatlin.quadrinomial import (
     QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
     nonscattered_witness, split_maps, trace_zero_power_set,
 )
-from scatlin.scattered import _scaling_steps, fiber_profile, is_scattered_roots, profile_keys
+from scatlin.scattered import (
+    _ratio_counts, _scaling_steps, fiber_profile, is_scattered_roots, profile_keys,
+)
 from scatlin.sweep import SCHEMA_VERSION, h_class_reps
 
 GRID_BOUND = 3 ** 12
@@ -402,6 +412,23 @@ def pair_profiles_per_orbit(ctx, s, M, H, forms=(False,)):
         calls += first.size
     shape = (len(forms), M.size)
     return size.reshape(shape), scattered.reshape(shape) != 0, calls
+
+
+def fiber_profiles_full_field(ctx, support, logs):
+    """(size, scattered) of `scattered.fiber_profiles`, counted over every
+    nonzero x, the ratio logs acc - LOG[x]."""
+    logs = np.asarray(logs, dtype=np.int64)
+    columns = ((logs[:, 1:] - logs[:, :1]) % ctx.order).T[..., None]
+    terms = [ctx.LOG[ctx.FROB[e][1:]] for e in support]
+    size = np.empty(len(logs), dtype=np.int64)
+    scattered = np.empty(len(logs), dtype=bool)
+    step = max(1, 2 ** 14 // ctx.size)
+    for r in range(0, len(logs), step):
+        acc, cancel = log_sums(ctx, terms, columns[:, r:r + step])
+        counts = _ratio_counts(ctx, acc - ctx.LOG[1:], cancel)
+        size[r:r + step] = np.count_nonzero(counts, axis=-1)
+        scattered[r:r + step] = counts.max(axis=-1) == ctx.q - 1
+    return size, scattered
 
 
 def quad_coeffs_scalar(params, swapped=False):
@@ -671,6 +698,14 @@ def eval_vec_digits(f, xs):
         term = ctx.scale_vec(int(f.coeffs[i]), ctx.frob_vec(xs, i))
         acc += ctx.DIGITS[term]
     return (acc % ctx.p).astype(np.int64) @ ctx.PP
+
+
+def scale_vec_where(ctx, c, a):
+    """c*a elementwise for an array a of indices."""
+    if c == 0:
+        return np.zeros_like(np.asarray(a))
+    a = np.asarray(a)
+    return np.where(a == 0, 0, ctx.EXP[ctx.LOG[a] + ctx.LOG[c]])
 
 
 def eval_vec_zech(f, xs):

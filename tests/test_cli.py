@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scatlin import cli
 from scatlin.cli import main
@@ -123,12 +123,28 @@ _rows = st.tuples(_indices, _indices, _indices, st.integers(0, len(CASES) - 1),
                   st.sampled_from(["outside", "none"]) | _witnesses)
 
 
+@st.composite
+def _repeating_rows(draw):
+    """1-12 rows whose m, h, norm_h and linear_set_size columns each draw
+    from one to three values, so that repeated values, all-equal columns and
+    single rows all occur in the writer's distinct-value tables."""
+    pools = [st.sampled_from(draw(st.lists(_indices, min_size=1, max_size=3)))
+             for _ in range(4)]
+    row = st.tuples(pools[0], pools[1], pools[2], st.integers(0, len(CASES) - 1),
+                    st.integers(0, len(PRIORS) - 1), st.booleans(), pools[3],
+                    st.sampled_from(["outside", "none"]) | _witnesses)
+    return draw(st.lists(row, min_size=1, max_size=12))
+
+
+@example(rows=[(0, 1, 1, 0, 0, False, 364, "none")], with_witness=True)
+@example(rows=[(5, 7, 1, 2, 1, True, 364, "outside")] * 4, with_witness=False)
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(_rows, min_size=1, max_size=12), with_witness=st.booleans())
+@given(rows=st.lists(_rows, min_size=1, max_size=12) | _repeating_rows(),
+       with_witness=st.booleans())
 def test_record_lines_are_json_dumps_of_the_record(rows, with_witness):
-    """The template line of every row is json.dumps of its record dict;
-    "outside" rows are missing from the witness map and "none" rows map to
-    None, and both read null."""
+    """Every line is json.dumps of its record dict, on rows of any values and
+    on rows with few values per column; "outside" rows are missing from the
+    witness map and "none" rows map to None, and both read null."""
     m, h, norm, case, prior, scattered, size, wit = zip(*rows)
     witness = None
     if with_witness:
@@ -439,6 +455,33 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """`main` builds its parser once per process.  classify, stabilizer and
+    classify again give the pinned artifacts, and no option leaks: the
+    second classify runs without --h-dedup, --no-witness and --csv, so it
+    writes the full grid with witnesses and leaves the first CSV alone."""
+    first, again, csv_out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "a.csv"
+    base = ["--q", "3", "--t", "3", "--s", "1"]
+    assert main(["classify", *base, "--h-dedup", "--no-witness", "--out", str(first),
+                 "--csv", str(csv_out)]) == 0
+    csv_bytes = csv_out.read_bytes()
+    m, h = condition_pairs(make_field(3, 1, 3), 1)[0]
+    stab = tmp_path / "stab.json"
+    assert main(["stabilizer", *base, "--m", str(m), "--h", str(h), "--out", str(stab)]) == 0
+    assert main(["classify", *base, "--out", str(again)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (first, stab, again)]
+    assert digests == [CLASSIFY_33_DIGESTS[1, True, True][0],
+                       STRUCTURE_DIGESTS["stabilizer", 3],
+                       CLASSIFY_33_DIGESTS[1, False, False][0]]
+    assert csv_out.read_bytes() == csv_bytes
+    assert hashlib.sha256(csv_bytes).hexdigest() == CLASSIFY_33_DIGESTS[1, True, True][1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.jsonl", "b.jsonl",
+                                                          "stab.json"]
+    assert cli._parser() is cli._parser()
+    assert not hasattr(cli._parser().parse_args(["stabilizer", *base, "--m", "0", "--h", "1"]),
+                       "h_dedup")
 
 
 def test_conjecture_reports_are_byte_identical_across_runs(tmp_path, capsys):

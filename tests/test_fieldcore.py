@@ -18,8 +18,8 @@ from scatlin.fieldcore import (
     _is_irreducible,
 )
 from reference import (
-    add_vec_digits, fill_powers_int64, is_irreducible_trial, smallest_generator_loop,
-    trace_rel_loop,
+    add_vec_digits, fill_powers_int64, is_irreducible_trial, scale_vec_where,
+    smallest_generator_loop, trace_rel_loop,
 )
 
 # (modulus, generator) of every admitted tower (p, e, t), field size <= 2^24
@@ -421,6 +421,24 @@ def test_add_matches_digit_reference(tower, pairs, how):
     assert [ctx.add(int(x), int(y)) for x, y in zip(a, b)] == want.tolist()
     if a.size:
         assert ctx.add_vec(a[0], b).tolist() == add_vec_digits(ctx, a[0], b).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.sampled_from(["zero", "field"]),
+       _elements, st.lists(_elements, max_size=40), st.integers(1, 5), st.booleans())
+def test_scale_vec_matches_where_reference(tower, scalar, c, entries, cols, zeros):
+    """In-place `scale_vec` against the `np.where` form: c = 0, arrays with
+    zero entries, 1-D and 2-D input."""
+    ctx = make_field(*tower)
+    c = 0 if scalar == "zero" else c % ctx.size
+    a = np.array(entries, dtype=np.int64) % ctx.size
+    if zeros:
+        a[::3] = 0
+    for arr in (a, np.resize(a, (len(a) // cols, cols))):
+        want = scale_vec_where(ctx, c, arr)
+        got = ctx.scale_vec(c, arr)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=120, deadline=None)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import fiber_profile_sorted, orbit_codes_all_rows, scaling_class
+from reference import (
+    fiber_profile_sorted, fiber_profiles_full_field, orbit_codes_all_rows, scaling_class,
+)
 from scatlin.fieldcore import BudgetExceededError, make_field
-from scatlin.linpoly import LinPoly
+from scatlin.linpoly import LinPoly, log_sums
 from scatlin.scattered import (
     fiber_counts, fiber_profile, fiber_profiles, is_scattered_fiber, is_scattered_roots,
     linear_set_size, orbit_codes, profile_key, profile_keys,
@@ -200,16 +202,19 @@ def test_orbit_codes_refuse_to_overflow():
 # -- batched profiles and codes ------------------------------------------------
 
 
+F53, F73, F923 = make_field(5, 1, 3), make_field(7, 1, 3), make_field(3, 2, 3)
+
+
 @st.composite
-def _support_rows(draw):
-    """1-50 polynomials over one q-exponent support at (3,3) or (3,4): family
-    members in either form (m = 0 gives the binomial), or one to four terms
-    with coefficients in the field or in F_p (whose partial sums cancel
-    often).  Blocks hold 22 rows at (3,3) and 2 at (3,4), so row counts
-    cross block boundaries unevenly."""
-    ctx = draw(st.sampled_from([F33, F34]))
+def _support_rows(draw, towers, max_rows):
+    """1 to max_rows polynomials over one q-exponent support on one of
+    `towers`: family members in either form (m = 0 gives the binomial), or
+    one to four terms with coefficients in the field or in F_p (whose
+    partial sums cancel often).  Blocks hold 45 rows at (3,3) and 4 at (3,4)
+    and (5,3), so row counts cross block boundaries unevenly."""
+    ctx = draw(st.sampled_from(towers))
     s = draw(st.sampled_from([s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]))
-    count = draw(st.integers(1, 50))
+    count = draw(st.integers(1, max_rows))
     kind = draw(st.sampled_from(["main", "swapped", "binomial", "field", "base"]))
     nonzero = st.integers(1, ctx.size - 1)
     if kind in ("main", "swapped", "binomial"):
@@ -221,21 +226,57 @@ def _support_rows(draw):
     return [LinPoly.from_terms(ctx, s, {i: draw(coeffs) for i in slots}) for _ in range(count)]
 
 
-@example([LinPoly.from_terms(F33, 1, {0: F33.neg_one, 1: 1})] * 23)   # X^q - X
-@example([LinPoly.monomial(F34, 3, 2, 5)] * 3)
-@settings(max_examples=60, deadline=None)
-@given(_support_rows())
-def test_fiber_profiles_match_per_row_fiber_profile(fs):
-    """The batched log-domain profiles against one `fiber_profile` per row,
-    and at (3,3) the roots oracle as a third opinion on the first rows."""
+def _assert_profiles_agree(fs):
+    """`fiber_profiles` on the rows of fs (one support) against one
+    `fiber_profile` per row and the full-field count of every row, and at
+    (3,3) the roots oracle as a third opinion on the first rows."""
     ctx = fs[0].ctx
     support = np.flatnonzero(fs[0].coeffs)
     assert all(np.array_equal(np.flatnonzero(f.coeffs), support) for f in fs)
     logs = ctx.LOG[np.array([f.coeffs[support] for f in fs])]
     size, scattered = fiber_profiles(ctx, tuple(support.tolist()), logs)
     assert list(zip(size.tolist(), scattered.tolist())) == [fiber_profile(f) for f in fs]
+    full_size, full_scattered = fiber_profiles_full_field(ctx, tuple(support.tolist()), logs)
+    assert np.array_equal(size, full_size) and np.array_equal(scattered, full_scattered)
     if ctx is F33:
         assert [is_scattered_roots(f) for f in fs[:3]] == scattered[:3].tolist()
+
+
+@example([LinPoly.from_terms(F33, 1, {0: F33.neg_one, 1: 1})] * 46)   # X^q - X
+@example([LinPoly.monomial(F34, 3, 2, 5)] * 5)
+@settings(max_examples=60, deadline=None)
+@given(_support_rows([F33, F34], 50))
+def test_fiber_profiles_match_per_row_fiber_profile(fs):
+    """One point per F_q*-class against every nonzero point, at (3,3) and (3,4)."""
+    _assert_profiles_agree(fs)
+
+
+@example([LinPoly.from_terms(F923, 1, {0: F923.neg_one, 1: 1})] * 2)   # X^q - X, q = 9
+@example([LinPoly.monomial(F73, 5, 4, 3)])
+@settings(max_examples=15, deadline=None)
+@given(_support_rows([F53, F73, F923], 5))
+def test_fiber_profiles_match_on_larger_towers(fs):
+    """The same at (5,3), (7,3) and the e = 2 tower (3,2,3), where q = 9 and
+    d = order/8; blocks hold one row at (7,3) and (3,2,3)."""
+    _assert_profiles_agree(fs)
+
+
+@pytest.mark.parametrize("ctx", [F33, F53, F73, F923], ids=["33", "53", "73", "323"])
+def test_fiber_profiles_with_cancelling_sums(ctx):
+    """X + c*X^q and X + c*X^q + X^(q^2) for every c in F_p*, one-term rows,
+    all in one block: `log_sums` reports a cancel mask on the class
+    representatives (X^q - X vanishes at x = 1), different rows cancel at
+    different points, and the profiles agree with the references."""
+    binomials = [LinPoly.from_terms(ctx, 1, {0: 1, 1: c}) for c in range(1, ctx.p)]
+    trinomials = [LinPoly.from_terms(ctx, 1, {0: 1, 1: c, 2: 1}) for c in range(1, ctx.p)]
+    d = ctx.order // (ctx.q - 1)
+    terms = [ctx.LOG[ctx.FROB[e][ctx.EXP[:d]]] for e in (0, 1)]
+    offsets = np.array([[ctx.LOG[f.coeffs[1]] for f in binomials]]).T[None]
+    _, cancel = log_sums(ctx, terms, offsets)
+    assert cancel is not None and cancel[ctx.p - 2, 0]   # c = -1 at x = 1
+    assert not np.array_equal(cancel[0], cancel[-1])
+    for fs in (binomials, trinomials, [LinPoly.monomial(ctx, 1, 2, c) for c in (1, 2)]):
+        _assert_profiles_agree(fs)
 
 
 def test_fiber_profiles_refuse_the_empty_support(f33):
