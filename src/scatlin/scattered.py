@@ -35,7 +35,8 @@ def fiber_counts(f: LinPoly) -> np.ndarray:
     count is q^k - 1.  The values come from `LinPoly.eval_vec`, on which
     this count, `fiber_profile` and `is_scattered_fiber` stay while the
     benchmark's trace pins `eval_vec` under `is_scattered_fiber`;
-    `fiber_profiles` reads the same counts off the log sums.
+    `fiber_profiles` reads the same counts, divided by q - 1, off the log
+    sums at one point per F_q*-class.
     """
     ctx = f.ctx
     vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
