@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import json
@@ -74,6 +73,12 @@ _MIDDLES = np.array([', "case_tag": %s, "prior_tag": %s, "scattered": %s, "linea
                     dtype=object)
 
 
+def _middle(records) -> np.ndarray:
+    """The index of each row's (case, prior, scattered) piece in `_MIDDLES`
+    and `_CSV_MIDDLES`."""
+    return (records.case.astype(np.int64) * len(PRIORS) + records.prior) * 2 + records.scattered
+
+
 def _pieces(col, fmt):
     """fmt % v for every entry v of an integer column, formatted once per
     distinct value."""
@@ -96,11 +101,10 @@ def _record_lines(records):
     else:
         tail = {i: ', "witness": ' + json.dumps(w) + "}\n" for i, w in records.witness.items()}
         tails = map(tail.get, range(len(records.m)), itertools.repeat(', "witness": null}\n'))
-    middle = (records.case.astype(np.int64) * len(PRIORS) + records.prior) * 2 + records.scattered
     return map("".join, zip(_pieces(records.m, '{"m": %d, "h": '),
                             _pieces(records.h, '%d, "norm_h": '),
                             _pieces(records.norm_h, "%d"),
-                            _MIDDLES[middle].tolist(),
+                            _MIDDLES[_middle(records)].tolist(),
                             _pieces(records.linear_set_size, "%d"), tails))
 
 
@@ -114,15 +118,29 @@ def _emit_lines(header, records, summary, out_path):
         fh.write(json.dumps(summary) + "\n")
 
 
+# the CSV fields from case_tag to scattered, one piece per (case, prior,
+# scattered) in the order of `_MIDDLES`; no tag name needs CSV quoting
+_CSV_MIDDLES = np.array([",%s,%s,%s," % (case, prior, verdict)
+                         for case in CASES for prior in PRIORS for verdict in ("False", "True")],
+                        dtype=object)
+
+
+def _csv_lines(records):
+    """The CSV row of every row of a `sweep.Records`, in row order, without
+    witnesses, as `csv.writer` writes it (comma separated, ended by CR LF),
+    joined from pieces as `_record_lines` joins the JSON lines."""
+    return map("".join, zip(_pieces(records.m, "%d,"), _pieces(records.h, "%d,"),
+                            _pieces(records.norm_h, "%d"),
+                            _CSV_MIDDLES[_middle(records)].tolist(),
+                            _pieces(records.linear_set_size, "%d\r\n")))
+
+
 def _emit_csv(records, path):
-    """The CSV projection of the columnar records, without witnesses."""
+    """The CSV projection of the columnar records: a header row, then
+    `_csv_lines`."""
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["m", "h", "norm_h", "case_tag", "prior_tag", "scattered",
-                     "linear_set_size"])
-        m, h, norm, case, prior, scattered, size = (col.tolist() for col in records[:7])
-        wr.writerows(zip(m, h, norm, map(CASES.__getitem__, case),
-                         map(PRIORS.__getitem__, prior), scattered, size))
+        fh.write("m,h,norm_h,case_tag,prior_tag,scattered,linear_set_size\r\n")
+        fh.writelines(_csv_lines(records))
 
 
 def _timed_sweep(sweep, ctx, s, **kwargs):

@@ -3,8 +3,10 @@
 For f in the reduced algebra, the code is the top-field span {a*X + b*f}.
 Minimum distance, the maximum-rank-distance test, the two idealizers, the
 stabilizer of the graph subspace {(x, f(x))} and the standard-form detector
-all live here.  Codeword ranks are read off `scattered.fiber_counts`, the
-scatteredness kernel (f is scattered iff the code is MRD).
+all live here.  Codeword ranks and the minimum distance are read off
+`scattered.fiber_counts`, which counts f(x)/x at one point per
+F_q*-class on the `linpoly.log_sums` kernel of the sweeps (f is scattered
+iff the code is MRD).
 
 The stabilizer, the right idealizer and the GL search in `equivalence` never
 enumerate the 2x2 matrix group (size ~ q^(4n)).  They share one linear

@@ -7,12 +7,16 @@ scatteredness verdict (no value taken on more than one F_q-line).
 `profile_key` names the class of f under the scalings f -> mu*f(lambda*X),
 which all share one profile; `profile_keys` is the same reduction on rows
 of coefficient logs, and `orbit_codes` folds in the p-power twists, once
-per distinct key, so a sweep runs the count once per orbit.  The sweeps
-count with `fiber_profiles`: rows of coefficient logs over one support,
-summed by `linpoly.log_sums` at one point per F_q*-class (f(x)/x is
-constant on each) and counted as ratio logs, with no value converted
-back.  The cross-check oracle counts roots of f + m*X for every shift m,
-naively, independent of the fiber count.
+per distinct key, so a sweep runs the count once per orbit.  One kernel
+counts: `linpoly.log_sums` sums the terms at one point per F_q*-class
+(f(x)/x is constant on each), on term logs made once per support by
+`_class_terms`, and the ratio logs are counted with no value converted
+back.  `fiber_profiles` runs it on blocks of rows for the sweeps, and
+`fiber_counts` on one polynomial, scaled back to the full counts.  Only
+`is_scattered_fiber` still counts every nonzero x from `LinPoly.eval_field`,
+which the benchmark's test pins (see its docstring).  The cross-check
+oracle counts roots of f + m*X for every shift m, naively, independent of
+the fiber count.
 """
 
 from __future__ import annotations
@@ -32,15 +36,40 @@ def fiber_counts(f: LinPoly) -> np.ndarray:
 
     Kernel elements get the slot ctx.order.  The fiber of c, with 0 added,
     is the kernel of f - c*X (of f for ctx.order), an F_q-subspace, so every
-    count is q^k - 1.  The values come from `LinPoly.eval_vec`, on which
-    this count, `fiber_profile` and `is_scattered_fiber` stay while the
-    benchmark's trace pins `eval_vec` under `is_scattered_fiber`;
-    `fiber_profiles` reads the same counts, divided by q - 1, off the log
-    sums at one point per F_q*-class.
+    count is q^k - 1.  The count runs on the kernel of `fiber_profiles`:
+    `linpoly.log_sums` at the d points g^k of `_class_terms`, with c0, the
+    first coefficient of the support, factored out and its log added back
+    to the log sums.  f(lambda*x) = lambda*f(x) for lambda in F_q*, so the
+    q - 1 points of a class share a slot (the kernel slot too), and each
+    full count is q - 1 times the count at the class representatives.  The
+    zero polynomial sends all `order` points to the kernel slot.
     """
     ctx = f.ctx
-    vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
-    return _ratio_counts(ctx, ctx.LOG[vals] - ctx.LOG[1:], vals == 0)
+    order = ctx.order
+    support = f.support()
+    if not support:
+        counts = np.zeros(order + 1, dtype=np.int64)
+        counts[order] = order
+        return counts
+    logs = ctx.LOG[f.coeffs[support]].tolist()
+    k, terms = _class_terms(ctx, support)
+    acc, cancel = log_sums(ctx, terms, [(lc - logs[0]) % order for lc in logs[1:]])
+    acc += logs[0]                     # log c0 back: acc lies in [0, 2*order)
+    ctx.reduce_logs(acc)
+    acc -= k
+    return _ratio_counts(ctx, acc, cancel) * (ctx.q - 1)
+
+
+def _class_terms(ctx, support) -> tuple:
+    """(k, terms) at the d = order/(q - 1) points x = g^k, k < d, one per
+    F_q*-class: k is the int64 array of the points' logs, and terms[i] the
+    logs of x^(q^e), e = support[i], that is k*q^e mod order, a fresh array
+    per term (one multiply and one remainder on d entries, no table; the
+    product stays below order^2, within int64 for every tower whose tables
+    fit in memory)."""
+    order = ctx.order
+    k = np.arange(order // (ctx.q - 1), dtype=np.int64)
+    return k, [k * pow(ctx.q, e, order) % order for e in support]
 
 
 def _ratio_counts(ctx, ratio, cancel) -> np.ndarray:
@@ -94,10 +123,8 @@ def fiber_profiles(ctx, support: tuple, logs) -> tuple:
     logs = np.asarray(logs, dtype=np.int64)
     # one (rows, 1) column of offsets per term after the first
     columns = ((logs[:, 1:] - logs[:, :1]) % ctx.order).T[..., None]
-    d = ctx.order // (ctx.q - 1)
-    points = ctx.EXP[:d]               # g^k, k < d
-    k = np.arange(d, dtype=np.int64)   # their logs
-    terms = [ctx.LOG[ctx.FROB[e][points]] for e in support]
+    k, terms = _class_terms(ctx, support)
+    d = k.size
     size = np.empty(len(logs), dtype=np.int64)
     step = max(1, _BLOCK_ELEMENTS // d)
     for r in range(0, len(logs), step):
@@ -162,8 +189,10 @@ def profile_keys(ctx, support: tuple, logs) -> np.ndarray:
 
 
 def orbit_codes(ctx, support: tuple, logs) -> tuple:
-    """One integer per row, shared exactly by the scalings and p-power twists,
-    and the number of distinct scaling keys among the rows.
+    """One integer per distinct scaling key, shared exactly by the scalings
+    and p-power twists, as (codes, first, inverse): codes[inverse] codes
+    every row, first[i] is the first row with key i, and codes.size counts
+    the distinct `profile_keys` rows.
 
     The p-power twist multiplies every coefficient log by p, so the code is
     the smallest `profile_keys` row of logs*p^j, j < deg, read in mixed radix:
@@ -182,7 +211,7 @@ def orbit_codes(ctx, support: tuple, logs) -> tuple:
     logs = logs[first]
     codes = np.min([keys, *(profile_keys(ctx, support, logs * pow(ctx.p, j, order) % order)
                             @ weights for j in range(1, ctx.deg))], axis=0)
-    return codes[inverse], keys.size
+    return codes, first, inverse
 
 
 def _scaling_steps(q: int, order: int, support: tuple) -> tuple:
@@ -203,8 +232,19 @@ def linear_set_size(f: LinPoly) -> int:
 
 
 def is_scattered_fiber(f: LinPoly) -> bool:
-    """True iff every fiber of x -> f(x)/x lies on a single F_q-line."""
-    return fiber_profile(f)[1]
+    """True iff every fiber of x -> f(x)/x lies on a single F_q-line.
+
+    This verdict alone still counts every nonzero x, from the values of
+    `LinPoly.eval_field`: the benchmark's own test
+    (`perfbench/test_perfbench.py`) pins `eval_vec` on the whole field, with
+    `scale_vec` under it, directly beneath this function.  It agrees with
+    `fiber_profile(f)[1]`, which counts at one point per F_q*-class, and
+    moves onto that kernel once the benchmark pins a layer of its own
+    (ROADMAP item 1).
+    """
+    ctx = f.ctx
+    vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
+    return bool(_ratio_counts(ctx, ctx.LOG[vals] - ctx.LOG[1:], vals == 0).max() == ctx.q - 1)
 
 
 def is_scattered_roots(f: LinPoly) -> bool:

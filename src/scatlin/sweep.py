@@ -83,8 +83,9 @@ def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
 
     `forms` lists the orderings to profile (False main, True swapped).  Per
     support of `_family_supports`, the code pass reduces the rows to scaling
-    keys and the keys to orbit codes, and one `fiber_profiles` call profiles
-    the first row of every code; `calls` counts those and `keys` the keys.
+    keys and the keys to orbit codes (the codes are sorted per key, and a
+    row's code is its key's), and one `fiber_profiles` call profiles one row
+    of every code; `calls` counts those and `keys` the keys.
     """
     M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
     case, prior, norm = condition_tags(ctx, s, M, H)
@@ -95,13 +96,15 @@ def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
         if not rows.size:
             continue
         support = tuple(exps.tolist())
-        codes, distinct = orbit_codes(ctx, support, logs)
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        sizes, verdicts = fiber_profiles(ctx, support, logs[first])
-        size.flat[rows] = sizes[inverse]
-        scattered.flat[rows] = verdicts[inverse]
-        calls += first.size
-        keys += distinct
+        codes, first, inverse = orbit_codes(ctx, support, logs)
+        # the distinct codes are sorted among the keys, not among the rows
+        _, rep, code = np.unique(codes, return_index=True, return_inverse=True)
+        sizes, verdicts = fiber_profiles(ctx, support, logs[first[rep]])
+        code = code[inverse]
+        size.flat[rows] = sizes[code]
+        scattered.flat[rows] = verdicts[code]
+        calls += rep.size
+        keys += codes.size
     return Grid(norm, case, prior, size, scattered != 0, calls, keys)
 
 

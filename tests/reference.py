@@ -34,8 +34,9 @@ the reference for `scattered.fiber_profiles`, which counts one point per
 F_q*-class.
 
 `graph_maps_grid` tests every (alpha, beta) pair of the top field against
-g o (alpha*X + beta*f) = gamma*X + delta*f and reads gamma and delta off the
-coefficient slots; it is the reference for `stabilizer`, `right_idealizer`
+g o (alpha*X + beta*f) = gamma*X + delta*f, one coefficient slot after
+another on the pairs that pass the slots before, and reads gamma and delta
+off the slots; it is the reference for `stabilizer`, `right_idealizer`
 and `gl_search`.  `left_idealizer_grid` tests every pair for the left
 idealizer.  Both cost q^(2n) and are meant for the (3,3) tower.
 `left_idealizer_list` decides the closed form as `left_idealizer` does and
@@ -70,6 +71,9 @@ per term and reduces every partial sum with `%`, and `fiber_counts_mod`
 reduces the log of f(x)/x with `%` on its values; they are the references
 for `LinPoly.eval_vec`, which factors out the first coefficient and reduces
 by conditional subtraction, and for `scattered.fiber_counts`.
+`fiber_counts_field` counts every nonzero x from the values of `eval_vec`;
+it is the reference for `scattered.fiber_counts`, which counts one point
+per F_q*-class on the log sums and multiplies by q - 1.
 
 `eval_terms_loop`, `compose_terms_loop` and `adjoint_terms_loop` work on a
 step-s presentation {i: a_i} of sum_i a_i X^(q^(s*i)), raising to q^(s*i)
@@ -131,8 +135,15 @@ Frobenius and one roll per equation and step; it is the reference for
 gamma ^ ... ^ gamma^sigma^g anew with `field_row_echelon_loop`, one scalar
 test per entry; it is the reference for `projgeom.intersection_number`,
 which grows one `FieldEchelon` along the chain.
+
+`csv_lines_writer` writes the CSV rows of the classification records
+through `csv.writer`, looking the tag names up row by row; it is the
+reference for `cli._csv_lines`, which joins pieces formatted once per
+distinct value.
 """
 
+import csv
+import io
 from itertools import product
 from math import prod
 
@@ -143,7 +154,7 @@ from scatlin.fieldcore import DirectSumError, _factorize
 from scatlin.linpoly import LinPoly, composition_terms, log_sums
 from scatlin.mrdcodes import _refuse_above_bound
 from scatlin.quadrinomial import (
-    QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
+    CASES, PRIORS, QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
     nonscattered_witness, split_maps, trace_zero_power_set,
 )
 from scatlin.scattered import (
@@ -558,7 +569,9 @@ def graph_maps_grid(f, g):
     """All (alpha, beta, gamma, delta) with g o (alpha*X + beta*f) = gamma*X + delta*f.
 
     Sorted tuples, invertible or not.  f must be independent of X, so that
-    delta is read off a slot other than 0.
+    delta is read off a slot other than 0.  Every (alpha, beta) pair of the
+    top field is tested, but each slot after the first is summed only on
+    the pairs that satisfy the slots before it.
     """
     ctx = f.ctx
     _check_size(ctx)
@@ -566,19 +579,26 @@ def graph_maps_grid(f, g):
     if not fsupp:
         raise ValueError("f must be independent of X")
     els = ctx.elements()
+    zero = np.zeros(ctx.size, dtype=np.int64)
     b_part = _compose_with_span_of_f(g, f, els)
     a_part = {k: ctx.scale_vec(int(g.coeffs[k]), ctx.frob_vec(els, k)) for k in g.support()}
-    slot = {k: _add_outer(ctx, a_part.get(k), b_part[k]) for k in range(ctx.n)}
+    aa, bb = (v.ravel() for v in np.meshgrid(els, els, indexing="ij"))
+
+    def slot(k):
+        """Slot k at the pairs (aa, bb), summed digit by digit."""
+        dig = ctx.DIGITS[a_part.get(k, zero)[aa]] + ctx.DIGITS[b_part[k][bb]]
+        dig %= ctx.p
+        return np.einsum("ij,j->i", dig, ctx.PP)
+
     # slot k reads delta*f_k for k != 0 and gamma + delta*f_0 for k = 0
-    delta = _div_by_const(ctx, slot[fsupp[0]], int(f.coeffs[fsupp[0]]))
-    ok = np.ones((ctx.size, ctx.size), dtype=bool)
+    k0 = fsupp[0]
+    delta = _div_by_const(ctx, slot(k0), int(f.coeffs[k0]))
     for k in range(1, ctx.n):
-        ok &= slot[k] == ctx.scale_vec(int(f.coeffs[k]), delta)
-    gamma = ctx.add_vec(slot[0], ctx.NEG[ctx.scale_vec(int(f.coeffs[0]), delta)])
-    aa, bb = np.nonzero(ok)
-    return sorted(
-        zip(aa.tolist(), bb.tolist(), gamma[aa, bb].tolist(), delta[aa, bb].tolist())
-    )
+        if k != k0:
+            keep = slot(k) == ctx.scale_vec(int(f.coeffs[k]), delta)
+            aa, bb, delta = aa[keep], bb[keep], delta[keep]
+    gamma = ctx.add_vec(slot(0), ctx.NEG[ctx.scale_vec(int(f.coeffs[0]), delta)])
+    return sorted(zip(aa.tolist(), bb.tolist(), gamma.tolist(), delta.tolist()))
 
 
 def closure_all_pairs(ctx, elements):
@@ -735,6 +755,14 @@ def eval_vec_zech(f, xs):
         out[zero] = 0
     out[xs == 0] = 0
     return out
+
+
+def fiber_counts_field(f):
+    """The fiber counts of f(x)/x at every nonzero x, from the values of
+    `LinPoly.eval_field`, with no factor q - 1."""
+    ctx = f.ctx
+    vals = f.eval_field()[1:]          # f(x) for x = 1 .. size-1 (by index)
+    return _ratio_counts(ctx, ctx.LOG[vals] - ctx.LOG[1:], vals == 0)
 
 
 def fiber_counts_mod(f):
@@ -1019,3 +1047,13 @@ def intersection_number_from_scratch(gamma, check_position=True):
         if dim(chain) > k - 2 * g:
             return g
     raise RuntimeError("intersection number failed to stabilize")
+
+
+def csv_lines_writer(records):
+    """The CSV rows of a `sweep.Records` through `csv.writer`, one row at a
+    time with the tag names looked up per row, as one string."""
+    out = io.StringIO()
+    m, h, norm, case, prior, scattered, size = (col.tolist() for col in records[:7])
+    csv.writer(out).writerows(zip(m, h, norm, map(CASES.__getitem__, case),
+                                  map(PRIORS.__getitem__, prior), scattered, size))
+    return out.getvalue()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import csv_lines_writer
 from scatlin import cli
 from scatlin.cli import main
 from scatlin.quadrinomial import CASES, PRIORS, run_property_suite
@@ -159,6 +160,22 @@ def test_record_lines_are_json_dumps_of_the_record(rows, with_witness):
             rec["witness"] = w if isinstance(w, dict) else None
         expected.append(json.dumps(rec) + "\n")
     assert list(cli._record_lines(records)) == expected
+
+
+@example(rows=[(5, 7, 1, 2, 1, True, 364, "outside")] * 4)
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_rows, min_size=1, max_size=12) | _repeating_rows())
+def test_csv_lines_match_the_csv_writer(rows):
+    """The CSV rows joined from pieces are the rows `csv.writer` writes, on
+    the record rows of the JSON-lines test, and on one row per (case, prior,
+    scattered)."""
+    tags = [(3, 1, 2, i // (2 * len(PRIORS)), i // 2 % len(PRIORS), i % 2 == 1, 9)
+            for i in range(2 * len(CASES) * len(PRIORS))]
+    for table in (rows, tags):
+        m, h, norm, case, prior, scattered, size = list(zip(*table))[:7]
+        records = Records(*(np.array(col, dtype=np.int64) for col in (m, h, norm, case, prior)),
+                          np.array(scattered, dtype=bool), np.array(size, dtype=np.int64))
+        assert "".join(cli._csv_lines(records)) == csv_lines_writer(records)
 
 
 def test_removed_options_are_refused(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference import (
-    fiber_profile_sorted, fiber_profiles_full_field, orbit_codes_all_rows, scaling_class,
+    fiber_counts_field, fiber_profile_sorted, fiber_profiles_full_field, orbit_codes_all_rows,
+    scaling_class,
 )
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly, log_sums
@@ -141,6 +142,30 @@ def test_fast_kernel_matches_generic_oracle(f):
     assert (n_points, scattered) == fiber_profile_sorted(f)
     if f.ctx is F33:
         assert scattered == is_scattered_roots(f)
+
+
+# members with a kernel: m = 0, h = 1 (kernel of size q^t), and members whose
+# kernel is F_q^2 at (3,3) and (3,4); a monomial whose coefficient is not 1
+_KERNEL_MEMBERS = [build_quadrinomial(QuadParams(ctx, 1, m, h))
+                   for ctx, m, h in ((F33, 0, 1), (F33, 1, 3), (F34, 0, 1), (F34, 1, 88))]
+
+
+@_with_examples
+@example(LinPoly.monomial(F34, 3, 2, 5))
+@example(_KERNEL_MEMBERS[0])
+@example(_KERNEL_MEMBERS[1])
+@example(_KERNEL_MEMBERS[2])
+@example(_KERNEL_MEMBERS[3])
+@settings(max_examples=100, deadline=None)
+@given(_polys())
+def test_fiber_counts_match_the_full_field_count(f):
+    """`fiber_counts`, q - 1 times the count at one point per F_q*-class,
+    against the count at every nonzero x, slot by slot; the full-field
+    verdict of `is_scattered_fiber` against `fiber_profile`, with the roots
+    oracle as a third opinion."""
+    assert np.array_equal(fiber_counts(f), fiber_counts_field(f))
+    scattered = is_scattered_fiber(f)
+    assert scattered == fiber_profile(f)[1] == is_scattered_roots(f)
 
 
 # -- the scaling key ------------------------------------------------------------
@@ -308,13 +333,17 @@ def _code_rows(draw):
 @given(_code_rows())
 def test_orbit_codes_match_the_all_rows_reference(case):
     """Codes from the twist minimum on distinct keys equal the minimum on
-    every row; the images of the first row share its code, and the key
-    count is the number of distinct `profile_keys` rows."""
+    every row; the images of the first row share its code, the key count is
+    the number of distinct `profile_keys` rows, and the row `first` names
+    for each key has that key."""
     ctx, support, logs, images = case
-    codes, keys = orbit_codes(ctx, support, logs)
+    key_codes, first, inverse = orbit_codes(ctx, support, logs)
+    codes = key_codes[inverse]
     assert np.array_equal(codes, orbit_codes_all_rows(ctx, support, logs))
     assert set(codes[len(logs) - images:].tolist()) <= {int(codes[0])}
-    assert keys == len({tuple(u) for u in profile_keys(ctx, support, logs).tolist()})
+    keys = profile_keys(ctx, support, logs)
+    assert key_codes.size == len({tuple(u) for u in keys.tolist()})
+    assert np.array_equal(keys[first][inverse], keys)
 
 
 # -- pinned fiber counts --------------------------------------------------------
