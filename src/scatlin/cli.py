@@ -108,13 +108,24 @@ def _record_lines(records):
                             _pieces(records.linear_set_size, "%d"), tails))
 
 
+# lines joined per `write` by `_write_lines`
+_WRITE_LINES = 1024
+
+
+def _write_lines(fh, lines) -> None:
+    """Write the lines in chunks of at most `_WRITE_LINES`, one `write` per
+    chunk, so few calls are made and the artifact is never joined whole."""
+    lines = iter(lines)
+    while chunk := "".join(itertools.islice(lines, _WRITE_LINES)):
+        fh.write(chunk)
+
+
 def _emit_lines(header, records, summary, out_path):
     """JSON lines: the header, one line per row of the columnar `records`
-    (`_record_lines`), the summary.  Lines are written one at a time, so the
-    artifact is never joined in memory."""
+    (`_record_lines`, written by `_write_lines`), the summary."""
     with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(json.dumps(header) + "\n")
-        fh.writelines(_record_lines(records))
+        _write_lines(fh, _record_lines(records))
         fh.write(json.dumps(summary) + "\n")
 
 
@@ -137,10 +148,10 @@ def _csv_lines(records):
 
 def _emit_csv(records, path):
     """The CSV projection of the columnar records: a header row, then
-    `_csv_lines`."""
+    `_csv_lines`, written by `_write_lines`."""
     with open(path, "w", newline="") as fh:
         fh.write("m,h,norm_h,case_tag,prior_tag,scattered,linear_set_size\r\n")
-        fh.writelines(_csv_lines(records))
+        _write_lines(fh, _csv_lines(records))
 
 
 def _timed_sweep(sweep, ctx, s, **kwargs):

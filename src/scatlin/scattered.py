@@ -7,7 +7,10 @@ scatteredness verdict (no value taken on more than one F_q-line).
 `profile_key` names the class of f under the scalings f -> mu*f(lambda*X),
 which all share one profile; `profile_keys` is the same reduction on rows
 of coefficient logs, and `orbit_codes` folds in the p-power twists, once
-per distinct key, so a sweep runs the count once per orbit.  One kernel
+per distinct key, so a sweep runs the count once per orbit.  For rows
+whose logs are affine in two integers, `scaling_lattice` gives the lattice
+whose cosets are the keys, so a sweep numbers its rows' keys with no key
+computed and runs `orbit_codes` on one row per coset.  One kernel
 counts: `linpoly.log_sums` sums the terms at one point per F_q*-class
 (f(x)/x is constant on each), on term logs made once per support by
 `_class_terms`, and the ratio logs are counted with no value converted
@@ -214,9 +217,53 @@ def orbit_codes(ctx, support: tuple, logs) -> tuple:
     return codes, first, inverse
 
 
+def scaling_lattice(ctx, support: tuple, alpha, beta) -> tuple:
+    """(A, B, D): the lattice K = Z*(A, B) + Z*(0, D), 0 <= B < D, of the
+    (a, l) in Z^2 for which a*alpha + l*beta is the log row of a scaling.
+
+    alpha and beta give one log coefficient per term of the sorted support,
+    for a family of rows whose logs are c + a*alpha + l*beta mod N (N the
+    multiplicative order).  Two rows of the family share their
+    `profile_keys` row iff their (a, l) differ by a point of K, so the
+    index (a mod A)*D + (l - (a div A)*B) mod D of a row numbers its scaling
+    key.  K is the projection of the integer solutions (a, l, j) of
+    a*u(alpha) + l*u(beta) = j*w mod N, with u the log differences and w the
+    generator of `profile_key`; each coordinate cuts the solution lattice,
+    kept as a basis of three rows, by one congruence, and a Hermite step on
+    the rows' (a, l) reads off A, B and D.  The cost is a few Euclid steps
+    per term, whatever the size of the tower.
+    """
+    order = ctx.order
+    alpha, beta = (np.asarray(v, dtype=np.int64).tolist() for v in (alpha, beta))
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for ua, ub, w in zip(alpha[1:], beta[1:], _scaling_generator(ctx.q, order, support)):
+        form = (ua - alpha[0], ub - beta[0], -w)
+        c = [(a * form[0] + l * form[1] + j * form[2]) % order for a, l, j in basis]
+        _gcd_rows(basis, c)            # rows 1 and 2 now satisfy the congruence
+        basis[0] = [order // gcd(c[0], order) * x for x in basis[0]]
+    c = [row[0] for row in basis]
+    _gcd_rows(basis, c)                # rows 1 and 2 now have a = 0
+    D = abs(gcd(basis[1][1], basis[2][1]))
+    return abs(c[0]), basis[0][1] * (1 if c[0] > 0 else -1) % D, D
+
+
+def _gcd_rows(rows: list, c: list) -> None:
+    """Row operations that take c to (gcd, 0, ...), applied to `rows` too."""
+    for k in range(1, len(c)):
+        while c[k]:
+            f = c[0] // c[k]
+            c[0], c[k] = c[k], c[0] - f * c[k]
+            rows[0], rows[k] = rows[k], [x - f * y for x, y in zip(rows[0], rows[k])]
+
+
+def _scaling_generator(q: int, order: int, support: tuple) -> list:
+    """w = (q^e - q^e0 mod N) of `profile_key`, one entry per term after the first."""
+    return [(pow(q, e, order) - pow(q, support[0], order)) % order for e in support[1:]]
+
+
 def _scaling_steps(q: int, order: int, support: tuple) -> tuple:
     """(g, N/g, inverse of w_i/g mod N/g, w) per coordinate of `profile_key`."""
-    w = [(pow(q, e, order) - pow(q, support[0], order)) % order for e in support[1:]]
+    w = _scaling_generator(q, order, support)
     steps = []
     for i in range(len(w)):
         g = gcd(w[i], order)

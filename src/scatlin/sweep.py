@@ -4,11 +4,14 @@ Every sweep reduces the arrays of one grid builder, `pair_grid`, over flat
 pair arrays (M, H).  Tags: the case and prior codes are those of
 `quadrinomial.condition_tags`, the one statement of the condition rules;
 `condition_pairs` reads one row of it per class of m.  Profiles: the
-coefficient logs of `quadrinomial.family_terms`, the one statement of the
-family's rule, are grouped by the family's own q-exponent supports.  The
-profile is shared by every scaling mu*f(lambda*X) and p-power twist of f,
-so per support one `scattered.fiber_profiles` call profiles one row per
-`scattered.orbit_codes` code, each at one point per F_q*-class.
+profile is shared by every scaling mu*f(lambda*X) and p-power twist of f.
+The coefficient logs of `quadrinomial.family_terms`, the one statement of
+the family's rule, are affine in (log m, log h), so on each of the
+family's q-exponent supports the scaling keys are the cosets of one
+`scattered.scaling_lattice`: every pair is numbered by its coset, logs are
+built for one pair per coset, and one `scattered.fiber_profiles` call
+profiles one row per `scattered.orbit_codes` code, each at one point per
+F_q*-class.
 `classify_sweep` returns its records as columns (`Records`): the grid's
 arrays in canonical (m, h) order and a sparse map of witnesses, with no
 per-pair object; `cli._emit_lines` writes the JSON lines from them.
@@ -36,7 +39,7 @@ from .quadrinomial import (CASES, PRIORS, QuadParams, build_quadrinomial, condit
                            condition_tags, family_terms, nonscattered_witness, prior_family_tag,
                            scattered_conditions, trace_zero_power_set, witness_range)
 from .scattered import (fiber_profile, fiber_profiles, is_scattered_fiber, is_scattered_roots,
-                        orbit_codes)
+                        orbit_codes, scaling_lattice)
 
 SCHEMA_VERSION = 1
 
@@ -82,47 +85,89 @@ def pair_grid(ctx: FieldCtx, s: int, M, H, forms=(False,)) -> Grid:
     """Tags of every pair (M[i], H[i]), and the fiber profile in each form.
 
     `forms` lists the orderings to profile (False main, True swapped).  Per
-    support of `_family_supports`, the code pass reduces the rows to scaling
-    keys and the keys to orbit codes (the codes are sorted per key, and a
-    row's code is its key's), and one `fiber_profiles` call profiles one row
-    of every code; `calls` counts those and `keys` the keys.
+    support of `_code_pass`, one `fiber_profiles` call profiles one row of
+    every orbit code, and the codes carry the profiles back to the rows;
+    `calls` counts the codes and `keys` the distinct scaling keys.
     """
     M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
     case, prior, norm = condition_tags(ctx, s, M, H)
     size, scattered = np.zeros((2, len(forms), M.size), dtype=np.int64)
     calls = keys = 0
-    # codes compare only within one support
-    for exps, rows, logs in _family_supports(ctx, s, M, H, forms):
-        if not rows.size:
-            continue
-        support = tuple(exps.tolist())
-        codes, first, inverse = orbit_codes(ctx, support, logs)
-        # the distinct codes are sorted among the keys, not among the rows
-        _, rep, code = np.unique(codes, return_index=True, return_inverse=True)
-        sizes, verdicts = fiber_profiles(ctx, support, logs[first[rep]])
-        code = code[inverse]
+    for support, rows, codes, code, logs, n_keys in _code_pass(ctx, s, M, H, forms):
+        sizes, verdicts = fiber_profiles(ctx, support, logs)
         size.flat[rows] = sizes[code]
         scattered.flat[rows] = verdicts[code]
-        calls += rep.size
-        keys += codes.size
+        calls += codes.size
+        keys += n_keys
     return Grid(norm, case, prior, size, scattered != 0, calls, keys)
 
 
-def _family_supports(ctx: FieldCtx, s: int, M, H, forms) -> list:
-    """(q-exponents, rows, logs) per support of the members (M, H): all four
-    terms for m != 0, pooled across the forms, and the two terms without m for
-    m = 0, one support per form.  Row f*M.size + i is pair i in forms[f]."""
+def _code_pass(ctx: FieldCtx, s: int, M, H, forms):
+    """The orbit codes of the members (M, H), one support at a time.
+
+    A support holds the two terms without m for the m = 0 rows, one per
+    form, or all four terms for the other rows, pooled across the forms (both
+    list the same slots).  Yields (support, rows, codes, code, logs, keys):
+    row f*M.size + i is pair i in forms[f], codes the sorted distinct orbit
+    codes, codes[code] the code of each row, logs[c] the `family_terms` logs
+    of one row with code c, and keys the number of distinct scaling keys.
+
+    With m = g^(a*(q^t + 1)) a row's logs are affine in (a, log h), so its
+    scaling key is its coset of the `scattered.scaling_lattice` of its form
+    and support, and the coset index numbers the keys with no key computed.
+    The cosets present are marked in a table of A*D slots (the second form's
+    offset by the first's), logs are built for one row of each, and those
+    go through `orbit_codes` and one sort of the codes per key; the table
+    then carries the codes back to the rows, so nothing sorts the rows.
+    """
     zero = M == 0
-    rows = np.arange(len(forms) * M.size).reshape(len(forms), M.size)
-    supports, pooled = [], []
-    for f, swapped in enumerate(forms):
-        slots, times_m, logs = family_terms(ctx, s, M, H, swapped)
-        exps, plain, logs = s * np.array(slots) % ctx.n, ~np.array(times_m), np.stack(logs, -1)
-        supports.append((exps[plain], rows[f][zero], logs[zero][:, plain]))
-        pooled.append(logs[~zero])
+    # a is read on the m != 0 rows only: the m = 0 supports have alpha = 0
+    a, lh = ctx.LOG[M] // (ctx.q ** ctx.t + 1), ctx.LOG[H]
+    parts = [_log_parts(ctx, s, swapped) for swapped in forms]
+    groups = [([f], zero, ~parts[f][1]) for f in range(len(forms))]
     if forms:
-        supports.append((exps, rows[:, ~zero].ravel(), np.concatenate(pooled)))
-    return supports
+        groups.append((list(range(len(forms))), ~zero, slice(None)))
+    for members, mask, terms in groups:
+        rows = np.flatnonzero(mask)
+        if not rows.size:
+            continue
+        index, bounds = [], [0]
+        for f in members:
+            exps, _, alpha, beta = parts[f]
+            support = tuple(exps[terms].tolist())
+            A, B, D = scaling_lattice(ctx, support, alpha[terms], beta[terms])
+            index.append(bounds[-1] + (a[rows] % A) * D + (lh[rows] - a[rows] // A * B) % D)
+            bounds.append(bounds[-1] + A * D)
+        index = np.concatenate(index)
+        # coset -> one of its rows (a position in `index`), -1 where none
+        table = np.full(bounds[-1], -1, dtype=np.int64)
+        table[index] = np.arange(index.size)
+        present = np.flatnonzero(table >= 0)
+        logs = []
+        for f, held in zip(members, np.split(present, np.searchsorted(present, bounds[1:-1]))):
+            pairs = rows[table[held] % rows.size]
+            logs.append(np.stack(family_terms(ctx, s, M[pairs], H[pairs], forms[f])[2], -1))
+        logs = np.concatenate(logs)[:, terms]
+        key_codes, first, inverse = orbit_codes(ctx, support, logs)
+        # the distinct codes are sorted among the keys, not among the rows
+        codes, rep, code = np.unique(key_codes, return_index=True, return_inverse=True)
+        table[present] = code[inverse]
+        yield (support, (np.array(members)[:, None] * M.size + rows).ravel(), codes,
+               table[index], logs[first[rep]], key_codes.size)
+
+
+def _log_parts(ctx: FieldCtx, s: int, swapped: bool) -> tuple:
+    """(q-exponents, carries m, alpha, beta) of the `family_terms` terms.
+
+    For m = g^(a*(q^t + 1)) in F_{q^t}* the logs are c + a*alpha + l*beta
+    mod order, l = log h; alpha and beta are read off the logs at
+    (m, h) = (1, 1), (g^(q^t + 1), 1) and (1, g).
+    """
+    points = ctx.EXP[[0, ctx.q ** ctx.t + 1, 0]], ctx.EXP[[0, 0, 1]]
+    slots, times_m, logs = family_terms(ctx, s, *points, swapped)
+    logs = np.stack(logs, -1)
+    alpha, beta = (logs[1:] - logs[0]) % ctx.order
+    return s * np.array(slots) % ctx.n, np.array(times_m), alpha, beta
 
 
 def _product(ms, hs):

@@ -28,6 +28,16 @@ representative.  `orbit_codes_all_rows` takes the p-power twist minimum
 on every row, where `scattered.orbit_codes` takes it once per distinct
 scaling key.  They are the references for `pair_grid`'s kernel-call count
 and profiles, for `scattered.fiber_profiles` and for `orbit_codes`.
+`family_supports` and `code_pass_per_row` are the code pass that
+`sweep._code_pass` replaced: per support, `family_terms` logs for every
+row of the grid, and `orbit_codes` on all of them, which computes and
+sorts one scaling key per row.  `pair_grid_per_row` profiles one row per
+code from it; they are the references for `sweep._code_pass`, which builds
+logs only for one row per coset of `scattered.scaling_lattice`, and for
+`sweep.pair_grid`.  `scaling_lattice_grid` tests every (a, l) of a
+rectangle for a*alpha + l*beta being a scaling, by comparing the
+`profile_keys` rows of l*beta and -a*alpha; it is the reference for
+`scattered.scaling_lattice`.
 `fiber_profiles_full_field` counts f(x)/x at every nonzero x, in blocks of
 2^14/size rows, and reads scatteredness off the largest count q - 1; it is
 the reference for `scattered.fiber_profiles`, which counts one point per
@@ -155,10 +165,11 @@ from scatlin.linpoly import LinPoly, composition_terms, log_sums
 from scatlin.mrdcodes import _refuse_above_bound
 from scatlin.quadrinomial import (
     CASES, PRIORS, QuadParams, build_quadrinomial, build_quadrinomial_swapped, family_slots,
-    nonscattered_witness, split_maps, trace_zero_power_set,
+    family_terms, nonscattered_witness, split_maps, trace_zero_power_set,
 )
 from scatlin.scattered import (
-    _ratio_counts, _scaling_steps, fiber_profile, is_scattered_roots, profile_keys,
+    _ratio_counts, _scaling_steps, fiber_profile, fiber_profiles, is_scattered_roots,
+    orbit_codes, profile_keys,
 )
 from scatlin.sweep import SCHEMA_VERSION, h_class_reps
 
@@ -423,6 +434,66 @@ def pair_profiles_per_orbit(ctx, s, M, H, forms=(False,)):
         calls += first.size
     shape = (len(forms), M.size)
     return size.reshape(shape), scattered.reshape(shape) != 0, calls
+
+
+def family_supports(ctx, s, M, H, forms):
+    """(q-exponents, rows, logs) per support of the members (M, H): all four
+    terms for m != 0, pooled across the forms, and the two terms without m for
+    m = 0, one support per form.  Row f*M.size + i is pair i in forms[f]."""
+    zero = M == 0
+    rows = np.arange(len(forms) * M.size).reshape(len(forms), M.size)
+    supports, pooled = [], []
+    for f, swapped in enumerate(forms):
+        slots, times_m, logs = family_terms(ctx, s, M, H, swapped)
+        exps, plain, logs = s * np.array(slots) % ctx.n, ~np.array(times_m), np.stack(logs, -1)
+        supports.append((exps[plain], rows[f][zero], logs[zero][:, plain]))
+        pooled.append(logs[~zero])
+    if forms:
+        supports.append((exps, rows[:, ~zero].ravel(), np.concatenate(pooled)))
+    return supports
+
+
+def code_pass_per_row(ctx, s, M, H, forms=(False,)):
+    """(support, rows, code of every row, distinct scaling keys, logs) per
+    nonempty support of `family_supports`, the codes from `orbit_codes` on
+    the logs of every row."""
+    M, H = np.asarray(M, dtype=np.int64), np.asarray(H, dtype=np.int64)
+    out = []
+    for exps, rows, logs in family_supports(ctx, s, M, H, forms):
+        if rows.size:
+            support = tuple(exps.tolist())
+            codes, first, inverse = orbit_codes(ctx, support, logs)
+            out.append((support, rows, codes[inverse], codes.size, logs))
+    return out
+
+
+def pair_grid_per_row(ctx, s, M, H, forms=(False,)):
+    """(size, scattered, calls, keys) of `sweep.pair_grid` from
+    `code_pass_per_row`: one `fiber_profiles` row per distinct code."""
+    size, scattered = np.zeros((2, len(forms), np.size(M)), dtype=np.int64)
+    calls = keys = 0
+    for support, rows, codes, n_keys, logs in code_pass_per_row(ctx, s, M, H, forms):
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        sizes, verdicts = fiber_profiles(ctx, support, logs[first])
+        size.flat[rows] = sizes[inverse]
+        scattered.flat[rows] = verdicts[inverse]
+        calls += first.size
+        keys += n_keys
+    return size, scattered != 0, calls, keys
+
+
+def scaling_lattice_grid(ctx, support, alpha, beta, a_range):
+    """in_k[a, l]: whether a*alpha + l*beta is the log row of a scaling, for
+    a < a_range and l < order; a row is one iff its `profile_keys` row is
+    that of no offset at all, so (a, l) is in the lattice iff l*beta and
+    -a*alpha have one key."""
+    order = ctx.order
+    alpha, beta = (np.asarray(v, dtype=np.int64) for v in (alpha, beta))
+    rows = np.concatenate([np.arange(order)[:, None] * beta,
+                           -np.arange(a_range)[:, None] * alpha]) % order
+    _, ids = np.unique(profile_keys(ctx, support, rows), axis=0, return_inverse=True)
+    ids = ids.ravel()
+    return ids[order:, None] == ids[None, :order]
 
 
 def fiber_profiles_full_field(ctx, support, logs):

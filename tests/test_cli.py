@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ def test_larger_classify_artifacts_are_pinned(tmp_path, capsys, q, t):
                  "--no-witness", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert re.fullmatch(rf"s=1: [0-9.]+s, {calls}/{pairs} profiles\n", capsys.readouterr().err)
+
+
+# SHA-256 of `conjecture --q 3 --t 3 --s S`, the one sweep that profiles both
+# forms in one grid; recorded before the code pass numbered the scaling keys
+# by lattice coset
+CONJECTURE_33_DIGESTS = {
+    1: "c0c51a98dfae87aa292bec0b84475002feab685a8fceb4d140a3f130dac1d5b7",
+    5: "98643f4bdd536aa4683a7009682e584f1d83d9491766ebcef7fc1cf072dcfae7",
+}
+
+
+@pytest.mark.parametrize("s", sorted(CONJECTURE_33_DIGESTS))
+def test_conjecture_reports_are_pinned(tmp_path, capsys, s):
+    out = tmp_path / "conj.json"
+    assert main(["conjecture", "--q", "3", "--t", "3", "--s", str(s), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONJECTURE_33_DIGESTS[s]
+    assert re.fullmatch(rf"s={s}: [0-9.]+s, 260/19656 profiles\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2500])
+def test_lines_are_written_in_chunks(count):
+    """`_write_lines` writes every line in order, in ceil(count/1024) calls
+    of at most 1,024 lines, and nothing for no lines."""
+    writes = []
+    cli._write_lines(SimpleNamespace(write=writes.append), (f"{i}\n" for i in range(count)))
+    assert "".join(writes) == "".join(f"{i}\n" for i in range(count))
+    assert [w.count("\n") for w in writes] == [min(1024, count - i)
+                                               for i in range(0, count, 1024)]
 
 
 _indices = st.integers(0, 2 ** 62)

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference import (
     fiber_counts_field, fiber_profile_sorted, fiber_profiles_full_field, orbit_codes_all_rows,
-    scaling_class,
+    scaling_class, scaling_lattice_grid,
 )
 from scatlin.fieldcore import BudgetExceededError, make_field
 from scatlin.linpoly import LinPoly, log_sums
 from scatlin.scattered import (
     fiber_counts, fiber_profile, fiber_profiles, is_scattered_fiber, is_scattered_roots,
-    linear_set_size, orbit_codes, profile_key, profile_keys,
+    linear_set_size, orbit_codes, profile_key, profile_keys, scaling_lattice,
 )
 from scatlin.quadrinomial import QuadParams, build_quadrinomial, build_quadrinomial_swapped
 from scatlin.sweep import condition_pairs, h_class_reps
@@ -344,6 +344,27 @@ def test_orbit_codes_match_the_all_rows_reference(case):
     keys = profile_keys(ctx, support, logs)
     assert key_codes.size == len({tuple(u) for u in keys.tolist()})
     assert np.array_equal(keys[first][inverse], keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True), st.data())
+@example([0, 1, 3, 5], None)
+def test_scaling_lattice_matches_the_brute_force_grid(f33, exps, data):
+    """On any support and any alpha and beta (zeros, coprime and shared
+    factors alike), (a, l) lies in Z*(A, B) + Z*(0, D) iff l*beta and
+    -a*alpha have one scaling key, for every a and l below the order."""
+    order, support = f33.order, tuple(sorted(exps))
+    if data is None:               # a lattice with A, B and D all above 1: (8, 156, 364)
+        alpha, beta = [0, 0, 13, 26], [13, 56, 2, 2]
+    else:
+        logs = st.lists(st.sampled_from([0, 1, 2, 13, 28, 364]) | st.integers(0, order - 1),
+                        min_size=len(support), max_size=len(support))
+        alpha, beta = data.draw(logs), data.draw(logs)
+    A, B, D = scaling_lattice(f33, support, alpha, beta)
+    assert 0 <= B < D and order % A == 0
+    a, l = np.arange(order)[:, None], np.arange(order)[None, :]
+    assert np.array_equal(scaling_lattice_grid(f33, support, alpha, beta, order),
+                          (a % A == 0) & ((l - a // A * B) % D == 0))
 
 
 # -- pinned fiber counts --------------------------------------------------------

@@ -10,8 +10,8 @@ from scatlin import quadrinomial, sweep
 from scatlin.cli import _record_lines
 from scatlin.fieldcore import make_field
 from scatlin.linpoly import LinPoly
-from scatlin.quadrinomial import QuadParams, build_quadrinomial
-from scatlin.scattered import fiber_profile, orbit_codes, profile_key
+from scatlin.quadrinomial import QuadParams, build_quadrinomial, family_slots
+from scatlin.scattered import fiber_profile, orbit_codes, profile_key, scaling_lattice
 from scatlin.sweep import (
     classify_sweep,
     classify_record,
@@ -225,6 +225,95 @@ def test_pair_grid_matches_the_per_orbit_loop(tower, seed):
     assert np.array_equal(grid.size, size)
     assert np.array_equal(grid.scattered, scattered)
     assert grid.calls == calls
+
+
+def _steps(ctx):
+    return [s for s in range(1, ctx.n) if gcd(s, ctx.n) == 1]
+
+
+@pytest.mark.parametrize("tower", [(3, 1, 3), (3, 1, 4), (5, 1, 3)])
+def test_scaling_lattices_match_the_brute_force_grid(tower):
+    """At every step, in both forms, on the four-term support and on the
+    m = 0 one: alpha and beta follow the family's rule, and the lattice of
+    `scaling_lattice` holds exactly the (a, l), a < q^t - 1, l < order, on
+    which l*beta and -a*alpha have one scaling key."""
+    ctx = make_field(*tower)
+    order, period = ctx.order, ctx.q ** ctx.t - 1
+    a, l = np.arange(period)[:, None], np.arange(order)[None, :]
+    for s in _steps(ctx):
+        for swapped in (False, True):
+            exps, times_m, alpha, beta = sweep._log_parts(ctx, s, swapped)
+            rule = sorted(family_slots(ctx.t, swapped), key=lambda term: s * term[0] % ctx.n)
+            assert alpha.tolist() == [(period + 2) * times for _, times, _, _ in rule]
+            assert beta.tolist() == [(1 - ctx.q ** (s * k % ctx.n)) % order for *_, k in rule]
+            for terms in (slice(None), ~times_m):
+                support = tuple(exps[terms].tolist())
+                A, B, D = scaling_lattice(ctx, support, alpha[terms], beta[terms])
+                grid = reference.scaling_lattice_grid(ctx, support, alpha[terms], beta[terms],
+                                                      period)
+                assert 0 <= B < D and period % A == 0
+                assert np.array_equal(grid, (a % A == 0) & ((l - a // A * B) % D == 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(3, 1, 3), (3, 1, 4)]), st.booleans(),
+       st.sampled_from([(False,), (True,), (False, True)]), st.integers(0, 2 ** 32 - 1))
+def test_pair_grid_matches_the_per_row_code_pass(tower, h_dedup, forms, seed):
+    """The coset pass against the row pass it replaced, at a seeded step on
+    every m of (3,3) or three m of (3,4) (m = 0 in half the draws), with h
+    deduplicated or not: per support the same rows get the same codes, and
+    the sizes, verdicts, kernel calls and key counts agree."""
+    ctx = make_field(*tower)
+    rng = np.random.default_rng(seed)
+    s = int(rng.choice(_steps(ctx)))
+    mids = ctx.subfield(ctx.t)
+    if ctx.t == 4:
+        mids = np.sort(rng.choice(mids[rng.integers(2):], 3, replace=False))
+    M, H = sweep._product(mids, h_class_reps(ctx) if h_dedup else ctx.nonzero_elements())
+    passes = [(support, rows, codes[code], keys)
+              for support, rows, codes, code, _, keys in sweep._code_pass(ctx, s, M, H, forms)]
+    rows_pass = reference.code_pass_per_row(ctx, s, M, H, forms)
+    assert len(passes) == len(rows_pass)
+    for (support, rows, codes, keys), ref in zip(passes, rows_pass):
+        assert support == ref[0] and keys == ref[3]
+        assert np.array_equal(rows, ref[1]) and np.array_equal(codes, ref[2])
+    grid = sweep.pair_grid(ctx, s, M, H, forms)
+    size, scattered, calls, keys = reference.pair_grid_per_row(ctx, s, M, H, forms)
+    assert np.array_equal(grid.size, size) and np.array_equal(grid.scattered, scattered)
+    assert (grid.calls, grid.keys) == (calls, keys)
+
+
+@pytest.mark.parametrize("tower", [(7, 1, 3), (3, 2, 3)])
+def test_code_pass_matches_orbit_codes_on_seeded_rows(tower):
+    """2,000 seeded pairs in both forms at steps 1 and 5 (every tenth m is 0):
+    each row's code is the `orbit_codes` code of its own logs.  Codes are
+    canonical, so comparing a sample is exact."""
+    ctx = make_field(*tower)
+    rng = np.random.default_rng(tower[0] * 10 + tower[1])
+    M = rng.choice(ctx.subfield(ctx.t)[1:], 2000)
+    M[::10] = 0
+    H = rng.integers(1, ctx.size, 2000)
+    for s in (1, 5):
+        passes = list(sweep._code_pass(ctx, s, M, H, (False, True)))
+        rows_pass = reference.code_pass_per_row(ctx, s, M, H, (False, True))
+        assert [p[0] for p in passes] == [r[0] for r in rows_pass]
+        for (_, rows, codes, code, _, keys), ref in zip(passes, rows_pass):
+            assert np.array_equal(rows, ref[1]) and np.array_equal(codes[code], ref[2])
+            assert keys == ref[3]
+
+
+# `stats` of one h-deduped s = 1 `classify_sweep` at larger towers: kernel
+# calls, distinct scaling keys, polynomials; recorded before the code pass
+# numbered the keys by scaling-lattice coset
+CLASSIFY_STATS = {(3, 1, 4): (1703, 13160, 265680), (5, 1, 3): (2667, 15655, 488250)}
+
+
+@pytest.mark.parametrize("tower", sorted(CLASSIFY_STATS))
+def test_larger_classify_stats_are_pinned(tower):
+    stats = {}
+    classify_sweep(make_field(*tower), 1, h_dedup=True, with_witness=False, stats=stats)
+    assert tuple(stats.values()) == CLASSIFY_STATS[tower]
+    assert list(stats) == ["profiles", "keys", "polynomials"]
 
 
 def _orbit_code(f):
