@@ -108,8 +108,11 @@ def _record_lines(records):
                             _pieces(records.linear_set_size, "%d"), tails))
 
 
-# lines joined per `write` by `_write_lines`
-_WRITE_LINES = 1024
+# lines joined per `write` by `_write_lines`: 256 record lines of (3,3) join
+# to about 35 KB, below glibc's 128 KB mmap threshold.  Chunks of 1,024
+# lines (140 KB) were mapped and freed on every write, which raises the
+# threshold, and left the `grid-33` benchmark's peak RSS about 1 MB higher.
+_WRITE_LINES = 256
 
 
 def _write_lines(fh, lines) -> None:

@@ -133,15 +133,18 @@ def test_conjecture_reports_are_pinned(tmp_path, capsys, s):
     assert re.fullmatch(rf"s={s}: [0-9.]+s, 260/19656 profiles\n", capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2500])
-def test_lines_are_written_in_chunks(count):
-    """`_write_lines` writes every line in order, in ceil(count/1024) calls
-    of at most 1,024 lines, and nothing for no lines."""
+@pytest.mark.parametrize("extra", [0, 1, -1])
+@pytest.mark.parametrize("chunks", [0, 1, 2, 5])
+def test_lines_are_written_in_chunks(chunks, extra):
+    """`_write_lines` writes every line in order, one `write` per chunk of
+    `_WRITE_LINES` lines and one for the rest, and nothing for no lines."""
+    size = cli._WRITE_LINES
+    count = max(0, chunks * size + extra)
     writes = []
     cli._write_lines(SimpleNamespace(write=writes.append), (f"{i}\n" for i in range(count)))
     assert "".join(writes) == "".join(f"{i}\n" for i in range(count))
-    assert [w.count("\n") for w in writes] == [min(1024, count - i)
-                                               for i in range(0, count, 1024)]
+    assert [w.count("\n") for w in writes] == [min(size, count - i)
+                                               for i in range(0, count, size)]
 
 
 _indices = st.integers(0, 2 ** 62)
