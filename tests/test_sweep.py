@@ -260,9 +260,9 @@ def test_scaling_lattices_match_the_brute_force_grid(tower):
        st.sampled_from([(False,), (True,), (False, True)]), st.integers(0, 2 ** 32 - 1))
 def test_pair_grid_matches_the_per_row_code_pass(tower, h_dedup, forms, seed):
     """The coset pass against the row pass it replaced, at a seeded step on
-    every m of (3,3) or three m of (3,4) (m = 0 in half the draws), with h
-    deduplicated or not: per support the same rows get the same codes, and
-    the sizes, verdicts, kernel calls and key counts agree."""
+    every m of (3,3), or on three m of (3,4) (m = 0 among them in half the
+    draws), with h deduplicated or not: the codes agree row by row, and so
+    do the sizes, verdicts, kernel calls and key counts."""
     ctx = make_field(*tower)
     rng = np.random.default_rng(seed)
     s = int(rng.choice(_steps(ctx)))
@@ -270,13 +270,7 @@ def test_pair_grid_matches_the_per_row_code_pass(tower, h_dedup, forms, seed):
     if ctx.t == 4:
         mids = np.sort(rng.choice(mids[rng.integers(2):], 3, replace=False))
     M, H = sweep._product(mids, h_class_reps(ctx) if h_dedup else ctx.nonzero_elements())
-    passes = [(support, rows, codes[code], keys)
-              for support, rows, codes, code, _, keys in sweep._code_pass(ctx, s, M, H, forms)]
-    rows_pass = reference.code_pass_per_row(ctx, s, M, H, forms)
-    assert len(passes) == len(rows_pass)
-    for (support, rows, codes, keys), ref in zip(passes, rows_pass):
-        assert support == ref[0] and keys == ref[3]
-        assert np.array_equal(rows, ref[1]) and np.array_equal(codes, ref[2])
+    _assert_code_passes_agree(ctx, s, M, H, forms)
     grid = sweep.pair_grid(ctx, s, M, H, forms)
     size, scattered, calls, keys = reference.pair_grid_per_row(ctx, s, M, H, forms)
     assert np.array_equal(grid.size, size) and np.array_equal(grid.scattered, scattered)
@@ -294,12 +288,18 @@ def test_code_pass_matches_orbit_codes_on_seeded_rows(tower):
     M[::10] = 0
     H = rng.integers(1, ctx.size, 2000)
     for s in (1, 5):
-        passes = list(sweep._code_pass(ctx, s, M, H, (False, True)))
-        rows_pass = reference.code_pass_per_row(ctx, s, M, H, (False, True))
-        assert [p[0] for p in passes] == [r[0] for r in rows_pass]
-        for (_, rows, codes, code, _, keys), ref in zip(passes, rows_pass):
-            assert np.array_equal(rows, ref[1]) and np.array_equal(codes[code], ref[2])
-            assert keys == ref[3]
+        _assert_code_passes_agree(ctx, s, M, H, (False, True))
+
+
+def _assert_code_passes_agree(ctx, s, M, H, forms):
+    """`sweep._code_pass` and the row pass give the same supports, rows,
+    code of every row and key counts."""
+    passes = list(sweep._code_pass(ctx, s, M, H, forms))
+    rows_pass = reference.code_pass_per_row(ctx, s, M, H, forms)
+    assert len(passes) == len(rows_pass)
+    for (support, rows, codes, code, _, keys), ref in zip(passes, rows_pass):
+        assert (support, keys) == (ref[0], ref[3])
+        assert np.array_equal(rows, ref[1]) and np.array_equal(codes[code], ref[2])
 
 
 # `stats` of one h-deduped s = 1 `classify_sweep` at larger towers: kernel
